@@ -320,7 +320,8 @@ def cmd_compare(cfg: RunConfig) -> None:
     report = compare_pipelines(
         corpus, k=cfg.k, k_rows=cfg.k_rows, k_cols=cfg.k_cols,
         n_particles=cfg.n_particles, max_iter=cfg.max_iter, seed=cfg.seed,
-        lam=cfg.lam, thresholds=cfg.thresholds, normalization=cfg.normalization)
+        lam=cfg.lam, thresholds=cfg.thresholds, normalization=cfg.normalization,
+        w=cfg.w, c1=cfg.c1, c2=cfg.c2)
     report["version"] = VERSION
     out = Path(cfg.out)
     _write_text(out / "compare.json", report_to_json(report))

@@ -47,7 +47,15 @@ def as_item_arrays(data) -> np.ndarray:
 
 
 def _pairwise_l1(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.abs(flat[:, None, :] - centroids[None, :, :]).sum(axis=2)
+    """(n, k) city-block distances, one centroid at a time through a reused
+    (n, d) buffer: an (n, k, d) broadcast would leave the cache."""
+    out = np.empty((flat.shape[0], centroids.shape[0]))
+    buf = np.empty(flat.shape)
+    for c, centroid in enumerate(centroids):
+        np.subtract(flat, centroid, out=buf)
+        np.abs(buf, out=buf)
+        buf.sum(axis=1, out=out[:, c])
+    return out
 
 
 def _distance_matrix(flat, centroids, dist):

@@ -1,12 +1,13 @@
-"""Particle swarm optimization over real vectors (minimization).
+"""Particle swarm optimization (minimization), one engine for both searches.
 
-One iteration is: evaluate fitness, refresh personal/global bests, then move
-every particle with the inertia-weight update
+One iteration is: score the whole swarm, refresh personal/global bests, then
+move every particle with the inertia-weight update
 
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)
-    x <- x + v
+    x <- move(x, v)
 
-where r1, r2 are fresh uniform[0,1] draws per dimension per step.
+where r1, r2 are fresh uniform[0,1] draws per dimension per step. The default
+move is x + v; psobiclust passes a sigmoid bit move.
 """
 
 from __future__ import annotations
@@ -45,21 +46,22 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-    current_fitness: float
-
-
-@dataclass
 class Swarm:
-    particles: list[Particle]
+    """Final state; row i of each (n_particles, ...) array is particle i."""
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    pbest_positions: np.ndarray
+    pbest_fitness: np.ndarray
+    current_fitness: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
     iteration: int
     history: list[float] = field(default_factory=list)
+
+
+def real_move(positions, velocities, rng):
+    return positions + velocities
 
 
 def pso_optimize(
@@ -69,12 +71,16 @@ def pso_optimize(
     init_velocities=None,
     rng=None,
     callback=None,
+    move=real_move,
 ):
     """Minimize fitness from the given start positions; returns (Swarm, best).
 
-    Velocities start at zero unless init_velocities is given. rng overrides
-    the default generator seeded from cfg.seed. callback, when set, is called
-    as callback(iteration, gbest_fitness) once per iteration.
+    fitness maps the (n_particles, dim) position array to an (n_particles,)
+    vector. Velocities start at zero unless init_velocities is given, and
+    are clipped to [-v_max, v_max] when cfg.v_max is set. move(positions,
+    velocities, rng) returns the next positions. rng overrides the default
+    generator seeded from cfg.seed. callback, when set, is called as
+    callback(iteration, gbest_fitness) once per iteration.
     """
     rows = [np.asarray(p, dtype=float).ravel() for p in init_positions]
     if not rows or any(r.shape != rows[0].shape for r in rows):
@@ -100,19 +106,20 @@ def pso_optimize(
     gbest_pos = positions[0].copy()
     gbest_fit = np.inf
     history: list[float] = []
-    current = np.full(n, np.inf)
 
     for iteration in range(1, cfg.max_iter + 1):
-        for i in range(n):
-            value = float(fitness(positions[i]))
-            if not np.isfinite(value):
-                raise ContractError(
-                    f"non-finite fitness {value} from particle {i} at iteration {iteration}"
-                )
-            current[i] = value
-            if value < pbest_fit[i]:
-                pbest_fit[i] = value
-                pbest_pos[i] = positions[i].copy()
+        current = np.asarray(fitness(positions), dtype=float)
+        if current.shape != (n,):
+            raise ContractError(f"fitness returned shape {current.shape}, expected {(n,)}")
+        bad = np.flatnonzero(~np.isfinite(current))
+        if bad.size:
+            i = int(bad[0])
+            raise ContractError(
+                f"non-finite fitness {current[i]} from particle {i} at iteration {iteration}"
+            )
+        improved = current < pbest_fit
+        pbest_fit[improved] = current[improved]
+        pbest_pos[improved] = positions[improved]
         best = int(pbest_fit.argmin())
         if pbest_fit[best] < gbest_fit:
             gbest_fit = float(pbest_fit[best])
@@ -121,29 +128,22 @@ def pso_optimize(
         if callback is not None:
             callback(iteration, gbest_fit)
 
-        r1 = rng.random((n, dim))
-        r2 = rng.random((n, dim))
+        # r1 is drawn before r2; neither outlives this expression.
         velocities = (
             cfg.w * velocities
-            + cfg.c1 * r1 * (pbest_pos - positions)
-            + cfg.c2 * r2 * (gbest_pos - positions)
+            + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
+            + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions)
         )
         if cfg.v_max is not None:
             velocities = np.clip(velocities, -cfg.v_max, cfg.v_max)
-        positions = positions + velocities
+        positions = move(positions, velocities, rng)
 
-    particles = [
-        Particle(
-            position=positions[i],
-            velocity=velocities[i],
-            pbest_position=pbest_pos[i],
-            pbest_fitness=float(pbest_fit[i]),
-            current_fitness=float(current[i]),
-        )
-        for i in range(n)
-    ]
     swarm = Swarm(
-        particles=particles,
+        positions=positions,
+        velocities=velocities,
+        pbest_positions=pbest_pos,
+        pbest_fitness=pbest_fit,
+        current_fitness=current,
         gbest_position=gbest_pos,
         gbest_fitness=gbest_fit,
         iteration=cfg.max_iter,

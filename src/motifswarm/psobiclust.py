@@ -10,18 +10,17 @@ of the rows and of the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError
 from . import metrics
-from .pso import PsoConfig
+from .pso import MAX_PARTICLES, PsoConfig, pso_optimize
 from .psokmeans import pso_kmeans
 
 VELOCITY_CLAMP = 4.0
 DEFAULT_LAMBDA_SCALE = 0.1
-MAX_PARTICLES = 100
 
 
 @dataclass(frozen=True)
@@ -84,23 +83,49 @@ def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig | None = No
     return seeds
 
 
-def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
-
-
-def _decode(bits_row, n_rows):
-    rows = np.flatnonzero(bits_row[:n_rows])
-    cols = np.flatnonzero(bits_row[n_rows:])
-    return rows, cols
-
-
 def _repair(bits, velocities, n_rows):
     """Keep both halves of every membership vector non-empty by switching on
     the highest-velocity bit of any empty half."""
     for half in (slice(0, n_rows), slice(n_rows, bits.shape[1])):
-        dead = ~bits[:, half].any(axis=1)
-        for p in np.flatnonzero(dead):
-            bits[p, half][int(velocities[p, half].argmax())] = 1
+        dead = np.flatnonzero(~bits[:, half].any(axis=1))
+        bits[dead, half.start + velocities[dead, half].argmax(axis=1)] = True
+
+
+def bit_move(n_rows: int):
+    """Binary-PSO move for pso_optimize: a bit is 1 when a fresh uniform
+    draw falls below sigmoid(velocity); empty halves are then repaired."""
+    def move(positions, velocities, rng):
+        bits = rng.random(velocities.shape) < 1.0 / (1.0 + np.exp(-velocities))
+        _repair(bits, velocities, n_rows)
+        return bits.astype(float)
+    return move
+
+
+def swarm_msr(matrix, row_masks, col_masks) -> np.ndarray:
+    """Mean squared residue of every masked submatrix, from 0/1 masks of
+    shape (n_particles, n_rows) and (n_particles, n_cols).
+
+    Uses the sums-of-squares identity of Cheng & Church (2000): with row sums
+    r_i, column sums c_j, total t, squared sum q and n = |I|*|J| cells,
+    msr = (q - sum r_i^2/|J| - sum c_j^2/|I| + t^2/n) / n. The sums come from
+    three matmuls. Accurate to rounding only, so it ranks particles while
+    metrics.msr gives the reported value.
+    """
+    m = np.asarray(matrix, dtype=float)
+    # Adding a row effect plus a column effect leaves every residue as it
+    # is; double-centring keeps the sums, and their cancellation error, small.
+    m = m - m.mean(axis=1, keepdims=True) - m.mean(axis=0, keepdims=True) + m.mean()
+    n_r = row_masks.sum(axis=1)
+    n_c = col_masks.sum(axis=1)
+    row_sums = (col_masks @ m.T) * row_masks
+    col_sums = (row_masks @ m) * col_masks
+    squares = ((row_masks @ (m * m)) * col_masks).sum(axis=1)
+    total = col_sums.sum(axis=1)
+    n = n_r * n_c
+    out = (squares - (row_sums**2).sum(axis=1) / n_c - (col_sums**2).sum(axis=1) / n_r
+           + total**2 / n) / n
+    # One row or one column is its own row or column mean: residue 0 exactly.
+    return np.where((n_r == 1) | (n_c == 1), 0.0, np.maximum(out, 0.0))
 
 
 def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
@@ -117,86 +142,50 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
     n_rows, n_cols = m.shape
     if not seeds:
         raise ContractError("at least one seed bicluster required")
+    if len(seeds) > MAX_PARTICLES:
+        raise ContractError(
+            f"{len(seeds)} seed biclusters exceed the {MAX_PARTICLES}-particle swarm"
+        )
     for s in seeds:
         if not s.rows or not s.cols:
             raise ContractError("seed with empty row or column set")
         if max(s.rows) >= n_rows or max(s.cols) >= n_cols:
             raise ContractError("seed indices outside matrix")
-    # One particle per seed; extra capacity recycles the seed list.
-    n_wanted = min(max(cfg.n_particles, len(seeds)), MAX_PARTICLES)
-    seeds = [seeds[i % len(seeds)] for i in range(n_wanted)]
     if lam is None:
         lam = default_lambda(m)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     clamp = cfg.v_max if cfg.v_max is not None else VELOCITY_CLAMP
 
-    n = len(seeds)
-    n_bits = n_rows + n_cols
-    bits = np.zeros((n, n_bits), dtype=bool)
-    for p, s in enumerate(seeds):
+    # One particle per seed; extra capacity recycles the seed list.
+    n = max(cfg.n_particles, len(seeds))
+    bits = np.zeros((n, n_rows + n_cols), dtype=bool)
+    for p in range(n):
+        s = seeds[p % len(seeds)]
         bits[p, list(s.rows)] = True
         bits[p, [n_rows + c for c in s.cols]] = True
     # Random speeds, signed to lean toward keeping the seed's bits; a fully
     # signless start would scramble the seeds on the first move.
-    velocities = rng.uniform(1.0, 3.0, size=(n, n_bits)) * np.where(bits, 1.0, -1.0)
-
+    velocities = rng.uniform(1.0, 3.0, size=bits.shape) * np.where(bits, 1.0, -1.0)
     total = n_rows * n_cols
 
-    def evaluate(bits_row, p, iteration):
-        rows, cols = _decode(bits_row, n_rows)
-        value = metrics.msr(m, rows, cols) - lam * (rows.size * cols.size) / total
-        if not np.isfinite(value):
-            raise ContractError(
-                f"non-finite fitness {value} from particle {p} at iteration {iteration}"
-            )
-        return value
+    def fitness(positions):
+        rows, cols = positions[:, :n_rows], positions[:, n_rows:]
+        volume = rows.sum(axis=1) * cols.sum(axis=1)
+        return swarm_msr(m, rows, cols) - lam * volume / total
 
-    pbest_bits = bits.copy()
-    pbest_fit = np.full(n, np.inf)
-    gbest_bits = bits[0].copy()
-    gbest_fit = np.inf
-    history = []
+    swarm, _ = pso_optimize(
+        fitness, bits, replace(cfg, n_particles=n, v_max=clamp),
+        init_velocities=velocities, rng=rng, callback=callback, move=bit_move(n_rows),
+    )
 
-    for iteration in range(1, cfg.max_iter + 1):
-        for p in range(n):
-            value = evaluate(bits[p], p, iteration)
-            if value < pbest_fit[p]:
-                pbest_fit[p] = value
-                pbest_bits[p] = bits[p].copy()
-        best = int(pbest_fit.argmin())
-        if pbest_fit[best] < gbest_fit:
-            gbest_fit = float(pbest_fit[best])
-            gbest_bits = pbest_bits[best].copy()
-        history.append(gbest_fit)
-        if callback is not None:
-            callback(iteration, gbest_fit)
+    def to_bicluster(position):
+        return make_bicluster(m, np.flatnonzero(position[:n_rows]),
+                              np.flatnonzero(position[n_rows:]))
 
-        x = bits.astype(float)
-        r1 = rng.random((n, n_bits))
-        r2 = rng.random((n, n_bits))
-        velocities = (
-            cfg.w * velocities
-            + cfg.c1 * r1 * (pbest_bits.astype(float) - x)
-            + cfg.c2 * r2 * (gbest_bits.astype(float) - x)
-        )
-        velocities = np.clip(velocities, -clamp, clamp)
-        bits = rng.random((n, n_bits)) < _sigmoid(velocities)
-        _repair(bits, velocities, n_rows)
-
-    def to_bicluster(bits_row):
-        rows, cols = _decode(bits_row, n_rows)
-        return make_bicluster(m, rows, cols)
-
-    out = [to_bicluster(gbest_bits)]
-    seen = {(out[0].rows, out[0].cols)}
-    candidates = []
-    for p in range(n):
-        b = to_bicluster(pbest_bits[p])
-        key = (b.rows, b.cols)
-        if key not in seen:
-            seen.add(key)
-            candidates.append((float(pbest_fit[p]), b))
-    candidates.sort(key=lambda t: (t[0], t[1].rows, t[1].cols))
-    out.extend(b for _, b in candidates)
-    return out
+    best = to_bicluster(swarm.gbest_position)
+    rest = {(b.rows, b.cols): b for b in map(to_bicluster, swarm.pbest_positions)}
+    rest.pop((best.rows, best.cols), None)
+    # Sort by exact fitness (exact msr), not the identity's rounded values.
+    return [best] + sorted(rest.values(), key=lambda b: (
+        b.msr - lam * b.volume / total, b.rows, b.cols))

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError
-from . import metrics
-from .kmeans import ClusterSet, as_item_arrays, _distance_matrix
+from .kmeans import ClusterSet, as_item_arrays, _pairwise_l1
 from .pso import PsoConfig, pso_optimize
 
 DEFAULT_PARTICLES = 20
@@ -56,17 +55,21 @@ class CentroidParticleCodec:
 def assignment_fitness(flat, centroids, empty_penalty=0.0):
     """Nearest-centroid labels (ties to the lowest index) and the
     intra-cluster fitness, plus empty_penalty per member-less cluster."""
-    distances = _distance_matrix(flat, centroids, metrics.cityblock)
+    distances = _pairwise_l1(flat, centroids)
     labels = distances.argmin(axis=1)
-    fitness = metrics.intra_cluster_fitness(flat, labels, centroids)
+    # cumsum adds the nearest distances in item order, as
+    # metrics.intra_cluster_fitness does, so the two agree bit for bit.
+    fitness = float(np.cumsum(distances.min(axis=1))[-1]) / centroids.shape[0]
     if empty_penalty:
         n_empty = centroids.shape[0] - np.unique(labels).size
         fitness += empty_penalty * n_empty
-    return labels, float(fitness)
+    return labels, fitness
 
 
-def _l1_spread(flat: np.ndarray) -> float:
-    return float((flat.max(axis=0) - flat.min(axis=0)).sum())
+def swarm_fitness(flat, positions, k: int, empty_penalty: float) -> np.ndarray:
+    """assignment_fitness of each row of an (n_particles, k * d) swarm."""
+    return np.array([assignment_fitness(flat, p.reshape(k, -1), empty_penalty)[1]
+                     for p in positions])
 
 
 def pso_kmeans(data, k: int, cfg: PsoConfig | None = None, refine: bool = False) -> ClusterSet:
@@ -86,11 +89,11 @@ def pso_kmeans(data, k: int, cfg: PsoConfig | None = None, refine: bool = False)
 
     flat = items.reshape(n, -1)
     codec = CentroidParticleCodec(k=k, item_shape=item_shape)
-    spread = _l1_spread(flat)
+    per_dim = flat.max(axis=0) - flat.min(axis=0)
+    spread = float(per_dim.sum())
 
     # Velocity cap defaults to 20% of the per-dimension data range.
     if cfg.v_max is None:
-        per_dim = flat.max(axis=0) - flat.min(axis=0)
         per_dim[per_dim == 0.0] = 1.0
         v_cap = np.tile(0.2 * per_dim, k)
         cfg = replace(cfg, v_max=v_cap)
@@ -102,28 +105,23 @@ def pso_kmeans(data, k: int, cfg: PsoConfig | None = None, refine: bool = False)
     ])
     init_velocities = rng.uniform(-1.0, 1.0, size=init_positions.shape) * cfg.v_max
 
-    def fitness(position):
-        centroids = position.reshape(k, -1)
-        return assignment_fitness(flat, centroids, empty_penalty=spread)[1]
-
     swarm, best_position = pso_optimize(
-        fitness, init_positions, cfg, init_velocities=init_velocities, rng=rng
+        lambda positions: swarm_fitness(flat, positions, k, spread),
+        init_positions, cfg, init_velocities=init_velocities, rng=rng,
     )
 
     centroids = best_position.reshape(k, -1)
-    labels, _ = assignment_fitness(flat, centroids)
+    labels, final = assignment_fitness(flat, centroids)
     if refine:
         updated = centroids.copy()
         for c in range(k):
             members = flat[labels == c]
             if members.shape[0]:
                 updated[c] = members.mean(axis=0)
-        new_labels, _ = assignment_fitness(flat, updated)
-        if (metrics.intra_cluster_fitness(flat, new_labels, updated)
-                < metrics.intra_cluster_fitness(flat, labels, centroids)):
-            centroids, labels = updated, new_labels
+        new_labels, new_final = assignment_fitness(flat, updated)
+        if new_final < final:
+            centroids, labels, final = updated, new_labels, new_final
 
-    final = metrics.intra_cluster_fitness(flat, labels, centroids)
     return ClusterSet(
         k=k,
         centroids=centroids.reshape((k,) + item_shape),

@@ -9,7 +9,7 @@ Note the deliberate asymmetry with metrics.homology_class: the tally uses >=
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ContractError, ValidationError
 from . import metrics
@@ -70,6 +70,9 @@ def compare_pipelines(
     lam: float | None = None,
     thresholds=DEFAULT_THRESHOLDS,
     normalization: str = "mean",
+    w: float = PsoConfig.w,
+    c1: float = PsoConfig.c1,
+    c2: float = PsoConfig.c2,
 ):
     """Run the clustering and the biclustering pipeline on one corpus and
     tally their structure homology side by side. Deterministic per seed."""
@@ -80,8 +83,9 @@ def compare_pipelines(
     windows = build_cluster_dataset(corpus.sequences)
     ids = [s.id for s in corpus.sequences]
 
-    cluster_cfg = PsoConfig(n_particles=n_particles, max_iter=max_iter, seed=seed)
-    cs = pso_kmeans(windows, k, cluster_cfg)
+    swarm_cfg = PsoConfig(n_particles=n_particles, max_iter=max_iter,
+                          w=w, c1=c1, c2=c2, seed=seed)
+    cs = pso_kmeans(windows, k, swarm_cfg)
     cluster_profiles = []
     cluster_entries = []
     for c in range(cs.k):
@@ -95,11 +99,10 @@ def compare_pipelines(
     matrix = build_bicluster_matrix(corpus.sequences, method=normalization)
     if lam is None:
         lam = default_lambda(matrix)
-    seeds = seed_biclusters(matrix, k_rows, k_cols,
-                            PsoConfig(n_particles=n_particles, max_iter=max_iter, seed=seed))
+    seeds = seed_biclusters(matrix, k_rows, k_cols, swarm_cfg)
     bics = pso_bicluster(
         matrix,
-        PsoConfig(n_particles=max(len(seeds), n_particles), max_iter=max_iter, seed=seed + 2),
+        replace(swarm_cfg, n_particles=max(len(seeds), n_particles), seed=seed + 2),
         seeds,
         lam=lam,
     )

@@ -167,6 +167,15 @@ class TestCompare:
         assert (tmp_path / "a" / "tally.csv").read_bytes() == \
             (tmp_path / "b" / "tally.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--w", "0.1"], ["--c1", "3"], ["--c2", "0.2"]])
+    def test_swarm_coefficients_drive_the_run(self, tmp_path, flags):
+        base = ["compare", "--sample-corpus", "--k", "3", "--k-rows", "3",
+                "--k-cols", "2", *FAST]
+        run_cli(*base, "--out", tmp_path / "default")
+        run_cli(*base, *flags, "--out", tmp_path / "changed")
+        assert (tmp_path / "default" / "compare.json").read_bytes() != \
+            (tmp_path / "changed" / "compare.json").read_bytes()
+
     def test_thresholds_flag(self, tmp_path):
         run_cli("compare", "--sample-corpus", "--k", "2", "--k-rows", "2",
                 "--k-cols", "2", "--thresholds", "0.8,0.5", "--out", tmp_path,

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.kmeans import ClusterSet, as_item_arrays, kmeans_run
+from motifswarm.kmeans import ClusterSet, _pairwise_l1, as_item_arrays, kmeans_run
 from motifswarm.metrics import intra_cluster_fitness
 
-from helpers import make_blobs, partitions_match
+from helpers import cityblock_oracle, make_blobs, partitions_match
 
 
 def test_identical_pairs_split_any_seed():
@@ -143,3 +144,19 @@ def test_contract_violations():
         kmeans_run([], k=1)
     with pytest.raises(ContractError):
         as_item_arrays([np.zeros(2), np.zeros(3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 200), k=st.integers(1, 6),
+       seed=st.integers(0, 2**16), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_pairwise_l1_matches_broadcast_and_oracle(n, d, k, seed, scale):
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=(n, d)) * scale
+    cents = rng.normal(size=(k, d)) * scale
+    got = _pairwise_l1(flat, cents)
+    # The (n, k, d) broadcast it replaces: same cells, same summation order.
+    assert np.array_equal(got, np.abs(flat[:, None, :] - cents[None, :, :]).sum(axis=2))
+    for i in range(n):
+        for c in range(k):
+            assert got[i, c] == pytest.approx(cityblock_oracle(flat[i], cents[c]),
+                                              rel=1e-12)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
 from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize
+from motifswarm.psobiclust import bit_move, swarm_msr
 
 
 def sphere(x):
-    return float((x ** 2).sum())
+    """Sum of squares along the last axis: (n, dim) -> (n,), (dim,) -> scalar."""
+    return (np.asarray(x) ** 2).sum(axis=-1)
 
 
 def init_box(seed, n=10, dim=4, half_width=5.0):
@@ -56,11 +59,11 @@ class TestLoopMechanics:
         calls = []
         cfg = PsoConfig(n_particles=3, max_iter=1, seed=0)
         swarm, _ = pso_optimize(
-            lambda x: calls.append(1) or sphere(x), init_box(0, n=3), cfg
+            lambda x: calls.append(x.shape) or sphere(x), init_box(0, n=3), cfg
         )
         assert swarm.iteration == 1
         assert len(swarm.history) == 1
-        assert len(calls) == 3
+        assert calls == [(3, 4)]  # one call scores all three particles
 
     def test_gbest_monotone_nonincreasing(self):
         for seed in range(10):
@@ -72,25 +75,23 @@ class TestLoopMechanics:
     def test_gbest_is_min_of_pbests(self):
         cfg = PsoConfig(n_particles=6, max_iter=20, seed=7)
         swarm, _ = pso_optimize(sphere, init_box(7, n=6), cfg)
-        pbests = [p.pbest_fitness for p in swarm.particles]
-        assert swarm.gbest_fitness == min(pbests)
-        for p in swarm.particles:
-            assert p.pbest_fitness <= p.current_fitness + 1e-12
+        assert swarm.pbest_fitness.shape == (6,)
+        assert swarm.gbest_fitness == swarm.pbest_fitness.min()
+        assert np.all(swarm.pbest_fitness <= swarm.current_fitness + 1e-12)
 
     def test_zero_coefficients_freeze_positions(self):
         init = init_box(1, n=4)
         vels = np.full((4, 4), 2.5)
         cfg = PsoConfig(n_particles=4, max_iter=10, seed=1, w=0.0, c1=0.0, c2=0.0)
         swarm, _ = pso_optimize(sphere, init, cfg, init_velocities=vels)
-        final = np.array([p.position for p in swarm.particles])
-        assert np.array_equal(final, init)
-        assert all(np.all(p.velocity == 0.0) for p in swarm.particles)
+        assert np.array_equal(swarm.positions, init)
+        assert np.all(swarm.velocities == 0.0)
 
     def test_velocity_clamp(self):
         cfg = PsoConfig(n_particles=6, max_iter=25, seed=2, v_max=0.5)
         swarm, _ = pso_optimize(sphere, init_box(2, n=6), cfg)
-        for p in swarm.particles:
-            assert np.all(np.abs(p.velocity) <= 0.5)
+        assert swarm.velocities.shape == (6, 4)
+        assert np.all(np.abs(swarm.velocities) <= 0.5)
 
     def test_callback_sees_every_iteration(self):
         seen = []
@@ -137,10 +138,66 @@ class TestErrors:
 
     def test_nonfinite_fitness_names_particle_and_iteration(self):
         def bad(x):
-            return float("nan") if x[0] > 0 else sphere(x)
+            return np.where(x[:, 0] > 0, np.nan, sphere(x))
 
         init = np.zeros((3, 2))
         init[2, 0] = 1.0
         cfg = PsoConfig(n_particles=3, max_iter=5, seed=0)
         with pytest.raises(ContractError, match=r"particle 2.*iteration 1"):
             pso_optimize(bad, init, cfg)
+
+    def test_fitness_must_return_one_value_per_particle(self):
+        cfg = PsoConfig(n_particles=3, max_iter=2)
+        with pytest.raises(ContractError, match="shape"):
+            pso_optimize(lambda x: sphere(x)[:2], init_box(0, n=3), cfg)
+
+
+@st.composite
+def binary_problems(draw):
+    """A small matrix, a swarm of random membership vectors with non-empty
+    row and column halves, and a config for the bit engine."""
+    n_rows = draw(st.integers(2, 8))
+    n_cols = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n_rows, n_cols)) * draw(st.sampled_from([1.0, 50.0]))
+    bits = rng.random((n, n_rows + n_cols)) < 0.5
+    bits[:, 0] = True
+    bits[:, n_rows] = True
+    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 15)), v_max=4.0,
+                    seed=seed)
+    return m, bits, cfg
+
+
+def msr_fitness(m):
+    n_rows = m.shape[0]
+    return lambda x: swarm_msr(m, x[:, :n_rows], x[:, n_rows:]) - 0.1 * x.sum(axis=1)
+
+
+class TestBinaryEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(binary_problems())
+    def test_history_length_and_monotone(self, problem):
+        m, bits, cfg = problem
+        seen = []
+        swarm, best = pso_optimize(msr_fitness(m), bits, cfg, move=bit_move(m.shape[0]),
+                                   callback=lambda i, f: seen.append(i))
+        hist = swarm.history
+        assert swarm.iteration == cfg.max_iter == len(hist)
+        assert seen == list(range(1, cfg.max_iter + 1))
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        assert swarm.gbest_fitness == swarm.pbest_fitness.min() == hist[-1]
+        assert np.array_equal(best, swarm.gbest_position)
+
+    @settings(max_examples=40, deadline=None)
+    @given(binary_problems())
+    def test_moves_keep_bits_and_both_halves(self, problem):
+        m, bits, cfg = problem
+        n_rows = m.shape[0]
+        swarm, _ = pso_optimize(msr_fitness(m), bits, cfg, move=bit_move(n_rows))
+        for arr in (swarm.positions, swarm.pbest_positions):
+            assert set(np.unique(arr)) <= {0.0, 1.0}
+            assert np.all(arr[:, :n_rows].any(axis=1))
+            assert np.all(arr[:, n_rows:].any(axis=1))
+        assert np.all(np.abs(swarm.velocities) <= 4.0)

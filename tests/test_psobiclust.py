@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
 from motifswarm.metrics import msr
-from motifswarm.pso import PsoConfig
+from motifswarm.pso import MAX_PARTICLES, PsoConfig
 from motifswarm.psobiclust import (
     Bicluster,
     default_lambda,
     make_bicluster,
     pso_bicluster,
     seed_biclusters,
+    swarm_msr,
 )
 
 from helpers import msr_oracle
@@ -171,6 +175,37 @@ class TestPsoBicluster:
         with pytest.raises(ContractError):
             pso_bicluster(m, cfg, [bad])
 
+    def test_more_seeds_than_particles_allowed_is_an_error(self):
+        m = np.arange(24.0).reshape(6, 4)
+        seeds = [make_bicluster(m, [0, 1], [0, 1])] * (MAX_PARTICLES + 1)
+        cfg = PsoConfig(n_particles=2, max_iter=5)
+        with pytest.raises(ContractError, match=f"{MAX_PARTICLES + 1} seed"):
+            pso_bicluster(m, cfg, seeds)
+        assert len(pso_bicluster(m, cfg, seeds[:MAX_PARTICLES])) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 8), n=st.integers(1, 8),
+       seed=st.integers(0, 2**16), scale=st.sampled_from([1.0, 50.0]),
+       offset=st.sampled_from([0.0, 100.0]))
+def test_swarm_msr_matches_oracle(n_rows, n_cols, n, seed, scale, offset):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n_rows, n_cols)) * scale + offset
+    rows = rng.random((n, n_rows)) < rng.random((n, 1))
+    cols = rng.random((n, n_cols)) < rng.random((n, 1))
+    rows[0], cols[0] = True, True  # the full matrix
+    rows[np.arange(n), rng.integers(n_rows, size=n)] = True
+    cols[np.arange(n), rng.integers(n_cols, size=n)] = True
+    got = swarm_msr(m, rows.astype(float), cols.astype(float))
+    assert got.shape == (n,)
+    for p in range(n):
+        r, c = np.flatnonzero(rows[p]), np.flatnonzero(cols[p])
+        if r.size == 1 or c.size == 1:
+            assert got[p] == 0.0
+        else:
+            assert math.isclose(got[p], msr_oracle(m, r, c), rel_tol=1e-9,
+                                abs_tol=1e-12 * scale**2)
+
 
 class PermutedRng:
     """Mirrors a base generator with every (n, n_bits) draw re-indexed along
@@ -190,6 +225,34 @@ class PermutedRng:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._remap(np.asarray(self.base.uniform(low, high, size)))
+
+
+class RecordingRng:
+    """Passes draws through to a base generator and logs (method, size)."""
+
+    def __init__(self, base):
+        self.base = base
+        self.log = []
+
+    def random(self, size=None):
+        self.log.append(("random", size))
+        return self.base.random(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.log.append(("uniform", size))
+        return self.base.uniform(low, high, size)
+
+
+def test_draws_speeds_once_then_three_per_iteration():
+    """Initial speeds, then r1, r2 and the bit draw each iteration; the
+    per-seed artifact bytes depend on this sequence."""
+    m, _, _ = planted_matrix(seed=4)
+    seed = make_bicluster(m, range(6), range(5))
+    rng = RecordingRng(np.random.default_rng(0))
+    pso_bicluster(m, PsoConfig(n_particles=3, max_iter=4, seed=0), [seed], rng=rng)
+    shape = (3, 60)
+    assert [(name, tuple(size)) for name, size in rng.log] == \
+        [("uniform", shape)] + [("random", shape)] * 3 * 4
 
 
 def test_row_permutation_equivariance():

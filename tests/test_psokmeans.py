@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.metrics import intra_cluster_fitness
+from motifswarm.metrics import cityblock, intra_cluster_fitness
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import (
     CentroidParticleCodec,
     assignment_fitness,
     pso_kmeans,
+    swarm_fitness,
 )
 
 from helpers import make_blobs, partitions_match
@@ -131,3 +133,23 @@ class TestPsoKmeans:
             pso_kmeans(data, k=0)
         with pytest.raises(ContractError):
             pso_kmeans(data, k=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 40), k=st.integers(1, 5),
+       n_particles=st.integers(1, 6), penalty=st.sampled_from([0.0, 7.5]),
+       seed=st.integers(0, 2**16))
+def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penalty, seed):
+    rng = np.random.default_rng(seed)
+    # Few distinct values, so ties and empty clusters both occur.
+    flat = rng.integers(0, 3, size=(n, d)).astype(float) / 9
+    positions = rng.integers(0, 3, size=(n_particles, k * d)).astype(float) / 9
+    got = swarm_fitness(flat, positions, k, penalty)
+    assert got.shape == (n_particles,)
+    for p in range(n_particles):
+        cents = positions[p].reshape(k, d)
+        labels = [int(np.argmin([cityblock(item, c) for c in cents])) for item in flat]
+        expected = intra_cluster_fitness(flat, labels, cents)
+        if penalty:
+            expected += penalty * (k - len(set(labels)))
+        assert got[p] == expected  # same sums in the same order: bit for bit

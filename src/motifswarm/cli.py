@@ -125,13 +125,11 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _csv_cell(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _csv(header: list, rows) -> str:
+    """CSV text of rows of str, int and float cells; str(float) is its
+    shortest round-trip repr, so numbers read back exactly."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -140,21 +138,20 @@ def cmd_prepare(cfg: RunConfig) -> None:
     corpus = _load_corpus(cfg)
     windows = featurize.build_cluster_dataset(
         corpus.sequences, cfg.window_size, cfg.window_scheme)
-    matrix = featurize.build_bicluster_matrix(
-        corpus.sequences, cfg.normalization, cfg.window_size, cfg.window_scheme)
+    matrix = featurize.normalize_windows(windows, cfg.normalization)
     out = Path(cfg.out)
 
+    # .tolist() gives Python int and float cells, which _csv writes directly.
     letters = list(AMINO_ACIDS)
     window_rows = [
-        [w.sequence_id, i + 1, *w.counts[i]]
+        [w.sequence_id, i, *row]
         for w in windows
-        for i in range(w.counts.shape[0])
+        for i, row in enumerate(w.counts.tolist(), start=1)
     ]
     _write_text(out / "windows.csv",
                 _csv(["sequence_id", "position", *letters], window_rows))
     matrix_rows = [
-        [seq.id, *(float(v) for v in matrix[r])]
-        for r, seq in enumerate(corpus.sequences)
+        [seq.id, *row] for seq, row in zip(corpus.sequences, matrix.tolist())
     ]
     _write_text(out / "matrix.csv", _csv(["sequence_id", *letters], matrix_rows))
     _write_json(out / "manifest.json", {

@@ -2,7 +2,8 @@
 
 Each sequence is folded into consecutive 9-residue blocks; counting how often
 each amino acid occupies each of the 9 block positions gives one 9x20
-frequency window per sequence (the clustering unit). For biclustering, every
+frequency window per sequence (the clustering unit). Residues are encoded
+once as column indices and counted with np.bincount. For biclustering, every
 window is collapsed into a single 20-element row by a per-column
 normalization, and the rows are stacked into an n_sequences x 20 matrix.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .seqio import AA_INDEX, AMINO_ACIDS, SecondaryStructure, Sequence
+from .seqio import AMINO_ACIDS, SecondaryStructure, Sequence, encode
 
 WINDOW_SIZE = 9
 
@@ -66,6 +67,19 @@ class StructureWindowSet:
     segments: list[str] = field(default_factory=list)
 
 
+def _check_window_size(window_size: int) -> None:
+    if window_size < 1:
+        raise ContractError(f"window size must be >= 1, got {window_size}")
+
+
+def _block_counts(codes: np.ndarray, window_size: int, n_symbols: int) -> np.ndarray:
+    """(window_size, n_symbols) counts of each code at each position of the
+    consecutive window_size blocks of codes."""
+    cells = np.arange(codes.size) % window_size * n_symbols + codes
+    counts = np.bincount(cells, minlength=window_size * n_symbols)
+    return counts.reshape(window_size, n_symbols)
+
+
 def reshape_and_count(
     seq: Sequence, window_size: int = WINDOW_SIZE, scheme: str = "chunked"
 ) -> FrequencyWindow:
@@ -79,44 +93,68 @@ def reshape_and_count(
     """
     if scheme not in WINDOW_SCHEMES:
         raise ContractError(f"unknown window scheme {scheme!r}")
+    _check_window_size(window_size)
     n = len(seq)
     if n < window_size:
         raise ValidationError(
             f"sequence '{seq.id}' has length {n} < window size {window_size}"
         )
-    counts = np.zeros((window_size, len(AMINO_ACIDS)), dtype=np.int64)
+    codes = encode(seq.residues)
+    n_letters = len(AMINO_ACIDS)
     if scheme == "chunked":
-        starts = range(0, n, window_size)
+        counts = _block_counts(codes, window_size, n_letters)
     else:
-        starts = range(0, n - window_size + 1)
-    for start in starts:
-        block = seq.residues[start : start + window_size]
-        for i, aa in enumerate(block):
-            counts[i, AA_INDEX[aa]] += 1
+        # Window start s puts residue s + i in row i, so row i counts the
+        # n - window_size + 1 residues from i on: a difference of per-letter
+        # prefix sums.
+        onehot = np.zeros((n + 1, n_letters), dtype=np.int64)
+        onehot[np.arange(1, n + 1), codes] = 1
+        prefix = onehot.cumsum(axis=0)
+        span = n - window_size + 1
+        counts = prefix[span : span + window_size] - prefix[:window_size]
     return FrequencyWindow(sequence_id=seq.id, counts=counts)
 
 
-def normalize_window(fw: FrequencyWindow, method: str = "mean") -> NormalizedRow:
-    """Collapse a frequency window into one 20-element row, column by column.
+def _column_modes(counts: np.ndarray) -> np.ndarray:
+    """Most frequent value of each column of each (ws, 20) window in an
+    (n, ws, 20) stack, ties resolved to the smallest value."""
+    # freq[t, r, j]: how many rows of column j of window t equal row r's
+    # value. One broadcast comparison per row keeps the temporaries at the
+    # size of the stack, whatever the window size.
+    freq = np.zeros(counts.shape, dtype=np.intp)
+    for r in range(counts.shape[1]):
+        freq += counts == counts[:, r : r + 1, :]
+    top = freq == freq.max(axis=1, keepdims=True)
+    return np.where(top, counts, np.inf).min(axis=1)
+
+
+def _normalize(counts: np.ndarray, method: str) -> np.ndarray:
+    """The n x 20 rows of an (n, ws, 20) stack of window counts."""
+    if method not in NORMALIZATION_METHODS:
+        raise ContractError(f"unknown normalization method {method!r}")
+    if method == "mean":
+        return counts.mean(axis=1)
+    if method == "range":
+        return (counts.max(axis=1) - counts.min(axis=1)).astype(float)
+    return _column_modes(counts)
+
+
+def normalize_windows(windows, method: str = "mean") -> np.ndarray:
+    """Collapse each frequency window into one 20-element row, column by
+    column, and stack the rows into an n x 20 matrix.
 
     mean: arithmetic mean of the column. range: max minus min. mode: the most
     frequent count value in the column, ties resolved to the smallest value.
     """
-    if method not in NORMALIZATION_METHODS:
-        raise ContractError(f"unknown normalization method {method!r}")
-    counts = fw.counts
-    if method == "mean":
-        values = counts.mean(axis=0)
-    elif method == "range":
-        values = (counts.max(axis=0) - counts.min(axis=0)).astype(float)
-    else:
-        values = np.empty(counts.shape[1])
-        for j in range(counts.shape[1]):
-            uniq, freq = np.unique(counts[:, j], return_counts=True)
-            # np.unique sorts ascending, so argmax lands on the smallest
-            # value among equally frequent ones.
-            values[j] = uniq[np.argmax(freq)]
-    return NormalizedRow(sequence_id=fw.sequence_id, values=values, method=method)
+    counts = (np.stack([w.counts for w in windows]) if windows
+              else np.empty((0, 1, len(AMINO_ACIDS))))
+    return _normalize(counts, method)
+
+
+def normalize_window(fw: FrequencyWindow, method: str = "mean") -> NormalizedRow:
+    """normalize_windows for a single window."""
+    return NormalizedRow(sequence_id=fw.sequence_id,
+                         values=normalize_windows([fw], method)[0], method=method)
 
 
 def build_cluster_dataset(
@@ -133,11 +171,13 @@ def build_bicluster_matrix(
     scheme: str = "chunked",
 ) -> np.ndarray:
     """Stack the normalized rows of all sequences into an n x 20 matrix."""
-    rows = [
-        normalize_window(reshape_and_count(s, window_size, scheme), method).values
-        for s in seqs
-    ]
-    return np.array(rows).reshape(len(seqs), len(AMINO_ACIDS))
+    _check_window_size(window_size)
+    # Counting straight into one stack keeps no window objects alive, so the
+    # stack is the only corpus-sized allocation.
+    counts = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.intp)
+    for row, seq in zip(counts, seqs):
+        row[...] = reshape_and_count(seq, window_size, scheme).counts
+    return _normalize(counts, method)
 
 
 def structure_segments(
@@ -148,6 +188,7 @@ def structure_segments(
     The incomplete tail, if any, is dropped; a sequence of length L yields
     floor(L / window_size) segments.
     """
+    _check_window_size(window_size)
     n_complete = len(ss) // window_size
     segments = [
         ss.classes3[t * window_size : (t + 1) * window_size]

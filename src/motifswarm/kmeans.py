@@ -58,6 +58,16 @@ def _pairwise_l1(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _assign(distances: np.ndarray):
+    """Nearest-centroid labels of an (n, k) distance matrix (ties to the
+    lowest index) and the intra-cluster fitness of that assignment."""
+    labels = distances.argmin(axis=1)
+    # cumsum adds the nearest distances in item order, as
+    # metrics.intra_cluster_fitness does, so the two agree bit for bit.
+    fitness = float(np.cumsum(distances.min(axis=1))[-1]) / distances.shape[1]
+    return labels, fitness
+
+
 def _distance_matrix(flat, centroids, dist):
     if dist is metrics.cityblock:
         return _pairwise_l1(flat, centroids)
@@ -139,9 +149,7 @@ def kmeans_run(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        distances = _distance_matrix(flat, centroids, dist)
-        labels = distances.argmin(axis=1)  # ties resolve to lowest index
-        fitness = metrics.intra_cluster_fitness(flat, labels, centroids, dist)
+        labels, fitness = _assign(_distance_matrix(flat, centroids, dist))
         trace.append(fitness)
         if fitness < best_fitness:
             best_fitness = fitness

@@ -14,8 +14,8 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from .errors import ContractError
-from .featurize import StructureWindowSet
-from .seqio import SS3_CLASSES
+from .featurize import StructureWindowSet, _block_counts
+from .seqio import SS3_CLASSES, encode
 
 HOMOLOGY_IDENTICAL = "Identical"
 HOMOLOGY_WEAK = "Weak"
@@ -94,11 +94,10 @@ def build_profile(segsets: Iterable[StructureWindowSet]) -> StructureProfile:
     if not segments:
         raise ContractError("cannot build a profile from zero segments")
     ws = len(segments[0])
-    counts = np.zeros((ws, len(SS3_CLASSES)))
-    class_index = {c: k for k, c in enumerate(SS3_CLASSES)}
-    for seg in segments:
-        for i, label in enumerate(seg):
-            counts[i, class_index[label]] += 1
+    if any(len(seg) != ws for seg in segments):
+        raise ContractError("structure segments must share one length")
+    codes = encode("".join(segments), SS3_CLASSES)
+    counts = _block_counts(codes, ws, len(SS3_CLASSES))
     return StructureProfile(freqs=counts / len(segments), n_segments=len(segments))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError
-from .kmeans import ClusterSet, as_item_arrays, _pairwise_l1
+from .kmeans import ClusterSet, as_item_arrays, _assign, _pairwise_l1
 from .pso import PsoConfig, pso_optimize
 
 DEFAULT_PARTICLES = 20
@@ -55,11 +55,7 @@ class CentroidParticleCodec:
 def assignment_fitness(flat, centroids, empty_penalty=0.0):
     """Nearest-centroid labels (ties to the lowest index) and the
     intra-cluster fitness, plus empty_penalty per member-less cluster."""
-    distances = _pairwise_l1(flat, centroids)
-    labels = distances.argmin(axis=1)
-    # cumsum adds the nearest distances in item order, as
-    # metrics.intra_cluster_fitness does, so the two agree bit for bit.
-    fitness = float(np.cumsum(distances.min(axis=1))[-1]) / centroids.shape[0]
+    labels, fitness = _assign(_pairwise_l1(flat, centroids))
     if empty_penalty:
         n_empty = centroids.shape[0] - np.unique(labels).size
         fitness += empty_penalty * n_empty

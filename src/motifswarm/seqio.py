@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LinkError, ParseError, ValidationError
+import numpy as np
+
+from .errors import ContractError, LinkError, ParseError, ValidationError
 
 #: Canonical one-letter amino-acid alphabet. This ordering is used for the
 #: columns of every frequency matrix produced by the package.
@@ -25,6 +27,7 @@ SS3_CLASSES = "HEC"
 
 #: Substitutions applied to ambiguity codes when the relaxed alphabet is on.
 RELAXED_SUBSTITUTIONS = {"B": "D", "Z": "E", "X": "A", "U": "C"}
+_RELAXED_TABLE = str.maketrans(RELAXED_SUBSTITUTIONS)
 
 #: Default minimum sequence length accepted by corpus loading; shorter
 #: sequences produce no complete window and are rejected.
@@ -67,23 +70,73 @@ def map_ss8_to_ss3(code: str) -> str:
     return "C"
 
 
-def _validate_residues(seq_id: str, residues: str, relax_alphabet: bool) -> str:
+class _CoilByDefault(dict):
+    """str.translate table: every code point it does not hold maps to C."""
+
+    def __missing__(self, code_point: int) -> str:
+        return "C"
+
+
+#: The code points map_ss8_to_ss3 sends to H or E: the five letters in both
+#: cases, plus dotless i, since 'ı'.upper() == 'I'.
+_SS8_TO_SS3 = _CoilByDefault(
+    {ord(c): map_ss8_to_ss3(c) for c in "BEGHIbeghi\u0131"})
+
+_DELETE_RESIDUES = dict.fromkeys(map(ord, AMINO_ACIDS))
+
+
+def _validate_residues(seq_id: str, body: str, relax_alphabet: bool) -> str:
+    """Uppercase body and check it against the 20-letter alphabet."""
+    # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
+    # 'ı' -> 'I'), so they become '?' first, which keeps every position.
+    residues = body.encode("ascii", "replace").decode("ascii").upper()
     if relax_alphabet:
-        residues = "".join(RELAXED_SUBSTITUTIONS.get(c, c) for c in residues)
-    for pos, c in enumerate(residues, start=1):
-        if c not in AA_INDEX:
-            raise ValidationError(
-                f"sequence '{seq_id}': illegal residue {c!r} at position {pos}"
-            )
+        residues = residues.translate(_RELAXED_TABLE)
+    illegal = residues.translate(_DELETE_RESIDUES)
+    if illegal:
+        pos = residues.index(illegal[0])
+        c = illegal[0] if body[pos].isascii() else body[pos]
+        raise ValidationError(
+            f"sequence '{seq_id}': illegal residue {c!r} at position {pos + 1}"
+        )
     return residues
+
+
+def _byte_codes(alphabet: str) -> np.ndarray:
+    """256-entry lookup from an ASCII byte to its index in alphabet; every
+    other byte maps to len(alphabet)."""
+    table = np.full(256, len(alphabet), dtype=np.intp)
+    table[list(alphabet.encode("ascii"))] = np.arange(len(alphabet))
+    return table
+
+
+_CODE_TABLES = {AMINO_ACIDS: _byte_codes(AMINO_ACIDS),
+                SS3_CLASSES: _byte_codes(SS3_CLASSES)}
+
+
+def encode(text: str, alphabet: str = AMINO_ACIDS) -> np.ndarray:
+    """Index of each character of text in alphabet (AMINO_ACIDS or
+    SS3_CLASSES), by one table lookup on the ASCII bytes of text.
+
+    Raises ContractError naming the first character outside the alphabet.
+    """
+    codes = _CODE_TABLES[alphabet][
+        np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    if codes.size and codes.max() == len(alphabet):
+        pos = int(np.argmax(codes == len(alphabet)))
+        raise ContractError(
+            f"character {text[pos]!r} at position {pos + 1} is not in {alphabet!r}")
+    return codes
 
 
 def parse_sequences(text: str, relax_alphabet: bool = False) -> list[Sequence]:
     """Parse FASTA-style record text into a list of Sequence objects.
 
-    Residues are uppercased and whitespace-stripped; record order is
-    preserved. With ``relax_alphabet`` the ambiguity codes B/Z/X/U are mapped
-    to D/E/A/C instead of being rejected.
+    Residues are whitespace-stripped and uppercased; the first character
+    outside the 20 letters (in either case) is a ValidationError naming it
+    and its 1-based position. Record order is preserved. With
+    ``relax_alphabet`` the ambiguity codes B/Z/X/U are mapped to D/E/A/C
+    instead of being rejected.
     """
     sequences: list[Sequence] = []
     current_id: str | None = None
@@ -93,12 +146,12 @@ def parse_sequences(text: str, relax_alphabet: bool = False) -> list[Sequence]:
     def flush() -> None:
         if current_id is None:
             return
-        residues = "".join(current_body).upper()
-        if not residues:
+        body = "".join(current_body)
+        if not body:
             raise ValidationError(
                 f"sequence '{current_id}' (header at line {header_line}) has no residues"
             )
-        residues = _validate_residues(current_id, residues, relax_alphabet)
+        residues = _validate_residues(current_id, body, relax_alphabet)
         sequences.append(Sequence(id=current_id, residues=residues))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,7 +201,7 @@ def parse_structures(
                 f"structure '{struct_id}': length {len(ss8)} does not match "
                 f"sequence length {len(seq)}"
             )
-        classes3 = "".join(map_ss8_to_ss3(c) for c in ss8)
+        classes3 = ss8.translate(_SS8_TO_SS3)
         structures.append(SecondaryStructure(id=struct_id, classes3=classes3))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):

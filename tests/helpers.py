@@ -8,7 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from motifswarm.seqio import AMINO_ACIDS, SecondaryStructure, Sequence
+from motifswarm.seqio import (
+    AMINO_ACIDS,
+    RELAXED_SUBSTITUTIONS,
+    SS3_CLASSES,
+    SecondaryStructure,
+    Sequence,
+    map_ss8_to_ss3,
+)
 
 
 def cityblock_oracle(a, b) -> float:
@@ -42,6 +49,77 @@ def msr_oracle(matrix, rows, cols) -> float:
             residue = matrix[i][j] - row_mean[i] - col_mean[j] + overall
             total += residue * residue
     return total / (len(rows) * len(cols))
+
+
+def window_counts_oracle(residues, window_size, scheme="chunked"):
+    """window_size x 20 counts, one residue at a time: every block (chunked)
+    or every stride-1 window (sliding) adds its i-th residue to row i."""
+    counts = [[0] * len(AMINO_ACIDS) for _ in range(window_size)]
+    if scheme == "chunked":
+        starts = range(0, len(residues), window_size)
+    else:
+        starts = range(0, len(residues) - window_size + 1)
+    for start in starts:
+        for i, aa in enumerate(residues[start : start + window_size]):
+            counts[i][AMINO_ACIDS.index(aa)] += 1
+    return np.array(counts)
+
+
+def column_mode_oracle(values):
+    """Most frequent value of a list, ties resolved to the smallest."""
+    freq = {}
+    for v in values:
+        freq[v] = freq.get(v, 0) + 1
+    best = None
+    for v in sorted(freq):
+        if best is None or freq[v] > freq[best]:
+            best = v
+    return best
+
+
+def normalize_oracle(counts, method):
+    """20-element row of one window, one column at a time."""
+    counts = np.asarray(counts)
+    row = []
+    for j in range(counts.shape[1]):
+        column = [int(v) for v in counts[:, j]]
+        if method == "mean":
+            row.append(sum(column) / len(column))
+        elif method == "range":
+            row.append(float(max(column) - min(column)))
+        else:
+            row.append(float(column_mode_oracle(column)))
+    return np.array(row)
+
+
+def ss3_oracle(ss8):
+    """H/E/C collapse, one character at a time."""
+    return "".join(map_ss8_to_ss3(c) for c in ss8)
+
+
+def first_bad_residue_oracle(body, relax_alphabet=False):
+    """(character, 1-based position) of the first character of a record body
+    that is not one of the 20 letters in either case, or None. A non-ASCII
+    character is named as written; an ASCII one as uppercased."""
+    for pos, c in enumerate(body, start=1):
+        if not c.isascii():
+            return c, pos
+        upper = c.upper()
+        if relax_alphabet:
+            upper = RELAXED_SUBSTITUTIONS.get(upper, upper)
+        if upper not in AMINO_ACIDS:
+            return upper, pos
+    return None
+
+
+def profile_oracle(segments):
+    """ws x 3 per-position H/E/C frequencies over equal-length segments."""
+    ws = len(segments[0])
+    counts = [[0] * len(SS3_CLASSES) for _ in range(ws)]
+    for seg in segments:
+        for i, label in enumerate(seg):
+            counts[i][SS3_CLASSES.index(label)] += 1
+    return np.array(counts) / len(segments)
 
 
 def random_sequence(rng, length, alphabet=AMINO_ACIDS, seq_id="s"):

@@ -45,6 +45,12 @@ class TestPrepare:
     def test_no_input_exits_2(self, tmp_path):
         assert run_cli("prepare", "--out", tmp_path) == 2
 
+    def test_non_ascii_residue_exits_3(self, tmp_path, capsys):
+        fasta = tmp_path / "seqs.fasta"
+        fasta.write_text(">a\nAAAAAAAAA\u00df\u0131\n", encoding="utf-8")
+        assert run_cli("prepare", "--sequences", fasta, "--out", tmp_path) == 3
+        assert "illegal residue '\u00df' at position 10" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         names = ("windows.csv", "matrix.csv", "manifest.json")
         run_cli("prepare", "--sample-corpus", "--out", tmp_path)
@@ -217,6 +223,18 @@ class TestConfigLayering:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("k = 2")
         assert run_cli("cluster", "--config", cfg, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("window_size", ["0", "-3"])
+@pytest.mark.parametrize("command", [["prepare"], ["cluster", "--engine", "kmeans"]])
+def test_window_size_below_one_exits_1(tmp_path, capsys, command, window_size):
+    code = run_cli(*command, "--sample-corpus", "--window-size", window_size,
+                   "--out", tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"window size must be >= 1, got {window_size}" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 class TestUsage:

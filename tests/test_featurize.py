@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from motifswarm.errors import ValidationError
+from motifswarm.errors import ContractError, ValidationError
 from motifswarm.featurize import (
+    NORMALIZATION_METHODS,
+    WINDOW_SCHEMES,
     build_bicluster_matrix,
     build_cluster_dataset,
     normalize_window,
+    normalize_windows,
     reshape_and_count,
     structure_segments,
     FrequencyWindow,
 )
 from motifswarm.seqio import AA_INDEX, AMINO_ACIDS, SecondaryStructure, Sequence
 
-from helpers import random_sequence
+from helpers import (
+    normalize_oracle,
+    random_sequence,
+    window_counts_oracle,
+)
 
 
 def col(window, aa):
@@ -64,6 +72,63 @@ def test_sliding_scheme_row_sums():
     seq = Sequence("s", "ACDEFGHIKLMNPQRST")  # length 17 -> 9 windows
     w = reshape_and_count(seq, scheme="sliding")
     assert (w.counts.sum(axis=1) == 9).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_size=st.integers(1, 12), data=st.data(),
+       scheme=st.sampled_from(WINDOW_SCHEMES))
+def test_window_counts_match_oracle(window_size, data, scheme):
+    residues = data.draw(st.text(alphabet=AMINO_ACIDS, min_size=window_size,
+                                 max_size=5 * window_size + 11))
+    w = reshape_and_count(Sequence("s", residues), window_size, scheme)
+    np.testing.assert_array_equal(
+        w.counts, window_counts_oracle(residues, window_size, scheme))
+
+
+@pytest.mark.parametrize("window_size", [0, -1, -9])
+def test_window_size_below_one_is_contract_error(window_size):
+    with pytest.raises(ContractError, match="window size"):
+        reshape_and_count(Sequence("s", "A" * 18), window_size)
+    with pytest.raises(ContractError, match="window size"):
+        structure_segments(SecondaryStructure("s", "H" * 18), window_size)
+
+
+def test_residue_outside_alphabet_is_contract_error():
+    with pytest.raises(ContractError, match=r"'J' at position 3"):
+        reshape_and_count(Sequence("s", "ACJDEFGHIK"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_size=st.integers(1, 12), n=st.integers(1, 6), top=st.integers(1, 6),
+       seed=st.integers(0, 2**16), method=st.sampled_from(NORMALIZATION_METHODS))
+def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
+    # Small count values make tied modes common.
+    rng = np.random.default_rng(seed)
+    windows = [FrequencyWindow(f"w{t}", rng.integers(0, top + 1, size=(window_size, 20)))
+               for t in range(n)]
+    matrix = normalize_windows(windows, method)
+    assert matrix.shape == (n, len(AMINO_ACIDS))
+    for t, w in enumerate(windows):
+        np.testing.assert_array_equal(matrix[t], normalize_oracle(w.counts, method))
+        np.testing.assert_array_equal(normalize_window(w, method).values, matrix[t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_size=st.integers(1, 12), scheme=st.sampled_from(WINDOW_SCHEMES),
+       method=st.sampled_from(NORMALIZATION_METHODS),
+       lengths=st.lists(st.integers(12, 60), min_size=1, max_size=5),
+       seed=st.integers(0, 2**16))
+def test_bicluster_matrix_matches_oracle(window_size, scheme, method, lengths, seed):
+    rng = np.random.default_rng(seed)
+    seqs = [random_sequence(rng, n, seq_id=f"s{i}") for i, n in enumerate(lengths)]
+    matrix = build_bicluster_matrix(seqs, method, window_size, scheme)
+    for row, seq in zip(matrix, seqs):
+        counts = window_counts_oracle(seq.residues, window_size, scheme)
+        np.testing.assert_array_equal(row, normalize_oracle(counts, method))
+
+
+def test_normalize_windows_of_nothing_is_empty_matrix():
+    assert normalize_windows([], "mode").shape == (0, len(AMINO_ACIDS))
 
 
 def make_window(column_values, aa="A"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
 from motifswarm.kmeans import ClusterSet, _pairwise_l1, as_item_arrays, kmeans_run
-from motifswarm.metrics import intra_cluster_fitness
+from motifswarm.metrics import cityblock, intra_cluster_fitness
 
 from helpers import cityblock_oracle, make_blobs, partitions_match
 
@@ -95,6 +95,24 @@ def test_median_update_picks_componentwise_median():
     data = [np.array([v]) for v in (0.0, 0.0, 0.0, 10.0, 90.0, 100.0, 100.0, 100.0)]
     cs = kmeans_run(data, k=2, seed=1, update="median")
     assert sorted(c[0] for c in cs.centroids) == [0.0, 100.0]
+
+
+def _sqeuclid(a, b):
+    return float(((a - b) ** 2).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 20), k=st.integers(1, 5),
+       seed=st.integers(0, 2**16), max_iter=st.integers(1, 6),
+       windows=st.booleans(), dist=st.sampled_from([cityblock, _sqeuclid]))
+def test_fitness_equals_intra_cluster_fitness_exactly(n, d, k, seed, max_iter,
+                                                      windows, dist):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 4, size=(n, 3, d)) if windows else rng.normal(size=(n, d))
+    cs = kmeans_run(data, k=k, seed=seed, max_iter=max_iter, dist=dist)
+    assert cs.final_fitness == intra_cluster_fitness(
+        data.reshape(n, -1), cs.assignment, cs.centroids.reshape(k, -1), dist)
 
 
 def test_custom_distance_slow_path():

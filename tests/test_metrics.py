@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
 from motifswarm.featurize import StructureWindowSet
@@ -16,7 +17,7 @@ from motifswarm.metrics import (
     structure_similarity,
 )
 
-from helpers import cityblock_oracle, msr_oracle
+from helpers import cityblock_oracle, msr_oracle, profile_oracle
 
 
 class TestCityblock:
@@ -186,3 +187,19 @@ class TestBuildProfile:
     def test_zero_segments_rejected(self):
         with pytest.raises(ContractError):
             build_profile([StructureWindowSet("a", [])])
+
+    def test_unequal_segment_lengths_rejected(self):
+        with pytest.raises(ContractError, match="one length"):
+            build_profile([StructureWindowSet("a", ["HHH", "EE"])])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ws=st.integers(1, 12), data=st.data())
+    def test_matches_oracle(self, ws, data):
+        segsets = data.draw(st.lists(st.lists(
+            st.text(alphabet="HEC", min_size=ws, max_size=ws), max_size=4),
+            min_size=1, max_size=4).filter(lambda sets: any(sets)))
+        prof = build_profile([StructureWindowSet(f"s{i}", segs)
+                              for i, segs in enumerate(segsets)])
+        segments = [seg for segs in segsets for seg in segs]
+        np.testing.assert_array_equal(prof.freqs, profile_oracle(segments))
+        assert prof.n_segments == len(segments)

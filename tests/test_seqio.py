@@ -1,5 +1,9 @@
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from motifswarm import seqio
 from motifswarm.errors import LinkError, ParseError, ValidationError
 from motifswarm.seqio import (
     AMINO_ACIDS,
@@ -10,6 +14,8 @@ from motifswarm.seqio import (
     parse_sequences,
     parse_structures,
 )
+
+from helpers import first_bad_residue_oracle, ss3_oracle
 
 TWO_RECORD_FIXTURE = """\
 >alpha some description
@@ -51,6 +57,45 @@ def test_illegal_residue_names_id_and_position():
         parse_sequences(">s1\nACJDE\n")
 
 
+@pytest.mark.parametrize("body,bad,pos", [
+    ("AAAAAAAAA\u00df\u0131", "\u00df", 10),  # 'ß'.upper() == 'SS'
+    ("ACD\u0131EF", "\u0131", 4),  # 'ı'.upper() == 'I'
+    ("AC\u017fD", "\u017f", 3),  # 'ſ'.upper() == 'S'
+    ("ACJ\u00dfD", "J", 3),  # the first illegal character is named
+])
+def test_non_ascii_rejected_before_uppercasing(body, bad, pos):
+    with pytest.raises(ValidationError, match=f"'s1'.*{bad!r}.*position {pos}$"):
+        parse_sequences(f">s1\n{body}\n")
+
+
+# Characters that parse_sequences keeps inside one record line: no line
+# breaks, no whitespace.
+_BODY_CHARS = st.characters(
+    blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")).filter(
+    lambda c: not c.isspace())
+
+
+@settings(max_examples=200, deadline=None)
+@given(legal=st.text(alphabet=AMINO_ACIDS + AMINO_ACIDS.lower(), min_size=1,
+                     max_size=40),
+       inserts=st.lists(st.tuples(st.integers(0, 40), _BODY_CHARS), max_size=3),
+       relax=st.booleans())
+def test_illegal_residue_message_matches_oracle(legal, inserts, relax):
+    body = legal
+    for at, c in inserts:
+        body = body[:at] + c + body[at:]
+    text = f">s1\nA{body}\n"
+    expected = first_bad_residue_oracle("A" + body, relax)
+    if expected is None:
+        seqs = parse_sequences(text, relax_alphabet=relax)
+        assert len(seqs[0]) == len(body) + 1
+    else:
+        c, pos = expected
+        with pytest.raises(ValidationError) as err:
+            parse_sequences(text, relax_alphabet=relax)
+        assert str(err.value) == f"sequence 's1': illegal residue {c!r} at position {pos}"
+
+
 def test_ambiguity_codes_rejected_by_default():
     with pytest.raises(ValidationError):
         parse_sequences(">s1\nACDEX\n")
@@ -90,6 +135,22 @@ def test_parse_structures_blank_is_coil():
     seqs = parse_sequences(">s1\nACDEF\n")
     structs = parse_structures(">s1\nTTSS \n", seqs)
     assert structs[0].classes3 == "CCCCC"
+
+
+def test_structure_table_matches_mapping_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert every.translate(seqio._SS8_TO_SS3) == ss3_oracle(every)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ss8=st.text(
+    alphabet=st.one_of(st.sampled_from("HGIBETSC -?hgibetsc\u0131"),
+                       st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+    min_size=1, max_size=60))
+def test_parse_structures_matches_oracle(ss8):
+    seqs = [Sequence("s1", "A" * len(ss8))]
+    structs = parse_structures(f">s1\n{ss8}\n", seqs)
+    assert structs[0].classes3 == ss3_oracle(ss8)
 
 
 def test_structure_length_mismatch_names_both_lengths():

@@ -11,7 +11,7 @@ import numpy as np
 from motifswarm import AMINO_ACIDS, load_sample_corpus
 from motifswarm.featurize import (
     build_bicluster_matrix,
-    normalize_window,
+    normalize_windows,
     reshape_and_count,
 )
 
@@ -31,9 +31,9 @@ for i in range(3):
     letters = ", ".join(f"{AMINO_ACIDS[j]}x{window.counts[i, j]}" for j in top)
     print(f"  position {i + 1}: {letters}, row sum {window.counts[i].sum()}")
 
-row = normalize_window(window, method="mean")
+row = normalize_windows([window], method="mean")[0]
 print("\nmean-normalized row (first 8 columns):")
-print("  " + "  ".join(f"{AMINO_ACIDS[j]}={row.values[j]:.2f}" for j in range(8)))
+print("  " + "  ".join(f"{AMINO_ACIDS[j]}={row[j]:.2f}" for j in range(8)))
 
 matrix = build_bicluster_matrix(corpus.sequences)
 print(f"\nstacked over the corpus: bicluster matrix {matrix.shape}, "

@@ -23,9 +23,9 @@ from .errors import ContractError, InputError, ValidationError
 from .kmeans import kmeans_run
 from .motif import build_motif_report, position_frequencies, render_logo_svg, report_to_dict
 from .pso import PsoConfig
-from .psobiclust import default_lambda, pso_bicluster, seed_biclusters
 from .psokmeans import pso_kmeans
-from .report import DEFAULT_THRESHOLDS, compare_pipelines, report_to_json, tally_to_csv
+from .report import (DEFAULT_THRESHOLDS, bicluster_corpus, cluster_entries,
+                     compare_pipelines, json_text, tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
 
 VERSION = f"motifswarm-v{__version__}"
@@ -110,19 +110,15 @@ def _load_corpus(cfg: RunConfig) -> Corpus:
     return load_corpus(cfg.sequences, cfg.structures)
 
 
-def _swarm_config(cfg: RunConfig, seed: int) -> PsoConfig:
+def _swarm_config(cfg: RunConfig) -> PsoConfig:
     return PsoConfig(n_particles=cfg.n_particles, max_iter=cfg.max_iter,
-                     w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=seed)
+                     w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
 
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _csv(header: list, rows) -> str:
@@ -154,7 +150,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
         [seq.id, *row] for seq, row in zip(corpus.sequences, matrix.tolist())
     ]
     _write_text(out / "matrix.csv", _csv(["sequence_id", *letters], matrix_rows))
-    _write_json(out / "manifest.json", {
+    _write_text(out / "manifest.json", json_text({
         "config": cfg.echo(),
         "version": VERSION,
         "seed": cfg.seed,
@@ -164,24 +160,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
         "matrix_shape": list(matrix.shape),
         "has_structures": corpus.structures is not None,
         "outputs": ["windows.csv", "matrix.csv"],
-    })
-
-
-def _cluster_entries(corpus: Corpus, cs) -> list:
-    from .report import profile_for_members
-    from .metrics import homology_class, structure_similarity
-
-    ids = [s.id for s in corpus.sequences]
-    entries = []
-    for c in range(cs.k):
-        members = [ids[i] for i in cs.members(c)]
-        entry = {"id": f"cluster-{c:02d}", "members": members, "size": len(members)}
-        if corpus.structures is not None and members:
-            sim = structure_similarity(profile_for_members(corpus, members))
-            entry["similarity"] = sim
-            entry["homology"] = homology_class(sim)
-        entries.append(entry)
-    return entries
+    }))
 
 
 def cmd_cluster(cfg: RunConfig) -> None:
@@ -192,11 +171,11 @@ def cmd_cluster(cfg: RunConfig) -> None:
     if cfg.engine == "kmeans":
         cs = kmeans_run(windows, cfg.k, max_iter=cfg.max_iter, seed=cfg.seed)
     elif cfg.engine == "pso-kmeans":
-        cs = pso_kmeans(windows, cfg.k, _swarm_config(cfg, cfg.seed))
+        cs = pso_kmeans(windows, cfg.k, _swarm_config(cfg))
     else:
         raise ContractError(f"unknown engine {cfg.engine!r}")
     out = Path(cfg.out)
-    _write_json(out / "clusters.json", {
+    _write_text(out / "clusters.json", json_text({
         "config": cfg.echo(),
         "version": VERSION,
         "seed": cfg.seed,
@@ -204,24 +183,19 @@ def cmd_cluster(cfg: RunConfig) -> None:
         "fitness": float(cs.final_fitness),
         "iterations_run": cs.iterations_run,
         "converged": cs.converged,
-        "clusters": _cluster_entries(corpus, cs),
-    })
+        "clusters": cluster_entries(corpus, cs),
+    }))
     if cfg.trace:
         rows = [[i, float(f)] for i, f in enumerate(cs.trace)]
         _write_text(Path(cfg.trace), _csv(["iteration", "fitness"], rows))
 
 
-def _run_biclusters(cfg: RunConfig, corpus: Corpus):
-    """Seed-then-refine biclustering; returns (entries, resolved lambda)."""
-    matrix = featurize.build_bicluster_matrix(
-        corpus.sequences, cfg.normalization, cfg.window_size, cfg.window_scheme)
-    lam = cfg.lam if cfg.lam is not None else default_lambda(matrix)
-    seeds = seed_biclusters(matrix, cfg.k_rows, cfg.k_cols,
-                            _swarm_config(cfg, cfg.seed))
-    refine_cfg = PsoConfig(n_particles=max(len(seeds), cfg.n_particles),
-                           max_iter=cfg.max_iter, w=cfg.w, c1=cfg.c1, c2=cfg.c2,
-                           seed=cfg.seed + 2)
-    bics = pso_bicluster(matrix, refine_cfg, seeds, lam=lam)
+def _bicluster_entries(cfg: RunConfig, corpus: Corpus):
+    """Bicluster the corpus; returns the biclusters.json entries, letters in
+    alphabet order, and the resolved lambda."""
+    bics, lam = bicluster_corpus(corpus, cfg.k_rows, cfg.k_cols, _swarm_config(cfg),
+                                 cfg.lam, cfg.normalization, cfg.window_size,
+                                 cfg.window_scheme)
     ids = [s.id for s in corpus.sequences]
     entries = [
         {
@@ -240,14 +214,14 @@ def _run_biclusters(cfg: RunConfig, corpus: Corpus):
 def cmd_bicluster(cfg: RunConfig) -> None:
     """Bicluster the normalized matrix and write the group report."""
     corpus = _load_corpus(cfg)
-    entries, lam = _run_biclusters(cfg, corpus)
-    _write_json(Path(cfg.out) / "biclusters.json", {
+    entries, lam = _bicluster_entries(cfg, corpus)
+    _write_text(Path(cfg.out) / "biclusters.json", json_text({
         "config": cfg.echo(),
         "version": VERSION,
         "seed": cfg.seed,
         "lambda": lam,
         "biclusters": entries,
-    })
+    }))
 
 
 def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
@@ -259,12 +233,23 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
     if not isinstance(entries, list):
         raise InputError(f"{path} does not look like a bicluster report")
     known = {s.id for s in corpus.sequences}
-    for entry in entries:
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("rows"), list)
+                and all(isinstance(r, str) for r in entry["rows"])
+                and isinstance(entry.get("cols"), str)):
+            raise InputError(f"{path}: bicluster entry {n} needs a string 'id', "
+                             "a list of sequence ids 'rows' and a letter string 'cols'")
         unknown = [r for r in entry["rows"] if r not in known]
         if unknown:
             raise ValidationError(
                 f"bicluster {entry['id']} references unknown sequence ids: "
                 f"{', '.join(unknown[:5])}")
+        letters = set(entry["cols"]) - set(AMINO_ACIDS)
+        if letters:
+            raise ValidationError(
+                f"bicluster {entry['id']} has motif letters outside the 20 amino "
+                f"acids: {''.join(sorted(letters))!r}")
     return entries
 
 
@@ -274,11 +259,13 @@ def cmd_motifs(cfg: RunConfig) -> None:
     Groups come from an existing bicluster report when --biclusters is given,
     otherwise the biclustering stage runs first with this same config.
     """
+    if not 0.0 <= cfg.saa_threshold <= 1.0:
+        raise ContractError(f"saa threshold {cfg.saa_threshold} is outside [0, 1]")
     corpus = _load_corpus(cfg)
     if cfg.biclusters:
         entries = _load_bicluster_groups(cfg.biclusters, corpus)
     else:
-        entries, _ = _run_biclusters(cfg, corpus)
+        entries, _ = _bicluster_entries(cfg, corpus)
     windows = {
         w.sequence_id: w
         for w in featurize.build_cluster_dataset(
@@ -294,21 +281,21 @@ def cmd_motifs(cfg: RunConfig) -> None:
         report = build_motif_report(
             entry["id"], freqs, frozenset(entry["cols"]), n_segments,
             threshold=cfg.saa_threshold, correction=cfg.logo_correction)
-        _write_json(out / f"{entry['id']}.json", {
+        _write_text(out / f"{entry['id']}.json", json_text({
             "config": cfg.echo(),
             "version": VERSION,
             "seed": cfg.seed,
             "report": report_to_dict(report),
-        })
+        }))
         blurb = f"<!-- {VERSION} seed={cfg.seed} group={entry['id']} -->\n"
         _write_text(out / f"{entry['id']}.svg", blurb + render_logo_svg(report))
         group_ids.append(entry["id"])
-    _write_json(out / "motifs.json", {
+    _write_text(out / "motifs.json", json_text({
         "config": cfg.echo(),
         "version": VERSION,
         "seed": cfg.seed,
         "groups": group_ids,
-    })
+    }))
 
 
 def cmd_compare(cfg: RunConfig) -> None:
@@ -318,10 +305,11 @@ def cmd_compare(cfg: RunConfig) -> None:
         corpus, k=cfg.k, k_rows=cfg.k_rows, k_cols=cfg.k_cols,
         n_particles=cfg.n_particles, max_iter=cfg.max_iter, seed=cfg.seed,
         lam=cfg.lam, thresholds=cfg.thresholds, normalization=cfg.normalization,
-        w=cfg.w, c1=cfg.c1, c2=cfg.c2)
+        w=cfg.w, c1=cfg.c1, c2=cfg.c2, window_size=cfg.window_size,
+        window_scheme=cfg.window_scheme)
     report["version"] = VERSION
     out = Path(cfg.out)
-    _write_text(out / "compare.json", report_to_json(report))
+    _write_text(out / "compare.json", json_text(report))
     _write_text(out / "tally.csv", tally_to_csv(report["tally"]))
 
 

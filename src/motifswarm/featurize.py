@@ -51,15 +51,6 @@ class FrequencyWindow:
 
 
 @dataclass
-class NormalizedRow:
-    """A 20-element reduction of one FrequencyWindow (one bicluster-matrix row)."""
-
-    sequence_id: str
-    values: np.ndarray
-    method: str
-
-
-@dataclass
 class StructureWindowSet:
     """The complete 9-label structure segments of one sequence."""
 
@@ -149,12 +140,6 @@ def normalize_windows(windows, method: str = "mean") -> np.ndarray:
     counts = (np.stack([w.counts for w in windows]) if windows
               else np.empty((0, 1, len(AMINO_ACIDS))))
     return _normalize(counts, method)
-
-
-def normalize_window(fw: FrequencyWindow, method: str = "mean") -> NormalizedRow:
-    """normalize_windows for a single window."""
-    return NormalizedRow(sequence_id=fw.sequence_id,
-                         values=normalize_windows([fw], method)[0], method=method)
 
 
 def build_cluster_dataset(

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from . import metrics
 
 
 @dataclass
@@ -68,23 +67,13 @@ def _assign(distances: np.ndarray):
     return labels, fitness
 
 
-def _distance_matrix(flat, centroids, dist):
-    if dist is metrics.cityblock:
-        return _pairwise_l1(flat, centroids)
-    out = np.empty((flat.shape[0], centroids.shape[0]))
-    for i in range(flat.shape[0]):
-        for c in range(centroids.shape[0]):
-            out[i, c] = dist(flat[i], centroids[c])
-    return out
-
-
-def _seed_weighted(flat: np.ndarray, k: int, rng, dist) -> np.ndarray:
+def _seed_weighted(flat: np.ndarray, k: int, rng) -> np.ndarray:
     """Pick k distinct items as centroids, weighting each pick by squared
     distance to the nearest already-chosen one (k-means++ scheme)."""
     n = flat.shape[0]
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
-        d = _distance_matrix(flat, flat[chosen], dist).min(axis=1)
+        d = _pairwise_l1(flat, flat[chosen]).min(axis=1)
         weights = d**2
         weights[chosen] = 0.0
         total = weights.sum()
@@ -96,28 +85,12 @@ def _seed_weighted(flat: np.ndarray, k: int, rng, dist) -> np.ndarray:
     return flat[chosen].copy()
 
 
-def _seed_balanced(flat: np.ndarray, k: int, rng) -> np.ndarray:
-    """Random near-equal-size initial assignment; centroids are group means."""
-    labels = np.array([i % k for i in range(flat.shape[0])])
-    rng.shuffle(labels)
-    return np.stack([flat[labels == c].mean(axis=0) for c in range(k)])
-
-
-def kmeans_run(
-    data,
-    k: int,
-    dist=metrics.cityblock,
-    max_iter: int = 100,
-    seed: int = 0,
-    init: str = "kmeans++",
-    update: str = "mean",
-) -> ClusterSet:
+def kmeans_run(data, k: int, max_iter: int = 100, seed: int = 0) -> ClusterSet:
     """Cluster items into k groups; deterministic for a given seed.
 
-    init: "kmeans++" (distance-weighted item sampling, default), "uniform"
-    (unweighted item sampling) or "balanced" (random equal-size assignment).
-    update: "mean" or "median" centroid recomputation. Stops when an
-    iteration changes no assignment, or after max_iter iterations.
+    Centroids start on distance-weighted item picks (k-means++) and move to
+    their members' means. Stops when an iteration changes no assignment, or
+    after max_iter iterations.
     """
     items = as_item_arrays(data)
     n = items.shape[0]
@@ -129,16 +102,7 @@ def kmeans_run(
     rng = np.random.default_rng(seed)
     flat = items.reshape(n, -1)
 
-    if init == "kmeans++":
-        centroids = _seed_weighted(flat, k, rng, dist)
-    elif init == "uniform":
-        centroids = flat[rng.choice(n, size=k, replace=False)].copy()
-    elif init == "balanced":
-        centroids = _seed_balanced(flat, k, rng)
-    else:
-        raise ContractError(f"unknown init scheme {init!r}")
-    if update not in ("mean", "median"):
-        raise ContractError(f"unknown update rule {update!r}")
+    centroids = _seed_weighted(flat, k, rng)
 
     best_fitness = np.inf
     best_labels = None
@@ -149,7 +113,7 @@ def kmeans_run(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        labels, fitness = _assign(_distance_matrix(flat, centroids, dist))
+        labels, fitness = _assign(_pairwise_l1(flat, centroids))
         trace.append(fitness)
         if fitness < best_fitness:
             best_fitness = fitness
@@ -165,12 +129,10 @@ def kmeans_run(
             members = flat[labels == c]
             if members.shape[0] == 0:
                 # Reseed a dead cluster on the item farthest from it.
-                far = _distance_matrix(flat, centroids[c : c + 1], dist)[:, 0]
+                far = _pairwise_l1(flat, centroids[c : c + 1])[:, 0]
                 new_centroids[c] = flat[int(far.argmax())]
-            elif update == "mean":
-                new_centroids[c] = members.mean(axis=0)
             else:
-                new_centroids[c] = np.median(members, axis=0)
+                new_centroids[c] = members.mean(axis=0)
         centroids = new_centroids
 
     return ClusterSet(

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .featurize import WINDOW_SIZE
 from .seqio import AMINO_ACIDS
 
 SAA_THRESHOLD = 0.07
@@ -53,29 +52,32 @@ class MotifReport:
 
 
 def position_frequencies(cluster_members) -> np.ndarray:
-    """Sum the members' count matrices and normalize each window row to 1.
+    """Sum the members' ws x 20 count matrices and normalize each window row
+    to 1.
 
     A row with no observations anywhere (padded tail of a tiny corpus) stays
     all-zero; callers can spot those by their zero sum.
     """
-    members = list(cluster_members)
+    members = [np.asarray(getattr(w, "counts", w), dtype=float) for w in cluster_members]
     if not members:
         raise ContractError("need at least one member window")
-    total = np.zeros((WINDOW_SIZE, len(AMINO_ACIDS)))
-    for w in members:
-        total += np.asarray(getattr(w, "counts", w), dtype=float)
+    if any(m.shape != members[0].shape for m in members):
+        raise ContractError("member windows must share one shape")
+    total = np.sum(members, axis=0)
     sums = total.sum(axis=1, keepdims=True)
     scale = np.where(sums > 0, sums, 1.0)
     return total / scale
 
 
 def significant_amino_acids(freqs, threshold: float = SAA_THRESHOLD):
-    """Letters strictly above the frequency threshold, one set per position."""
+    """Letters strictly above the frequency threshold, one set per position of
+    a ws x 20 frequency matrix."""
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.shape != (WINDOW_SIZE, len(AMINO_ACIDS)):
-        raise ContractError(f"expected {WINDOW_SIZE}x{len(AMINO_ACIDS)} frequencies")
+    if freqs.ndim != 2 or freqs.shape[1] != len(AMINO_ACIDS):
+        raise ContractError(f"expected ws x {len(AMINO_ACIDS)} frequencies, "
+                            f"got shape {freqs.shape}")
     out = []
-    for i in range(WINDOW_SIZE):
+    for i in range(freqs.shape[0]):
         letters = frozenset(
             AMINO_ACIDS[j] for j in range(len(AMINO_ACIDS)) if freqs[i, j] > threshold
         )
@@ -138,19 +140,21 @@ def build_motif_report(group, freqs, motif, n_segments,
                        correction: bool = True) -> MotifReport:
     """Assemble the per-position table plus logo for one group.
 
-    motif may be None (plain clusters have no retained-column set - relations
-    are left unset), one letter set for all positions, or a list of 9 sets.
+    freqs is ws x 20. motif may be None (plain clusters have no retained-column
+    set - relations are left unset), one letter set for all positions, or a
+    list of ws sets.
     """
     saas = significant_amino_acids(freqs, threshold=threshold)
     logo = logo_columns(freqs, n_segments, correction=correction)
+    ws = len(saas)
     if motif is None:
-        motifs = [None] * WINDOW_SIZE
+        motifs = [None] * ws
     elif isinstance(motif, (list, tuple)):
-        if len(motif) != WINDOW_SIZE:
-            raise ContractError(f"need {WINDOW_SIZE} per-position motif sets")
+        if len(motif) != ws:
+            raise ContractError(f"need {ws} per-position motif sets")
         motifs = [frozenset(m) for m in motif]
     else:
-        motifs = [frozenset(motif)] * WINDOW_SIZE
+        motifs = [frozenset(motif)] * ws
     records = []
     for ps, m in zip(saas, motifs):
         relation = None if m is None else classify_superset(ps.saa, m)
@@ -184,33 +188,9 @@ def report_to_dict(report: MotifReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> MotifReport:
-    records = []
-    logos = []
-    for p in data["positions"]:
-        motif = p["motif"]
-        records.append(PositionRecord(
-            position=p["position"],
-            saa=frozenset(p["saa"]),
-            motif=None if motif is None else frozenset(motif),
-            relation=p["relation"],
-        ))
-        logos.append(LogoColumn(
-            position=p["position"],
-            total_bits=p["logo"]["total_bits"],
-            letters=tuple((l, h) for l, h in p["logo"]["letters"]),
-        ))
-    return MotifReport(
-        group_id=data["group_id"],
-        per_position=tuple(records),
-        logo=tuple(logos),
-        degenerate=data["degenerate"],
-    )
-
-
 def render_logo_svg(report: MotifReport, col_width: int = 60,
                     plot_height: int = 260) -> str:
-    """Standalone SVG: positions 1..9 across, bits 0..log2(20) up, letters
+    """Standalone SVG: positions 1..ws across, bits 0..log2(20) up, letters
     stacked tallest-on-top and scaled to their share of the column."""
     left, bottom, top = 46, 34, 14
     n = len(report.logo)

@@ -1,4 +1,5 @@
-"""Homology tallies and the clustering-vs-biclustering comparison.
+"""The pipeline stages shared by the commands, homology tallies, and the
+clustering-vs-biclustering comparison.
 
 A group (cluster or bicluster) is scored by the structure similarity of its
 member sequences' profile; tallies count groups at or above each cutoff.
@@ -9,11 +10,12 @@ Note the deliberate asymmetry with metrics.homology_class: the tally uses >=
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import ContractError, ValidationError
 from . import metrics
-from .featurize import build_cluster_dataset, build_bicluster_matrix, structure_segments
+from .featurize import (WINDOW_SIZE, build_bicluster_matrix, build_cluster_dataset,
+                        structure_segments)
 from .pso import PsoConfig
 from .psokmeans import pso_kmeans
 from .psobiclust import default_lambda, pso_bicluster, seed_biclusters
@@ -22,24 +24,19 @@ from .seqio import AMINO_ACIDS, Corpus
 DEFAULT_THRESHOLDS = (0.70, 0.65, 0.60)
 
 
-@dataclass(frozen=True)
-class HomologyTally:
-    thresholds: tuple
-    counts_clusters: tuple
-    counts_biclusters: tuple
+def json_text(payload) -> str:
+    """The artifact form of a JSON payload: sorted keys, two-space indent,
+    newline-terminated."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def tally_homology(groups, thresholds=DEFAULT_THRESHOLDS):
-    """Count groups whose profile similarity reaches each cutoff.
-
-    groups: iterable of (group_id, StructureProfile); thresholds must be
-    sorted descending so counts grow down the list.
-    """
+def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
+    """Count the group similarities that reach each cutoff; thresholds must
+    be sorted descending so counts grow down the list."""
     thresholds = tuple(thresholds)
     if list(thresholds) != sorted(thresholds, reverse=True):
         raise ContractError("thresholds must be sorted descending")
-    sims = [metrics.structure_similarity(profile) for _, profile in groups]
-    return [sum(1 for s in sims if s >= t) for t in thresholds]
+    return [sum(1 for s in similarities if s >= t) for t in thresholds]
 
 
 def profile_for_members(corpus: Corpus, member_ids):
@@ -47,16 +44,41 @@ def profile_for_members(corpus: Corpus, member_ids):
     return metrics.build_profile(segsets)
 
 
-def _group_entry(corpus, gid, member_ids):
-    profile = profile_for_members(corpus, member_ids)
-    similarity = metrics.structure_similarity(profile)
-    return profile, {
-        "id": gid,
-        "members": list(member_ids),
-        "size": len(member_ids),
-        "similarity": similarity,
-        "homology": metrics.homology_class(similarity),
-    }
+def _group_entry(corpus: Corpus, gid: str, member_ids: list) -> dict:
+    """id, member ids and size of a group, plus its structure similarity and
+    homology class when the corpus carries structures and the group has
+    members."""
+    entry = {"id": gid, "members": member_ids, "size": len(member_ids)}
+    if corpus.structures is not None and member_ids:
+        similarity = metrics.structure_similarity(profile_for_members(corpus, member_ids))
+        entry["similarity"] = similarity
+        entry["homology"] = metrics.homology_class(similarity)
+    return entry
+
+
+def cluster_entries(corpus: Corpus, cs) -> list:
+    """One group entry per cluster of cs, empty clusters included."""
+    ids = [s.id for s in corpus.sequences]
+    return [_group_entry(corpus, f"cluster-{c:02d}", [ids[i] for i in cs.members(c)])
+            for c in range(cs.k)]
+
+
+def bicluster_corpus(corpus: Corpus, k_rows: int, k_cols: int, swarm_cfg: PsoConfig,
+                     lam, normalization: str, window_size: int, window_scheme: str):
+    """Seed-then-refine biclustering of the corpus's normalized matrix.
+
+    The seeding swarms run on swarm_cfg and the refining swarm on its seed
+    plus two. lam=None resolves to default_lambda of the matrix. Returns
+    (biclusters, lambda).
+    """
+    matrix = build_bicluster_matrix(corpus.sequences, normalization, window_size,
+                                    window_scheme)
+    if lam is None:
+        lam = default_lambda(matrix)
+    seeds = seed_biclusters(matrix, k_rows, k_cols, swarm_cfg)
+    bics = pso_bicluster(matrix, replace(swarm_cfg, seed=swarm_cfg.seed + 2), seeds,
+                         lam=lam)
+    return bics, lam
 
 
 def compare_pipelines(
@@ -73,55 +95,35 @@ def compare_pipelines(
     w: float = PsoConfig.w,
     c1: float = PsoConfig.c1,
     c2: float = PsoConfig.c2,
+    window_size: int = WINDOW_SIZE,
+    window_scheme: str = "chunked",
 ):
     """Run the clustering and the biclustering pipeline on one corpus and
-    tally their structure homology side by side. Deterministic per seed."""
+    tally their structure homology side by side. Deterministic per seed.
+
+    Groups are scored on 9-label structure segments whatever the window
+    size; empty clusters are left out."""
     if corpus.structures is None:
         raise ValidationError("corpus has no structure annotations")
     thresholds = tuple(thresholds)
-
-    windows = build_cluster_dataset(corpus.sequences)
-    ids = [s.id for s in corpus.sequences]
-
     swarm_cfg = PsoConfig(n_particles=n_particles, max_iter=max_iter,
                           w=w, c1=c1, c2=c2, seed=seed)
-    cs = pso_kmeans(windows, k, swarm_cfg)
-    cluster_profiles = []
-    cluster_entries = []
-    for c in range(cs.k):
-        members = [ids[i] for i in cs.members(c)]
-        if not members:
-            continue
-        profile, entry = _group_entry(corpus, f"cluster-{c:02d}", members)
-        cluster_profiles.append((entry["id"], profile))
-        cluster_entries.append(entry)
 
-    matrix = build_bicluster_matrix(corpus.sequences, method=normalization)
-    if lam is None:
-        lam = default_lambda(matrix)
-    seeds = seed_biclusters(matrix, k_rows, k_cols, swarm_cfg)
-    bics = pso_bicluster(
-        matrix,
-        replace(swarm_cfg, n_particles=max(len(seeds), n_particles), seed=seed + 2),
-        seeds,
-        lam=lam,
-    )
-    bic_profiles = []
-    bic_entries = []
+    windows = build_cluster_dataset(corpus.sequences, window_size, window_scheme)
+    clusters = [e for e in cluster_entries(corpus, pso_kmeans(windows, k, swarm_cfg))
+                if e["size"]]
+
+    bics, lam = bicluster_corpus(corpus, k_rows, k_cols, swarm_cfg, lam, normalization,
+                                 window_size, window_scheme)
+    ids = [s.id for s in corpus.sequences]
+    biclusters = []
     for b, bic in enumerate(bics):
-        members = [ids[i] for i in bic.rows]
-        profile, entry = _group_entry(corpus, f"bicluster-{b:02d}", members)
+        entry = _group_entry(corpus, f"bicluster-{b:02d}", [ids[i] for i in bic.rows])
         entry["amino_acids"] = "".join(sorted(AMINO_ACIDS[c] for c in bic.cols))
         entry["msr"] = bic.msr
         entry["volume"] = bic.volume
-        bic_profiles.append((entry["id"], profile))
-        bic_entries.append(entry)
+        biclusters.append(entry)
 
-    tally = HomologyTally(
-        thresholds=thresholds,
-        counts_clusters=tuple(tally_homology(cluster_profiles, thresholds)),
-        counts_biclusters=tuple(tally_homology(bic_profiles, thresholds)),
-    )
     return {
         "config": {
             "k": k,
@@ -134,26 +136,19 @@ def compare_pipelines(
             "normalization": normalization,
             "thresholds": list(thresholds),
         },
-        "clusters": cluster_entries,
-        "biclusters": bic_entries,
+        "clusters": clusters,
+        "biclusters": biclusters,
         "tally": {
-            "thresholds": list(tally.thresholds),
-            "clusters": list(tally.counts_clusters),
-            "biclusters": list(tally.counts_biclusters),
+            "thresholds": list(thresholds),
+            "clusters": tally_homology([e["similarity"] for e in clusters], thresholds),
+            "biclusters": tally_homology([e["similarity"] for e in biclusters], thresholds),
         },
     }
 
 
-def tally_to_csv(tally) -> str:
+def tally_to_csv(tally: dict) -> str:
     """Threshold/clusters/biclusters rows, mirroring the comparison table."""
-    if isinstance(tally, HomologyTally):
-        rows = zip(tally.thresholds, tally.counts_clusters, tally.counts_biclusters)
-    else:
-        rows = zip(tally["thresholds"], tally["clusters"], tally["biclusters"])
+    rows = zip(tally["thresholds"], tally["clusters"], tally["biclusters"])
     lines = ["threshold,clusters,biclusters"]
     lines.extend(f"{t:.2f},{c},{b}" for t, c, b in rows)
     return "\n".join(lines) + "\n"
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

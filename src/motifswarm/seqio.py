@@ -25,12 +25,8 @@ AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
 #: Three-class secondary structure alphabet: helix, sheet, coil.
 SS3_CLASSES = "HEC"
 
-#: Substitutions applied to ambiguity codes when the relaxed alphabet is on.
-RELAXED_SUBSTITUTIONS = {"B": "D", "Z": "E", "X": "A", "U": "C"}
-_RELAXED_TABLE = str.maketrans(RELAXED_SUBSTITUTIONS)
-
-#: Default minimum sequence length accepted by corpus loading; shorter
-#: sequences produce no complete window and are rejected.
+#: Minimum sequence length accepted by corpus loading; shorter sequences
+#: produce no complete window and are rejected.
 MIN_SEQUENCE_LENGTH = 9
 
 
@@ -85,13 +81,11 @@ _SS8_TO_SS3 = _CoilByDefault(
 _DELETE_RESIDUES = dict.fromkeys(map(ord, AMINO_ACIDS))
 
 
-def _validate_residues(seq_id: str, body: str, relax_alphabet: bool) -> str:
+def _validate_residues(seq_id: str, body: str) -> str:
     """Uppercase body and check it against the 20-letter alphabet."""
     # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
     # 'ı' -> 'I'), so they become '?' first, which keeps every position.
     residues = body.encode("ascii", "replace").decode("ascii").upper()
-    if relax_alphabet:
-        residues = residues.translate(_RELAXED_TABLE)
     illegal = residues.translate(_DELETE_RESIDUES)
     if illegal:
         pos = residues.index(illegal[0])
@@ -129,14 +123,12 @@ def encode(text: str, alphabet: str = AMINO_ACIDS) -> np.ndarray:
     return codes
 
 
-def parse_sequences(text: str, relax_alphabet: bool = False) -> list[Sequence]:
+def parse_sequences(text: str) -> list[Sequence]:
     """Parse FASTA-style record text into a list of Sequence objects.
 
     Residues are whitespace-stripped and uppercased; the first character
     outside the 20 letters (in either case) is a ValidationError naming it
-    and its 1-based position. Record order is preserved. With
-    ``relax_alphabet`` the ambiguity codes B/Z/X/U are mapped to D/E/A/C
-    instead of being rejected.
+    and its 1-based position. Record order is preserved.
     """
     sequences: list[Sequence] = []
     current_id: str | None = None
@@ -151,7 +143,7 @@ def parse_sequences(text: str, relax_alphabet: bool = False) -> list[Sequence]:
             raise ValidationError(
                 f"sequence '{current_id}' (header at line {header_line}) has no residues"
             )
-        residues = _validate_residues(current_id, body, relax_alphabet)
+        residues = _validate_residues(current_id, body)
         sequences.append(Sequence(id=current_id, residues=residues))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,23 +239,23 @@ class Corpus:
 
 
 def load_corpus(
-    sequence_path: str | Path,
-    structure_path: str | Path | None = None,
-    relax_alphabet: bool = False,
-    min_length: int = MIN_SEQUENCE_LENGTH,
+    sequence_path: str | Path, structure_path: str | Path | None = None
 ) -> Corpus:
     """Load and cross-validate a sequence file and optional structure file.
 
-    Sequences shorter than ``min_length`` are rejected: they yield no complete
-    window. When structures are supplied, the set of structure ids must equal
-    the set of sequence ids.
+    A file without records is rejected, and so is a sequence shorter than
+    MIN_SEQUENCE_LENGTH: it yields no complete window. When structures are
+    supplied, the set of structure ids must equal the set of sequence ids.
     """
     seq_text = Path(sequence_path).read_text(encoding="utf-8")
-    sequences = parse_sequences(seq_text, relax_alphabet=relax_alphabet)
+    sequences = parse_sequences(seq_text)
+    if not sequences:
+        raise ValidationError(f"{sequence_path} holds no sequence records")
     for seq in sequences:
-        if len(seq) < min_length:
+        if len(seq) < MIN_SEQUENCE_LENGTH:
             raise ValidationError(
-                f"sequence '{seq.id}' has length {len(seq)} < minimum {min_length}"
+                f"sequence '{seq.id}' has length {len(seq)} < minimum "
+                f"{MIN_SEQUENCE_LENGTH}"
             )
     structures = None
     if structure_path is not None:

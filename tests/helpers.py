@@ -10,7 +10,6 @@ import numpy as np
 
 from motifswarm.seqio import (
     AMINO_ACIDS,
-    RELAXED_SUBSTITUTIONS,
     SS3_CLASSES,
     SecondaryStructure,
     Sequence,
@@ -97,7 +96,7 @@ def ss3_oracle(ss8):
     return "".join(map_ss8_to_ss3(c) for c in ss8)
 
 
-def first_bad_residue_oracle(body, relax_alphabet=False):
+def first_bad_residue_oracle(body):
     """(character, 1-based position) of the first character of a record body
     that is not one of the 20 letters in either case, or None. A non-ASCII
     character is named as written; an ASCII one as uppercased."""
@@ -105,8 +104,6 @@ def first_bad_residue_oracle(body, relax_alphabet=False):
         if not c.isascii():
             return c, pos
         upper = c.upper()
-        if relax_alphabet:
-            upper = RELAXED_SUBSTITUTIONS.get(upper, upper)
         if upper not in AMINO_ACIDS:
             return upper, pos
     return None

@@ -1,16 +1,26 @@
 import json
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from motifswarm import cli
-from motifswarm.motif import report_from_dict
 from motifswarm.seqio import AMINO_ACIDS
 
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def assert_fails_cleanly(capsys, code, expected_code):
+    """The command exited with expected_code and one stderr line, no
+    traceback; returns that line."""
+    err = capsys.readouterr().err
+    assert code == expected_code, err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
 
 
 FAST = ["--max-iter", "20", "--n-particles", "8"]
@@ -125,9 +135,8 @@ class TestMotifs:
         assert index["groups"]
         for gid in index["groups"]:
             payload = json.loads((tmp_path / "motifs" / f"{gid}.json").read_text())
-            report = report_from_dict(payload["report"])
-            assert report.group_id == gid
-            assert len(report.per_position) == 9
+            assert payload["report"]["group_id"] == gid
+            assert len(payload["report"]["positions"]) == 9
             svg = (tmp_path / "motifs" / f"{gid}.svg").read_text()
             assert svg.startswith("<!--") and "<svg" in svg
 
@@ -149,6 +158,49 @@ class TestMotifs:
         path.write_text("[1, 2, 3]")
         assert run_cli("motifs", "--sample-corpus", "--biclusters", path,
                        "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("entry,expected_code", [
+        ({"id": "g", "cols": "AG"}, 2),
+        ({"rows": ["hel01"], "cols": "AG"}, 2),
+        ({"id": "g", "rows": ["hel01"]}, 2),
+        ({"id": 7, "rows": ["hel01"], "cols": "AG"}, 2),
+        ({"id": "g", "rows": [1, 2], "cols": "AG"}, 2),
+        ({"id": "g", "rows": ["hel01"], "cols": ["A", "G"]}, 2),
+        ({"id": "g", "rows": "hel01", "cols": "AG"}, 2),
+        ({"id": "g", "rows": ["hel01"], "cols": "AZ"}, 3),
+    ])
+    def test_bad_bicluster_entry_fails_cleanly(self, tmp_path, capsys, entry,
+                                               expected_code):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"biclusters": [entry]}))
+        code = run_cli("motifs", "--sample-corpus", "--biclusters", path,
+                       "--out", tmp_path)
+        assert_fails_cleanly(capsys, code, expected_code)
+        assert not (tmp_path / "motifs").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "1.5", "nan"])
+    def test_saa_threshold_outside_unit_interval_exits_1(self, tmp_path, capsys,
+                                                         threshold):
+        code = run_cli("motifs", "--sample-corpus", "--saa-threshold", threshold,
+                       "--out", tmp_path)
+        assert_fails_cleanly(capsys, code, 1)
+
+    def test_window_size_reaches_reports_and_logos(self, tmp_path):
+        assert run_cli("motifs", "--sample-corpus", "--window-size", "7",
+                       "--k-rows", "2", "--k-cols", "2", "--out", tmp_path, *FAST) == 0
+        index = json.loads((tmp_path / "motifs" / "motifs.json").read_text())
+        assert index["groups"]
+        for gid in index["groups"]:
+            payload = json.loads((tmp_path / "motifs" / f"{gid}.json").read_text())
+            assert [p["position"] for p in payload["report"]["positions"]] == \
+                list(range(1, 8))
+            svg = (tmp_path / "motifs" / f"{gid}.svg").read_text()
+            texts = ET.fromstring(svg.split("\n", 1)[1]).iter(
+                "{http://www.w3.org/2000/svg}text")
+            # position labels are the 12-point digits; bit labels are 11-point
+            labels = [t.text for t in texts
+                      if t.get("font-size") == "12" and t.text.isdigit()]
+            assert labels == [str(i) for i in range(1, 8)]
 
 
 class TestCompare:
@@ -189,10 +241,54 @@ class TestCompare:
         tally = (tmp_path / "tally.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in tally[1:]] == ["0.80", "0.50"]
 
+    def test_window_flags_drive_the_run(self, tmp_path):
+        base = ["compare", "--sample-corpus", "--k", "3", "--k-rows", "3",
+                "--k-cols", "2", *FAST]
+        run_cli(*base, "--out", tmp_path / "default")
+        run_cli(*base, "--window-size", "5", "--out", tmp_path / "size")
+        run_cli(*base, "--window-scheme", "sliding", "--out", tmp_path / "scheme")
+        default = (tmp_path / "default" / "compare.json").read_bytes()
+        assert (tmp_path / "size" / "compare.json").read_bytes() != default
+        assert (tmp_path / "scheme" / "compare.json").read_bytes() != default
+
     def test_missing_structures_exits_3(self, tmp_path):
         fasta = tmp_path / "seqs.fasta"
         fasta.write_text(">a\nARNDCQEGHILKMFPSTWYV\n>b\nAAAAAAAAAGGGGGGGGG\n")
         assert run_cli("compare", "--sequences", fasta, "--out", tmp_path) == 3
+
+
+class TestCommandsAgree:
+    """bicluster, cluster and compare run the same stages: one seed and one
+    set of flags give the same groups in every report."""
+
+    COMMON = ["--sample-corpus", "--seed", "4", "--max-iter", "5"]
+    CLUSTER = ["--k", "3"]
+    BICLUSTER = ["--k-rows", "3", "--k-cols", "2"]
+
+    def run_compare(self, out):
+        assert run_cli("compare", *self.COMMON, *self.CLUSTER, *self.BICLUSTER,
+                       "--out", out) == 0
+        return json.loads((out / "compare.json").read_text())
+
+    def test_bicluster_and_compare(self, tmp_path):
+        assert run_cli("bicluster", *self.COMMON, *self.BICLUSTER,
+                       "--out", tmp_path / "b") == 0
+        cmp = self.run_compare(tmp_path / "c")
+        bic = json.loads((tmp_path / "b" / "biclusters.json").read_text())
+        assert bic["lambda"] == cmp["config"]["lambda"]
+        assert len(bic["biclusters"]) == len(cmp["biclusters"]) > 0
+        for b, c in zip(bic["biclusters"], cmp["biclusters"]):
+            assert b["id"] == c["id"]
+            assert b["rows"] == c["members"]
+            assert set(b["cols"]) == set(c["amino_acids"])
+            assert (b["msr"], b["volume"]) == (c["msr"], c["volume"])
+
+    def test_cluster_and_compare(self, tmp_path):
+        assert run_cli("cluster", "--engine", "pso-kmeans", *self.COMMON, *self.CLUSTER,
+                       "--out", tmp_path / "k") == 0
+        cmp = self.run_compare(tmp_path / "c")
+        clusters = json.loads((tmp_path / "k" / "clusters.json").read_text())
+        assert [c for c in clusters["clusters"] if c["size"]] == cmp["clusters"]
 
 
 class TestConfigLayering:
@@ -235,6 +331,17 @@ def test_window_size_below_one_exits_1(tmp_path, capsys, command, window_size):
     assert f"window size must be >= 1, got {window_size}" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["prepare", "cluster", "bicluster", "motifs",
+                                     "compare"])
+def test_sequence_file_without_records_exits_3(tmp_path, capsys, command):
+    fasta = tmp_path / "empty.fasta"
+    fasta.write_text("")
+    code = run_cli(command, "--sequences", fasta, "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 3)
+    assert f"{fasta} holds no sequence records" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -8,7 +8,6 @@ from motifswarm.featurize import (
     WINDOW_SCHEMES,
     build_bicluster_matrix,
     build_cluster_dataset,
-    normalize_window,
     normalize_windows,
     reshape_and_count,
     structure_segments,
@@ -110,7 +109,7 @@ def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
     assert matrix.shape == (n, len(AMINO_ACIDS))
     for t, w in enumerate(windows):
         np.testing.assert_array_equal(matrix[t], normalize_oracle(w.counts, method))
-        np.testing.assert_array_equal(normalize_window(w, method).values, matrix[t])
+        np.testing.assert_array_equal(normalize_windows([w], method)[0], matrix[t])
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,29 +137,29 @@ def make_window(column_values, aa="A"):
 
 
 def test_normalize_mean_constant_column():
-    row = normalize_window(make_window([1] * 9), "mean")
-    assert row.values[AA_INDEX["A"]] == pytest.approx(1.0)
+    row = normalize_windows([make_window([1] * 9)], "mean")[0]
+    assert row[AA_INDEX["A"]] == pytest.approx(1.0)
 
 
 def test_normalize_range():
-    row = normalize_window(make_window([0, 0, 0, 0, 0, 0, 0, 0, 3]), "range")
-    assert row.values[AA_INDEX["A"]] == 3
+    row = normalize_windows([make_window([0, 0, 0, 0, 0, 0, 0, 0, 3])], "range")[0]
+    assert row[AA_INDEX["A"]] == 3
 
 
 def test_normalize_mode_majority_and_tie():
-    row = normalize_window(make_window([2, 2, 2, 0, 0, 0, 0, 0, 0]), "mode")
-    assert row.values[AA_INDEX["A"]] == 0  # 0 occurs 6 times, 2 occurs 3 times
+    row = normalize_windows([make_window([2, 2, 2, 0, 0, 0, 0, 0, 0])], "mode")[0]
+    assert row[AA_INDEX["A"]] == 0  # 0 occurs 6 times, 2 occurs 3 times
     # Exact tie between count values 0 and 2: smallest wins.
-    tie = normalize_window(make_window([2, 2, 2, 2, 0, 0, 0, 0, 1]), "mode")
-    assert tie.values[AA_INDEX["A"]] == 0
+    tie = normalize_windows([make_window([2, 2, 2, 2, 0, 0, 0, 0, 1])], "mode")[0]
+    assert tie[AA_INDEX["A"]] == 0
 
 
 def test_normalize_mean_mass_preserving():
     rng = np.random.default_rng(9)
     for length in [9, 18, 45]:
         seq = random_sequence(rng, length)
-        row = normalize_window(reshape_and_count(seq), "mean")
-        assert row.values.sum() == pytest.approx(length / 9)
+        row = normalize_windows([reshape_and_count(seq)], "mean")[0]
+        assert row.sum() == pytest.approx(length / 9)
 
 
 def test_cluster_dataset_counts():
@@ -192,7 +191,7 @@ def test_bicluster_matrix_is_row_stack_of_normalized_windows():
     seqs = [random_sequence(rng, 20 + 3 * i, seq_id=f"s{i}") for i in range(5)]
     matrix = build_bicluster_matrix(seqs, "range")
     for k, seq in enumerate(seqs):
-        row = normalize_window(reshape_and_count(seq), "range").values
+        row = normalize_windows([reshape_and_count(seq)], "range")[0]
         np.testing.assert_array_equal(matrix[k], row)
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.kmeans import ClusterSet, _pairwise_l1, as_item_arrays, kmeans_run
-from motifswarm.metrics import cityblock, intra_cluster_fitness
+from motifswarm.kmeans import _pairwise_l1, as_item_arrays, kmeans_run
+from motifswarm.metrics import intra_cluster_fitness
 
 from helpers import cityblock_oracle, make_blobs, partitions_match
 
@@ -91,39 +91,17 @@ def test_empty_cluster_repair_keeps_labels_valid():
         assert all(0 <= a < 3 for a in cs.assignment)
 
 
-def test_median_update_picks_componentwise_median():
-    data = [np.array([v]) for v in (0.0, 0.0, 0.0, 10.0, 90.0, 100.0, 100.0, 100.0)]
-    cs = kmeans_run(data, k=2, seed=1, update="median")
-    assert sorted(c[0] for c in cs.centroids) == [0.0, 100.0]
-
-
-def _sqeuclid(a, b):
-    return float(((a - b) ** 2).sum())
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 30), d=st.integers(1, 20), k=st.integers(1, 5),
        seed=st.integers(0, 2**16), max_iter=st.integers(1, 6),
-       windows=st.booleans(), dist=st.sampled_from([cityblock, _sqeuclid]))
-def test_fitness_equals_intra_cluster_fitness_exactly(n, d, k, seed, max_iter,
-                                                      windows, dist):
+       windows=st.booleans())
+def test_fitness_equals_intra_cluster_fitness_exactly(n, d, k, seed, max_iter, windows):
     k = min(k, n)
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 4, size=(n, 3, d)) if windows else rng.normal(size=(n, d))
-    cs = kmeans_run(data, k=k, seed=seed, max_iter=max_iter, dist=dist)
+    cs = kmeans_run(data, k=k, seed=seed, max_iter=max_iter)
     assert cs.final_fitness == intra_cluster_fitness(
-        data.reshape(n, -1), cs.assignment, cs.centroids.reshape(k, -1), dist)
-
-
-def test_custom_distance_slow_path():
-    def sqeuclid(a, b):
-        return float(((a - b) ** 2).sum())
-
-    rng = np.random.default_rng(21)
-    data = rng.normal(size=(20, 3))
-    cs = kmeans_run(data, k=2, seed=4, dist=sqeuclid)
-    again = intra_cluster_fitness(data, cs.assignment, cs.centroids, dist=sqeuclid)
-    assert cs.final_fitness == pytest.approx(again, abs=1e-9)
+        data.reshape(n, -1), cs.assignment, cs.centroids.reshape(k, -1))
 
 
 def test_accepts_frequency_windows():
@@ -137,15 +115,6 @@ def test_accepts_frequency_windows():
     assert cs.final_fitness == 0.0
 
 
-def test_init_schemes_all_run():
-    rng = np.random.default_rng(8)
-    data = rng.normal(size=(18, 2))
-    for scheme in ("kmeans++", "uniform", "balanced"):
-        cs = kmeans_run(data, k=3, seed=5, init=scheme)
-        assert isinstance(cs, ClusterSet)
-        assert cs.centroids.shape == (3, 2)
-
-
 def test_contract_violations():
     data = np.zeros((4, 2))
     with pytest.raises(ContractError):
@@ -154,10 +123,6 @@ def test_contract_violations():
         kmeans_run(data, k=5)
     with pytest.raises(ContractError):
         kmeans_run(data, k=2, max_iter=0)
-    with pytest.raises(ContractError):
-        kmeans_run(data, k=2, init="grid")
-    with pytest.raises(ContractError):
-        kmeans_run(data, k=2, update="mode")
     with pytest.raises(ContractError):
         kmeans_run([], k=1)
     with pytest.raises(ContractError):

@@ -18,7 +18,6 @@ from motifswarm.motif import (
     motif_set,
     position_frequencies,
     render_logo_svg,
-    report_from_dict,
     report_to_dict,
     significant_amino_acids,
 )
@@ -75,6 +74,10 @@ class TestPositionFrequencies:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             position_frequencies([])
+
+    def test_mixed_window_sizes_rejected(self):
+        with pytest.raises(ContractError):
+            position_frequencies([np.ones((9, 20)), np.ones((7, 20))])
 
 
 class TestSignificantAminoAcids:
@@ -252,13 +255,38 @@ class TestBuildMotifReport:
         with pytest.raises(ContractError):
             build_motif_report("x", np.zeros((9, 20)), [frozenset("A")] * 5, 10)
 
+    @pytest.mark.parametrize("window_size", [1, 5, 7, 12])
+    def test_window_size_from_frequencies(self, window_size):
+        windows = [reshape_and_count(Sequence("s", "AVL" * 8), window_size),
+                   reshape_and_count(Sequence("t", "GAV" * 8), window_size)]
+        freqs = position_frequencies(windows)
+        assert freqs.shape == (window_size, 20)
+        report = build_motif_report("w", freqs, frozenset("AV"), n_segments=4)
+        assert [r.position for r in report.per_position] == \
+            list(range(1, window_size + 1))
+        assert len(report.logo) == window_size
+        assert all(r.saa and r.relation is not None for r in report.per_position)
+        with pytest.raises(ContractError):
+            build_motif_report("w", freqs, [frozenset("A")] * (window_size + 1), 4)
+        with pytest.raises(ContractError):
+            significant_amino_acids(freqs[:, :19])
+
     def test_json_round_trip(self):
         report = build_motif_report(
             "rt", freqs_for_saa(TABLE2_SAA),
             [frozenset(m) for m in TABLE2_MOTIFS], n_segments=42,
         )
-        wire = json.dumps(report_to_dict(report), sort_keys=True)
-        assert report_from_dict(json.loads(wire)) == report
+        data = report_to_dict(report)
+        assert json.loads(json.dumps(data, sort_keys=True)) == data
+        assert data["group_id"] == "rt"
+        assert data["degenerate"] == report.degenerate
+        for pos, rec, col in zip(data["positions"], report.per_position, report.logo):
+            assert pos["position"] == rec.position == col.position
+            assert pos["saa"] == "".join(sorted(rec.saa))
+            assert pos["motif"] == "".join(sorted(rec.motif))
+            assert pos["relation"] == rec.relation
+            assert pos["logo"]["total_bits"] == col.total_bits
+            assert [tuple(pair) for pair in pos["logo"]["letters"]] == list(col.letters)
 
 
 class TestRenderLogoSvg:

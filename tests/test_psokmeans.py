@@ -6,37 +6,12 @@ from motifswarm.errors import ContractError
 from motifswarm.metrics import cityblock, intra_cluster_fitness
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import (
-    CentroidParticleCodec,
     assignment_fitness,
     pso_kmeans,
     swarm_fitness,
 )
 
 from helpers import make_blobs, partitions_match
-
-
-class TestCodec:
-    def test_round_trip_matrix_items(self):
-        codec = CentroidParticleCodec(k=3, item_shape=(9, 20))
-        rng = np.random.default_rng(0)
-        cents = rng.normal(size=(3, 9, 20))
-        flat = codec.encode(cents)
-        assert flat.shape == (3 * 9 * 20,)
-        assert np.array_equal(codec.decode(flat), cents)
-
-    def test_round_trip_vector_items(self):
-        codec = CentroidParticleCodec(k=5, item_shape=(20,))
-        cents = np.arange(100.0).reshape(5, 20)
-        assert np.array_equal(codec.decode(codec.encode(cents)), cents)
-
-    def test_shape_validation(self):
-        codec = CentroidParticleCodec(k=2, item_shape=(4,))
-        with pytest.raises(ContractError):
-            codec.encode(np.zeros((3, 4)))
-        with pytest.raises(ContractError):
-            codec.decode(np.zeros(7))
-        with pytest.raises(ContractError):
-            CentroidParticleCodec(k=0, item_shape=(4,))
 
 
 class TestAssignmentFitness:
@@ -101,14 +76,6 @@ class TestPsoKmeans:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.trace == b.trace
-
-    def test_refine_never_hurts(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=(40, 4))
-        cfg = PsoConfig(n_particles=10, max_iter=20, seed=3)
-        rough = pso_kmeans(data, k=4, cfg=cfg)
-        refined = pso_kmeans(data, k=4, cfg=cfg, refine=True)
-        assert refined.final_fitness <= rough.final_fitness + 1e-12
 
     def test_default_config(self):
         rng = np.random.default_rng(10)

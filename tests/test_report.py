@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from motifswarm.errors import ContractError, ValidationError
-from motifswarm.metrics import StructureProfile
+from motifswarm.metrics import StructureProfile, structure_similarity
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
-    HomologyTally,
     compare_pipelines,
+    json_text,
     profile_for_members,
-    report_to_json,
     tally_homology,
     tally_to_csv,
 )
@@ -17,25 +16,25 @@ from motifswarm.seqio import Corpus, SecondaryStructure, Sequence, load_sample_c
 from helpers import planted_structure_corpus
 
 
-def profile_with_similarity(s, n_segments=4):
+def similarity_of_profile(s):
+    """The structure similarity of a 9-position profile whose dominant class
+    has frequency s at every position."""
     freqs = np.tile([s, (1 - s) / 2, (1 - s) / 2], (9, 1))
-    return StructureProfile(freqs=freqs, n_segments=n_segments)
+    return structure_similarity(StructureProfile(freqs=freqs, n_segments=4))
 
 
 class TestTallyHomology:
     def test_hand_counts(self):
-        groups = [(f"g{i}", profile_with_similarity(s))
-                  for i, s in enumerate([0.72, 0.66, 0.61, 0.40])]
-        assert tally_homology(groups, (0.70, 0.65, 0.60)) == [1, 2, 3]
+        sims = [similarity_of_profile(s) for s in [0.72, 0.66, 0.61, 0.40]]
+        assert tally_homology(sims, (0.70, 0.65, 0.60)) == [1, 2, 3]
 
     def test_perfect_groups_count_everywhere(self):
-        groups = [(f"g{i}", profile_with_similarity(1.0)) for i in range(4)]
-        assert tally_homology(groups) == [4, 4, 4]
+        sims = [similarity_of_profile(1.0) for _ in range(4)]
+        assert tally_homology(sims) == [4, 4, 4]
 
     def test_boundary_is_inclusive(self):
         # 0.75 is exact in binary, so the mean lands exactly on the cutoff
-        groups = [("g", profile_with_similarity(0.75))]
-        assert tally_homology(groups, (0.75,)) == [1]
+        assert tally_homology([similarity_of_profile(0.75)], (0.75,)) == [1]
 
     def test_thresholds_must_descend(self):
         with pytest.raises(ContractError):
@@ -43,9 +42,8 @@ class TestTallyHomology:
 
     def test_counts_grow_down_the_list(self):
         rng = np.random.default_rng(3)
-        groups = [(f"g{i}", profile_with_similarity(s))
-                  for i, s in enumerate(rng.uniform(0.34, 1.0, size=12))]
-        counts = tally_homology(groups, (0.9, 0.7, 0.5, 0.34))
+        sims = [similarity_of_profile(s) for s in rng.uniform(0.34, 1.0, size=12)]
+        counts = tally_homology(sims, (0.9, 0.7, 0.5, 0.34))
         assert counts == sorted(counts)
         assert all(c <= 12 for c in counts)
 
@@ -54,7 +52,6 @@ def test_profile_for_members_pure_helix():
     seqs = [Sequence("a", "A" * 18)]
     corpus = Corpus(sequences=seqs,
                     structures={"a": SecondaryStructure("a", "H" * 18)})
-    from motifswarm.metrics import structure_similarity
     profile = profile_for_members(corpus, ["a"])
     assert profile.n_segments == 2
     assert structure_similarity(profile) == 1.0
@@ -101,7 +98,7 @@ class TestComparePipelines:
                               n_particles=10, max_iter=40, seed=7)
         b = compare_pipelines(corpus, k=3, k_rows=3, k_cols=2,
                               n_particles=10, max_iter=40, seed=7)
-        assert report_to_json(a) == report_to_json(b)
+        assert json_text(a) == json_text(b)
 
     def test_single_group_degenerate(self):
         corpus = planted_corpus(n_per_class=3)
@@ -119,9 +116,8 @@ class TestComparePipelines:
 
 class TestEmitters:
     def test_csv_exact(self):
-        tally = HomologyTally(thresholds=(0.70, 0.65, 0.60),
-                              counts_clusters=(1, 3, 4),
-                              counts_biclusters=(3, 5, 5))
+        tally = {"thresholds": [0.70, 0.65, 0.60], "clusters": [1, 3, 4],
+                 "biclusters": [3, 5, 5]}
         assert tally_to_csv(tally) == (
             "threshold,clusters,biclusters\n"
             "0.70,1,3\n0.65,3,5\n0.60,4,5\n"
@@ -132,6 +128,8 @@ class TestEmitters:
         assert tally_to_csv(tally) == "threshold,clusters,biclusters\n0.70,2,3\n"
 
     def test_json_newline_terminated_and_sorted(self):
-        text = report_to_json({"b": 1, "a": 2})
-        assert text.endswith("\n")
+        text = json_text({"b": 1, "a": {"d": [1], "c": 2}})
+        assert text.endswith("}\n")
         assert text.index('"a"') < text.index('"b"')
+        assert text.index('"c"') < text.index('"d"')
+        assert '\n  "a": {\n    "c": 2,' in text

@@ -78,32 +78,27 @@ _BODY_CHARS = st.characters(
 @settings(max_examples=200, deadline=None)
 @given(legal=st.text(alphabet=AMINO_ACIDS + AMINO_ACIDS.lower(), min_size=1,
                      max_size=40),
-       inserts=st.lists(st.tuples(st.integers(0, 40), _BODY_CHARS), max_size=3),
-       relax=st.booleans())
-def test_illegal_residue_message_matches_oracle(legal, inserts, relax):
+       inserts=st.lists(st.tuples(st.integers(0, 40), _BODY_CHARS), max_size=3))
+def test_illegal_residue_message_matches_oracle(legal, inserts):
     body = legal
     for at, c in inserts:
         body = body[:at] + c + body[at:]
     text = f">s1\nA{body}\n"
-    expected = first_bad_residue_oracle("A" + body, relax)
+    expected = first_bad_residue_oracle("A" + body)
     if expected is None:
-        seqs = parse_sequences(text, relax_alphabet=relax)
+        seqs = parse_sequences(text)
         assert len(seqs[0]) == len(body) + 1
     else:
         c, pos = expected
         with pytest.raises(ValidationError) as err:
-            parse_sequences(text, relax_alphabet=relax)
+            parse_sequences(text)
         assert str(err.value) == f"sequence 's1': illegal residue {c!r} at position {pos}"
 
 
 def test_ambiguity_codes_rejected_by_default():
-    with pytest.raises(ValidationError):
-        parse_sequences(">s1\nACDEX\n")
-
-
-def test_relaxed_alphabet_substitutions():
-    seqs = parse_sequences(">s1\nBZXU\n", relax_alphabet=True)
-    assert seqs[0].residues == "DEAC"
+    for code in "BZXU":
+        with pytest.raises(ValidationError, match=f"illegal residue '{code}' at position 5"):
+            parse_sequences(f">s1\nACDE{code}\n")
 
 
 def test_record_without_body_rejected():
@@ -169,6 +164,14 @@ def test_load_corpus_requires_window_length(tmp_path):
     fasta = tmp_path / "seqs.fasta"
     fasta.write_text(">tiny\nACDEF\n")
     with pytest.raises(ValidationError, match="tiny"):
+        load_corpus(fasta)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_load_corpus_rejects_a_file_without_records(tmp_path, text):
+    fasta = tmp_path / "seqs.fasta"
+    fasta.write_text(text)
+    with pytest.raises(ValidationError, match=f"{fasta} holds no sequence records"):
         load_corpus(fasta)
 
 

@@ -71,9 +71,31 @@ class RunConfig:
         return data
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _file_value(key: str, value, annotation: str):
+    """A config-file value checked against its RunConfig annotation: an int
+    passes as a float, a bool never passes as a number."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    fits = {"str": isinstance(value, str), "bool": isinstance(value, bool),
+            "int": _is_number(value) and isinstance(value, int),
+            "float": _is_number(value),
+            "tuple": isinstance(value, str) or (isinstance(value, list)
+                                                and all(map(_is_number, value)))}
+    if not fits[kind]:
+        wanted = "a list of numbers" if kind == "tuple" else annotation
+        raise InputError(f"config key {key!r} must be {wanted}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Layer built-in defaults, then the config file, then explicit flags."""
     merged = dataclasses.asdict(RunConfig())
+    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     if getattr(args, "config", None):
         try:
             text = Path(args.config).read_text(encoding="utf-8")
@@ -88,7 +110,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in file_cfg.items():
             if key not in merged:
                 raise InputError(f"unknown config key {key!r}")
-            merged[key] = value
+            merged[key] = _file_value(key, value, annotations[key])
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -240,6 +262,10 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
                 and isinstance(entry.get("cols"), str)):
             raise InputError(f"{path}: bicluster entry {n} needs a string 'id', "
                              "a list of sequence ids 'rows' and a letter string 'cols'")
+        # The id names the group's files, so it must stay inside motifs/.
+        if entry["id"] in ("", ".", "..") or set(entry["id"]) & set("/\\\0"):
+            raise InputError(f"{path}: bicluster entry {n} has id {entry['id']!r}, "
+                             "which is not a plain file name")
         unknown = [r for r in entry["rows"] if r not in known]
         if unknown:
             raise ValidationError(

@@ -178,6 +178,17 @@ class TestMotifs:
         assert_fails_cleanly(capsys, code, expected_code)
         assert not (tmp_path / "motifs").exists()
 
+    @pytest.mark.parametrize("gid", ["../escaped", "a/b", "a\\b", "", ".", "..",
+                                     "nul\0"])
+    def test_group_id_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, gid):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"biclusters": [{"id": gid, "rows": ["hel01"],
+                                                    "cols": "AG"}]}))
+        code = run_cli("motifs", "--sample-corpus", "--biclusters", path,
+                       "--out", tmp_path / "out")
+        assert_fails_cleanly(capsys, code, 2)
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("threshold", ["-1", "1.5", "nan"])
     def test_saa_threshold_outside_unit_interval_exits_1(self, tmp_path, capsys,
                                                          threshold):
@@ -314,6 +325,33 @@ class TestConfigLayering:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"clusters_k": 2}')
         assert run_cli("cluster", "--config", cfg, "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("command,values", [
+        ("cluster", {"k": "three"}),
+        ("motifs", {"saa_threshold": "0.5"}),
+        ("cluster", {"k": True}),
+        ("cluster", {"k": 2.5}),
+        ("cluster", {"max_iter": None}),
+        ("cluster", {"w": False}),
+        ("cluster", {"sample_corpus": "yes"}),
+        ("bicluster", {"lam": "0.1"}),
+        ("compare", {"thresholds": ["high"]}),
+    ])
+    def test_mistyped_file_value_exits_2(self, tmp_path, capsys, command, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_corpus": True, **values}))
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "o")
+        assert_fails_cleanly(capsys, code, 2)
+        assert not (tmp_path / "o").exists()
+
+    def test_int_file_value_passes_as_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_corpus": True, "w": 1, "k": 2,
+                                   "max_iter": 3, "n_particles": 4}))
+        assert run_cli("cluster", "--config", cfg, "--out", tmp_path) == 0
+        data = json.loads((tmp_path / "clusters.json").read_text())
+        assert data["config"]["w"] == 1.0
+        assert isinstance(data["config"]["w"], float)
 
     def test_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

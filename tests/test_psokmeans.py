@@ -1,17 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motifswarm import psokmeans
 from motifswarm.errors import ContractError
+from motifswarm.featurize import build_cluster_dataset
+from motifswarm.kmeans import as_item_arrays
 from motifswarm.metrics import cityblock, intra_cluster_fitness
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import (
+    Lattice,
     assignment_fitness,
+    lattice_fitness,
     pso_kmeans,
     swarm_fitness,
 )
+from motifswarm.seqio import load_sample_corpus
 
-from helpers import make_blobs, partitions_match
+from helpers import cityblock_oracle, make_blobs, partitions_match
 
 
 class TestAssignmentFitness:
@@ -120,3 +128,100 @@ def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penal
         if penalty:
             expected += penalty * (k - len(set(labels)))
         assert got[p] == expected  # same sums in the same order: bit for bit
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 8), k=st.integers(1, 4),
+       n_particles=st.integers(1, 4), divisor=st.sampled_from([1.0, 9.0]),
+       n_constant=st.integers(0, 3), block_gaps=st.sampled_from([1, 3, 64]),
+       seed=st.integers(0, 2**16))
+def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_constant,
+                                          block_gaps, seed):
+    rng = np.random.default_rng(seed)
+    # Integer counts or count/9 values; the first columns may be constant.
+    flat = rng.integers(0, 6, size=(n, d)) / divisor
+    flat[:, :n_constant] = flat[0, :n_constant]
+    # Centroids reach below each column's minimum and above its maximum.
+    positions = rng.uniform(-3.0, 9.0, size=(n_particles, k * d)) / divisor
+    centroids = positions.reshape(n_particles * k, d)
+    spread = float((flat.max(axis=0) - flat.min(axis=0)).sum())
+    with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_GAPS=block_gaps):
+        lattice = Lattice(flat, np.sort(flat, axis=0))
+        dist = lattice.distances(centroids)
+        fits = {penalty: lattice_fitness(lattice, positions, k, penalty)
+                for penalty in (0.0, 7.5)}
+
+    oracle = np.array([[cityblock_oracle(x, c) for c in centroids] for x in flat])
+    # 1e-12 relative to the larger of the distance and the terms it cancels.
+    assert np.all(np.abs(dist - oracle) <= 1e-12 * np.maximum(oracle, spread + 1.0))
+    for penalty, (value, bare) in fits.items():
+        for p in range(n_particles):
+            block = oracle[:, p * k:(p + 1) * k]
+            expected = block.min(axis=1).sum() / k
+            assert bare[p] == pytest.approx(expected, rel=1e-12, abs=1e-12 * spread)
+            n_empty = k - np.unique(block.argmin(axis=1)).size
+            assert value[p] == pytest.approx(expected + penalty * n_empty,
+                                             rel=1e-12, abs=1e-12 * spread)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
+    """Over a swarm that drifts toward data items in large and in tiny steps
+    and is kicked away now and then, every value that improves its
+    particle's best is swarm_fitness's, and every other value leaves that
+    best unchanged under swarm_fitness too."""
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(0, 12, size=(40, 30)) / 9.0
+    k, penalty = 3, 4.0
+    fitness = psokmeans.screened_fitness(flat, np.sort(flat, axis=0), k, penalty)
+    target = flat[rng.integers(0, 40, size=(12, k))].reshape(12, -1)
+    positions = rng.uniform(-1.0, 2.0, size=target.shape)
+    best = np.full(12, np.inf)
+    for step in range(18):
+        value = fitness(positions)
+        exact = swarm_fitness(flat, positions, k, penalty)
+        improved = exact < best
+        assert np.array_equal(value < best, improved)
+        assert np.array_equal(value[improved], exact[improved])
+        best = np.minimum(best, exact)
+        pull = (0.3, 1e-6, 0.0)[step % 3]
+        kick = rng.normal(scale=0.05, size=target.shape) if step % 3 == 2 else 0.0
+        positions = positions + pull * (target - positions) + kick
+
+
+def sample_windows():
+    items = as_item_arrays(build_cluster_dataset(load_sample_corpus().sequences))
+    return items.reshape(items.shape[0], -1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lattice_ranking_matches_exact_ranking(monkeypatch, seed):
+    """On the sample-corpus windows, a swarm ranked by the lattice and one
+    ranked by swarm_fitness end on the same gbest and the same assignment."""
+    flat = sample_windows()
+    cfg = PsoConfig(n_particles=20, max_iter=30, seed=seed)
+    with mock.patch.object(psokmeans, "screened_fitness",
+                           wraps=psokmeans.screened_fitness) as spy:
+        by_lattice = pso_kmeans(flat, 5, cfg)
+    assert spy.called  # the sample windows take the lattice path
+    monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: False)
+    exact = pso_kmeans(flat, 5, cfg)
+    assert np.array_equal(by_lattice.centroids, exact.centroids)
+    assert np.array_equal(by_lattice.assignment, exact.assignment)
+    assert by_lattice.trace == exact.trace
+    assert by_lattice.final_fitness == exact.final_fitness
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_uniform_noise_keeps_the_direct_kernel(monkeypatch, transpose):
+    """Every value of uniform noise is distinct, so its lattice has ~n gaps
+    per column and the direct kernel is cheaper."""
+    noise = np.random.default_rng(0).uniform(size=(400, 20))
+    data = noise.T if transpose else noise
+
+    def no_lattice(*args):
+        raise AssertionError("uniform noise took the lattice path")
+
+    monkeypatch.setattr(psokmeans, "screened_fitness", no_lattice)
+    cs = pso_kmeans(data, 2, PsoConfig(n_particles=10, max_iter=3, seed=0))
+    assert cs.assignment.shape == (data.shape[0],)

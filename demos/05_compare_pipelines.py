@@ -7,12 +7,12 @@ dropping uninformative amino-acid columns tends to leave groups whose members
 agree more on structure.
 """
 
-from motifswarm import compare_pipelines, load_sample_corpus
+from motifswarm import Settings, compare_pipelines, load_sample_corpus
 from motifswarm.report import tally_to_csv
 
 corpus = load_sample_corpus()
-report = compare_pipelines(corpus, k=4, k_rows=3, k_cols=2,
-                           n_particles=15, max_iter=60, seed=7)
+report = compare_pipelines(corpus, Settings(k=4, k_rows=3, k_cols=2,
+                                            n_particles=15, max_iter=60, seed=7))
 
 print(f"{len(report['clusters'])} clusters:")
 for entry in report["clusters"]:

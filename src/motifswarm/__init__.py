@@ -29,7 +29,7 @@ from .pso import PsoConfig, pso_optimize
 from .psokmeans import pso_kmeans
 from .psobiclust import Bicluster, default_lambda, pso_bicluster, seed_biclusters
 from .motif import build_motif_report, render_logo_svg, significant_amino_acids
-from .report import compare_pipelines, tally_homology
+from .report import Settings, compare_pipelines, tally_homology
 
 __all__ = [
     "__version__",
@@ -61,6 +61,7 @@ __all__ = [
     "significant_amino_acids",
     "build_motif_report",
     "render_logo_svg",
+    "Settings",
     "compare_pipelines",
     "tally_homology",
 ]

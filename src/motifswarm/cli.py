@@ -1,9 +1,11 @@
 """Command-line surface: prepare, cluster, bicluster, motifs, compare.
 
 Configuration comes from built-in defaults, then an optional JSON config
-file, then flags, each layer overriding the last. Every artifact embeds the
-resolved config, the seed and the package version, and contains no
-timestamps, so reruns with identical inputs are byte-identical.
+file, then flags, each layer overriding the last, and is checked once as a
+report.Settings. Every artifact embeds the settings' echo (all of them but
+the output directory), the seed and the package version, and contains no
+timestamps, so reruns with identical inputs are byte-identical wherever they
+are written.
 
 Exit codes: 1 contract violation, 2 unreadable/malformed input, 3 invalid
 content, 64 usage error.
@@ -15,16 +17,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, featurize
 from .errors import ContractError, InputError, ValidationError
-from .kmeans import kmeans_run
 from .motif import build_motif_report, position_frequencies, render_logo_svg, report_to_dict
-from .pso import PsoConfig
-from .psokmeans import pso_kmeans
-from .report import (DEFAULT_THRESHOLDS, bicluster_corpus, cluster_entries,
+from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
                      compare_pipelines, json_text, tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
 
@@ -37,65 +35,11 @@ EXIT_VALIDATION = 3
 EXIT_USAGE = 64
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    sequences: str | None = None
-    structures: str | None = None
-    sample_corpus: bool = False
-    out: str = "out"
-    window_size: int = featurize.WINDOW_SIZE
-    window_scheme: str = "chunked"
-    normalization: str = "mean"
-    engine: str = "pso-kmeans"
-    k: int = 5
-    k_rows: int = 5
-    k_cols: int = 3
-    n_particles: int = 20
-    max_iter: int = 100
-    w: float = 0.72
-    c1: float = 1.49
-    c2: float = 1.49
-    lam: float | None = None
-    saa_threshold: float = 0.07
-    thresholds: tuple = DEFAULT_THRESHOLDS
-    logo_correction: bool = True
-    seed: int = 0
-    trace: str | None = None
-    biclusters: str | None = None
-
-    def echo(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["thresholds"] = list(self.thresholds)
-        return data
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _file_value(key: str, value, annotation: str):
-    """A config-file value checked against its RunConfig annotation: an int
-    passes as a float, a bool never passes as a number."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return None
-    fits = {"str": isinstance(value, str), "bool": isinstance(value, bool),
-            "int": _is_number(value) and isinstance(value, int),
-            "float": _is_number(value),
-            "tuple": isinstance(value, str) or (isinstance(value, list)
-                                                and all(map(_is_number, value)))}
-    if not fits[kind]:
-        wanted = "a list of numbers" if kind == "tuple" else annotation
-        raise InputError(f"config key {key!r} must be {wanted}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer built-in defaults, then the config file, then explicit flags."""
-    merged = dataclasses.asdict(RunConfig())
-    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def build_config(args: argparse.Namespace) -> Settings:
+    """Layer built-in defaults, then the config file, then explicit flags;
+    Settings checks the result."""
+    keys = [f.name for f in dataclasses.fields(Settings) if f.init]
+    merged = {}
     if getattr(args, "config", None):
         try:
             text = Path(args.config).read_text(encoding="utf-8")
@@ -107,34 +51,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise InputError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise InputError("config file must hold a single JSON object")
-        for key, value in file_cfg.items():
-            if key not in merged:
+        for key in file_cfg:
+            if key not in keys:
                 raise InputError(f"unknown config key {key!r}")
-            merged[key] = _file_value(key, value, annotations[key])
-    for key in merged:
+        merged.update(file_cfg)
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if isinstance(merged["thresholds"], str):
+    if isinstance(merged.get("thresholds"), str):
         try:
             merged["thresholds"] = [float(t) for t in merged["thresholds"].split(",")]
         except ValueError as exc:
             raise InputError(f"bad thresholds value: {exc}") from exc
-    merged["thresholds"] = tuple(merged["thresholds"])
-    return RunConfig(**merged)
+    return Settings(**merged)
 
 
-def _load_corpus(cfg: RunConfig) -> Corpus:
+def _load_corpus(cfg: Settings) -> Corpus:
     if cfg.sample_corpus:
         return load_sample_corpus()
     if cfg.sequences is None:
         raise InputError("no input corpus: pass --sequences FILE or --sample-corpus")
     return load_corpus(cfg.sequences, cfg.structures)
-
-
-def _swarm_config(cfg: RunConfig) -> PsoConfig:
-    return PsoConfig(n_particles=cfg.n_particles, max_iter=cfg.max_iter,
-                     w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -151,7 +89,7 @@ def _csv(header: list, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_prepare(cfg: RunConfig) -> None:
+def cmd_prepare(cfg: Settings) -> None:
     """Write the frequency windows, the normalized matrix and a manifest."""
     corpus = _load_corpus(cfg)
     windows = featurize.build_cluster_dataset(
@@ -185,17 +123,10 @@ def cmd_prepare(cfg: RunConfig) -> None:
     }))
 
 
-def cmd_cluster(cfg: RunConfig) -> None:
+def cmd_cluster(cfg: Settings) -> None:
     """Cluster the frequency windows and write the grouping report."""
     corpus = _load_corpus(cfg)
-    windows = featurize.build_cluster_dataset(
-        corpus.sequences, cfg.window_size, cfg.window_scheme)
-    if cfg.engine == "kmeans":
-        cs = kmeans_run(windows, cfg.k, max_iter=cfg.max_iter, seed=cfg.seed)
-    elif cfg.engine == "pso-kmeans":
-        cs = pso_kmeans(windows, cfg.k, _swarm_config(cfg))
-    else:
-        raise ContractError(f"unknown engine {cfg.engine!r}")
+    cs = cluster_corpus(corpus, cfg)
     out = Path(cfg.out)
     _write_text(out / "clusters.json", json_text({
         "config": cfg.echo(),
@@ -212,12 +143,10 @@ def cmd_cluster(cfg: RunConfig) -> None:
         _write_text(Path(cfg.trace), _csv(["iteration", "fitness"], rows))
 
 
-def _bicluster_entries(cfg: RunConfig, corpus: Corpus):
+def _bicluster_entries(cfg: Settings, corpus: Corpus):
     """Bicluster the corpus; returns the biclusters.json entries, letters in
     alphabet order, and the resolved lambda."""
-    bics, lam = bicluster_corpus(corpus, cfg.k_rows, cfg.k_cols, _swarm_config(cfg),
-                                 cfg.lam, cfg.normalization, cfg.window_size,
-                                 cfg.window_scheme)
+    bics, lam = bicluster_corpus(corpus, cfg)
     ids = [s.id for s in corpus.sequences]
     entries = [
         {
@@ -233,7 +162,7 @@ def _bicluster_entries(cfg: RunConfig, corpus: Corpus):
     return entries, lam
 
 
-def cmd_bicluster(cfg: RunConfig) -> None:
+def cmd_bicluster(cfg: Settings) -> None:
     """Bicluster the normalized matrix and write the group report."""
     corpus = _load_corpus(cfg)
     entries, lam = _bicluster_entries(cfg, corpus)
@@ -279,14 +208,12 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
     return entries
 
 
-def cmd_motifs(cfg: RunConfig) -> None:
+def cmd_motifs(cfg: Settings) -> None:
     """Write per-group SAA/motif reports and sequence logos.
 
     Groups come from an existing bicluster report when --biclusters is given,
     otherwise the biclustering stage runs first with this same config.
     """
-    if not 0.0 <= cfg.saa_threshold <= 1.0:
-        raise ContractError(f"saa threshold {cfg.saa_threshold} is outside [0, 1]")
     corpus = _load_corpus(cfg)
     if cfg.biclusters:
         entries = _load_bicluster_groups(cfg.biclusters, corpus)
@@ -324,15 +251,9 @@ def cmd_motifs(cfg: RunConfig) -> None:
     }))
 
 
-def cmd_compare(cfg: RunConfig) -> None:
+def cmd_compare(cfg: Settings) -> None:
     """Run both pipelines and write the side-by-side homology tally."""
-    corpus = _load_corpus(cfg)
-    report = compare_pipelines(
-        corpus, k=cfg.k, k_rows=cfg.k_rows, k_cols=cfg.k_cols,
-        n_particles=cfg.n_particles, max_iter=cfg.max_iter, seed=cfg.seed,
-        lam=cfg.lam, thresholds=cfg.thresholds, normalization=cfg.normalization,
-        w=cfg.w, c1=cfg.c1, c2=cfg.c2, window_size=cfg.window_size,
-        window_scheme=cfg.window_scheme)
+    report = compare_pipelines(_load_corpus(cfg), cfg)
     report["version"] = VERSION
     out = Path(cfg.out)
     _write_text(out / "compare.json", json_text(report))
@@ -391,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="group sequences by their windows")
     _add_io_flags(p)
     _add_swarm_flags(p)
-    p.add_argument("--engine", choices=("kmeans", "pso-kmeans"))
+    p.add_argument("--engine", choices=ENGINES)
     p.add_argument("--k", type=int, help="number of clusters")
     p.add_argument("--trace", metavar="CSV",
                    help="also write the per-iteration fitness trace")

@@ -38,6 +38,8 @@ class PsoConfig:
             )
         if self.max_iter < 1:
             raise ContractError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         for name in ("w", "c1", "c2"):
             if not np.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite")

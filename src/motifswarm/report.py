@@ -1,5 +1,5 @@
-"""The pipeline stages shared by the commands, homology tallies, and the
-clustering-vs-biclustering comparison.
+"""The settings of a run, the pipeline stages shared by the commands,
+homology tallies, and the clustering-vs-biclustering comparison.
 
 A group (cluster or bicluster) is scored by the structure similarity of its
 member sequences' profile; tallies count groups at or above each cutoff.
@@ -10,24 +10,112 @@ Note the deliberate asymmetry with metrics.homology_class: the tally uses >=
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, InputError, ValidationError
 from . import metrics
 from .featurize import (WINDOW_SIZE, build_bicluster_matrix, build_cluster_dataset,
                         structure_segments)
+from .kmeans import ClusterSet, kmeans_run
 from .pso import PsoConfig
 from .psokmeans import pso_kmeans
 from .psobiclust import default_lambda, pso_bicluster, seed_biclusters
 from .seqio import AMINO_ACIDS, Corpus
 
 DEFAULT_THRESHOLDS = (0.70, 0.65, 0.60)
+ENGINES = ("kmeans", "pso-kmeans")
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether value has the type a field annotation names: an int passes as
+    a float, a bool never passes as a number, a tuple is a list of numbers."""
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and all(_fits(v, "float") for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"str": str, "bool": bool, "int": int,
+                              "float": (int, float)}[kind])
+
+
+@dataclass(frozen=True)
+class Settings:
+    """Every setting of one run, checked once on construction.
+
+    A value of the wrong type raises InputError; a value out of range raises
+    ContractError. Ranges that need the data (k against the number of
+    sequences, the window size against their lengths) are checked by the
+    stages. swarm is the PsoConfig that the swarm stages run on.
+    """
+
+    sequences: str | None = None
+    structures: str | None = None
+    sample_corpus: bool = False
+    out: str = "out"
+    window_size: int = WINDOW_SIZE
+    window_scheme: str = "chunked"
+    normalization: str = "mean"
+    engine: str = "pso-kmeans"
+    k: int = 5
+    k_rows: int = 5
+    k_cols: int = 3
+    n_particles: int = 20
+    max_iter: int = 100
+    w: float = PsoConfig.w
+    c1: float = PsoConfig.c1
+    c2: float = PsoConfig.c2
+    lam: float | None = None
+    saa_threshold: float = 0.07
+    thresholds: tuple = DEFAULT_THRESHOLDS
+    logo_correction: bool = True
+    seed: int = 0
+    trace: str | None = None
+    biclusters: str | None = None
+    swarm: PsoConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not f.init:
+                continue
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if not _fits(value, kind):
+                wanted = "a list of numbers" if kind == "tuple" else f.type
+                raise InputError(f"setting {f.name!r} must be {wanted}, got {value!r}")
+            try:
+                if kind == "float":
+                    object.__setattr__(self, f.name, float(value))
+                elif kind == "tuple":
+                    object.__setattr__(self, f.name, tuple(map(float, value)))
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ContractError(f"{f.name} must be finite, got {value!r}") from None
+        if self.engine not in ENGINES:
+            raise ContractError(f"unknown engine {self.engine!r}")
+        if not 0.0 <= self.saa_threshold <= 1.0:
+            raise ContractError(f"saa threshold {self.saa_threshold} is outside [0, 1]")
+        if not all(map(math.isfinite, self.thresholds)):
+            raise ContractError(f"thresholds must be finite, got {list(self.thresholds)}")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ContractError(f"lambda must be finite, got {self.lam}")
+        object.__setattr__(self, "swarm", PsoConfig(
+            n_particles=self.n_particles, max_iter=self.max_iter,
+            w=self.w, c1=self.c1, c2=self.c2, seed=self.seed))
+
+    def echo(self) -> dict:
+        """The settings as every artifact records them. out is left out, so
+        an artifact's bytes do not depend on where it is written."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.init and f.name != "out"}
+        data["thresholds"] = list(self.thresholds)
+        return data
 
 
 def json_text(payload) -> str:
     """The artifact form of a JSON payload: sorted keys, two-space indent,
     newline-terminated."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
@@ -63,41 +151,34 @@ def cluster_entries(corpus: Corpus, cs) -> list:
             for c in range(cs.k)]
 
 
-def bicluster_corpus(corpus: Corpus, k_rows: int, k_cols: int, swarm_cfg: PsoConfig,
-                     lam, normalization: str, window_size: int, window_scheme: str):
+def cluster_corpus(corpus: Corpus, settings: Settings) -> ClusterSet:
+    """Cluster the corpus's frequency windows into settings.k groups with
+    settings.engine."""
+    windows = build_cluster_dataset(corpus.sequences, settings.window_size,
+                                    settings.window_scheme)
+    if settings.engine == "kmeans":
+        return kmeans_run(windows, settings.k, max_iter=settings.max_iter,
+                          seed=settings.seed)
+    return pso_kmeans(windows, settings.k, settings.swarm)
+
+
+def bicluster_corpus(corpus: Corpus, settings: Settings):
     """Seed-then-refine biclustering of the corpus's normalized matrix.
 
-    The seeding swarms run on swarm_cfg and the refining swarm on its seed
-    plus two. lam=None resolves to default_lambda of the matrix. Returns
-    (biclusters, lambda).
+    The seeding swarms run on settings.swarm and the refining swarm on its
+    seed plus two. settings.lam=None resolves to default_lambda of the
+    matrix. Returns (biclusters, lambda).
     """
-    matrix = build_bicluster_matrix(corpus.sequences, normalization, window_size,
-                                    window_scheme)
-    if lam is None:
-        lam = default_lambda(matrix)
-    seeds = seed_biclusters(matrix, k_rows, k_cols, swarm_cfg)
-    bics = pso_bicluster(matrix, replace(swarm_cfg, seed=swarm_cfg.seed + 2), seeds,
-                         lam=lam)
+    matrix = build_bicluster_matrix(corpus.sequences, settings.normalization,
+                                    settings.window_size, settings.window_scheme)
+    lam = default_lambda(matrix) if settings.lam is None else settings.lam
+    swarm = settings.swarm
+    seeds = seed_biclusters(matrix, settings.k_rows, settings.k_cols, swarm)
+    bics = pso_bicluster(matrix, replace(swarm, seed=swarm.seed + 2), seeds, lam=lam)
     return bics, lam
 
 
-def compare_pipelines(
-    corpus: Corpus,
-    k: int = 5,
-    k_rows: int = 5,
-    k_cols: int = 3,
-    n_particles: int = 20,
-    max_iter: int = 100,
-    seed: int = 0,
-    lam: float | None = None,
-    thresholds=DEFAULT_THRESHOLDS,
-    normalization: str = "mean",
-    w: float = PsoConfig.w,
-    c1: float = PsoConfig.c1,
-    c2: float = PsoConfig.c2,
-    window_size: int = WINDOW_SIZE,
-    window_scheme: str = "chunked",
-):
+def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
     """Run the clustering and the biclustering pipeline on one corpus and
     tally their structure homology side by side. Deterministic per seed.
 
@@ -105,16 +186,11 @@ def compare_pipelines(
     size; empty clusters are left out."""
     if corpus.structures is None:
         raise ValidationError("corpus has no structure annotations")
-    thresholds = tuple(thresholds)
-    swarm_cfg = PsoConfig(n_particles=n_particles, max_iter=max_iter,
-                          w=w, c1=c1, c2=c2, seed=seed)
-
-    windows = build_cluster_dataset(corpus.sequences, window_size, window_scheme)
-    clusters = [e for e in cluster_entries(corpus, pso_kmeans(windows, k, swarm_cfg))
+    thresholds = settings.thresholds
+    clusters = [e for e in cluster_entries(corpus, cluster_corpus(corpus, settings))
                 if e["size"]]
 
-    bics, lam = bicluster_corpus(corpus, k_rows, k_cols, swarm_cfg, lam, normalization,
-                                 window_size, window_scheme)
+    bics, lam = bicluster_corpus(corpus, settings)
     ids = [s.id for s in corpus.sequences]
     biclusters = []
     for b, bic in enumerate(bics):
@@ -125,17 +201,8 @@ def compare_pipelines(
         biclusters.append(entry)
 
     return {
-        "config": {
-            "k": k,
-            "k_rows": k_rows,
-            "k_cols": k_cols,
-            "n_particles": n_particles,
-            "max_iter": max_iter,
-            "seed": seed,
-            "lambda": lam,
-            "normalization": normalization,
-            "thresholds": list(thresholds),
-        },
+        "config": settings.echo(),
+        "lambda": lam,
         "clusters": clusters,
         "biclusters": biclusters,
         "tally": {

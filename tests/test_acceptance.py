@@ -21,7 +21,7 @@ from motifswarm.motif import RELATION_PARTIAL, classify_superset, logo_columns
 from motifswarm.pso import PsoConfig
 from motifswarm.psobiclust import pso_bicluster, seed_biclusters
 from motifswarm.psokmeans import pso_kmeans
-from motifswarm.report import compare_pipelines
+from motifswarm.report import Settings, compare_pipelines
 from motifswarm.seqio import Corpus, load_sample_corpus
 
 from helpers import (
@@ -207,8 +207,9 @@ def test_c09_bicluster_homology_direction():
     with budget(120.0):
         wins = 0
         for s in range(10):
-            rep = compare_pipelines(corpus, k=5, k_rows=5, k_cols=3,
-                                    n_particles=20, max_iter=100, seed=s)
+            rep = compare_pipelines(corpus, Settings(k=5, k_rows=5, k_cols=3,
+                                                     n_particles=20, max_iter=100,
+                                                     seed=s))
             if rep["tally"]["biclusters"][0] >= rep["tally"]["clusters"][0]:
                 wins += 1
     assert wins >= 6, f"direction held in {wins}/10 seeds"

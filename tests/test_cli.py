@@ -1,11 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifswarm import cli
+from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS
 
 
@@ -276,9 +284,9 @@ class TestCommandsAgree:
     CLUSTER = ["--k", "3"]
     BICLUSTER = ["--k-rows", "3", "--k-cols", "2"]
 
-    def run_compare(self, out):
+    def run_compare(self, out, *flags):
         assert run_cli("compare", *self.COMMON, *self.CLUSTER, *self.BICLUSTER,
-                       "--out", out) == 0
+                       *flags, "--out", out) == 0
         return json.loads((out / "compare.json").read_text())
 
     def test_bicluster_and_compare(self, tmp_path):
@@ -286,7 +294,7 @@ class TestCommandsAgree:
                        "--out", tmp_path / "b") == 0
         cmp = self.run_compare(tmp_path / "c")
         bic = json.loads((tmp_path / "b" / "biclusters.json").read_text())
-        assert bic["lambda"] == cmp["config"]["lambda"]
+        assert bic["lambda"] == cmp["lambda"]
         assert len(bic["biclusters"]) == len(cmp["biclusters"]) > 0
         for b, c in zip(bic["biclusters"], cmp["biclusters"]):
             assert b["id"] == c["id"]
@@ -299,6 +307,16 @@ class TestCommandsAgree:
                        "--out", tmp_path / "k") == 0
         cmp = self.run_compare(tmp_path / "c")
         clusters = json.loads((tmp_path / "k" / "clusters.json").read_text())
+        assert [c for c in clusters["clusters"] if c["size"]] == cmp["clusters"]
+
+    def test_compare_runs_the_configured_engine(self, tmp_path):
+        cfg = tmp_path / "kmeans.json"
+        cfg.write_text('{"engine": "kmeans"}')
+        assert run_cli("cluster", "--config", cfg, *self.COMMON, *self.CLUSTER,
+                       "--out", tmp_path / "k") == 0
+        cmp = self.run_compare(tmp_path / "c", "--config", cfg)
+        clusters = json.loads((tmp_path / "k" / "clusters.json").read_text())
+        assert cmp["config"]["engine"] == clusters["engine"] == "kmeans"
         assert [c for c in clusters["clusters"] if c["size"]] == cmp["clusters"]
 
 
@@ -358,6 +376,25 @@ class TestConfigLayering:
         cfg.write_text("k = 2")
         assert run_cli("cluster", "--config", cfg, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("command,flags,artifacts", [
+        ("compare", ["--k", "3", "--k-rows", "3", "--k-cols", "2", "--w", "0.5",
+                     "--window-size", "7", "--thresholds", "0.8,0.5"],
+         ["compare.json", "tally.csv"]),
+        ("cluster", ["--k", "3", "--c1", "1.2", "--window-scheme", "sliding"],
+         ["clusters.json"]),
+    ])
+    def test_echoed_config_reproduces_the_run(self, tmp_path, command, flags,
+                                              artifacts):
+        assert run_cli(command, "--sample-corpus", "--seed", "3", *FAST, *flags,
+                       "--out", tmp_path / "first") == 0
+        echo = json.loads((tmp_path / "first" / artifacts[0]).read_text())["config"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(echo))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "again") == 0
+        for name in artifacts:
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (tmp_path / "first" / name).read_bytes()
+
 
 @pytest.mark.parametrize("window_size", ["0", "-3"])
 @pytest.mark.parametrize("command", [["prepare"], ["cluster", "--engine", "kmeans"]])
@@ -369,6 +406,45 @@ def test_window_size_below_one_exits_1(tmp_path, capsys, command, window_size):
     assert f"window size must be >= 1, got {window_size}" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", [["prepare"], ["cluster"],
+                                     ["cluster", "--engine", "kmeans"],
+                                     ["bicluster"], ["motifs"], ["compare"]])
+def test_negative_seed_exits_1(tmp_path, capsys, command, source):
+    seed = ["--seed", "-1"]
+    if source == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -3}')
+        seed = ["--config", cfg]
+    code = run_cli(*command, "--sample-corpus", *seed, "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 1)
+    assert "seed must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [
+    ["--thresholds", "nan"],
+    ["--thresholds", "inf,0.5"],
+    ["--lambda", "nan"],
+    ["--lambda", "inf"],
+    ["--lambda=-inf"],
+    '{"thresholds": [0.7, NaN]}',
+    '{"lam": Infinity}',
+    '{"thresholds": [%d]}' % 10**400,
+    '{"lam": %d}' % -10**400,
+])
+def test_non_finite_threshold_or_lambda_exits_1(tmp_path, capsys, values):
+    if isinstance(values, str):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(values)
+        values = ["--config", cfg]
+    code = run_cli("compare", "--sample-corpus", *values, *FAST,
+                   "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 1)
+    assert "must be finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["prepare", "cluster", "bicluster", "motifs",
@@ -405,3 +481,109 @@ class TestUsage:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "manifest.json").exists()
+
+
+# Flag values for the boundary test: valid ones mixed with wrong ranges, wrong
+# types and non-finite numbers. "{root}" stands for the example's directory.
+SOURCES = [["--sample-corpus"], ["--sequences", "{sample}/sequences.fasta",
+                                 "--structures", "{sample}/structures.txt"],
+           ["--sequences", "{root}/empty.fasta"], ["--sequences", "{root}/missing"],
+           ["--sequences", "{root}"], []]
+IO_FLAGS = {
+    "--seed": ["0", "3", "-1", "x"],
+    "--window-size": ["1", "5", "0", "-3", "1000"],
+    "--window-scheme": ["chunked", "sliding", "diagonal"],
+    "--normalization": ["mean", "range", "mode", "median"],
+}
+SWARM_FLAGS = {"--w": ["0.5", "-1", "nan", "inf"], "--c1": ["0", "2", "nan"],
+               "--c2": ["1", "-inf"]}
+BICLUSTER_FLAGS = {"--k-rows": ["1", "3", "0", "40"], "--k-cols": ["1", "2", "0", "21"],
+                   "--lambda": ["0.1", "0", "-0.5", "nan", "inf"]}
+CLUSTER_FLAGS = {"--k": ["1", "3", "0", "-2", "999"]}
+COMMAND_FLAGS = {
+    "prepare": IO_FLAGS,
+    "cluster": {**IO_FLAGS, **SWARM_FLAGS, **CLUSTER_FLAGS,
+                "--engine": ["kmeans", "pso-kmeans", "lloyd"]},
+    "bicluster": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS},
+    "motifs": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS,
+               "--saa-threshold": ["0", "0.07", "1", "-1", "1.5", "nan"],
+               "--biclusters": ["{root}/groups.json", "{root}/empty.fasta",
+                                "{root}/missing"]},
+    "compare": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS, **CLUSTER_FLAGS,
+                "--thresholds": ["0.7,0.6", "0.6,0.7", "nan", "inf,0.5", "", "x"]},
+}
+# Config-file values: one of the key's own type, valid or not, or any JSON
+# scalar or list. Path keys only name files inside the example's directory, as
+# the flags do.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=2)), max_size=3))
+KIND_VALUES = {"int": st.integers(-3, 40), "float": st.floats(), "bool": st.booleans(),
+               "tuple": st.lists(st.floats(), max_size=3),
+               "str": st.sampled_from(["chunked", "sliding", "mode", "kmeans", "x"])}
+PATH_VALUES = st.sampled_from([None, 7, "{root}/missing"])
+CONFIG_VALUES = {
+    f.name: PATH_VALUES if f.name in ("sequences", "structures", "biclusters", "trace",
+                                      "out")
+    else st.one_of(KIND_VALUES[f.type.partition(" | ")[0]], JSON_VALUES)
+    for f in dataclasses.fields(Settings) if f.init}
+CONFIG_VALUES["clusters_k"] = JSON_VALUES
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config) for one command: its input flags (mostly the sample
+    corpus), a subset of its other flags, tiny swarms, and maybe a
+    config-file object."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    source = draw(st.sampled_from(SOURCES)) if draw(st.booleans()) else SOURCES[0]
+    argv = [command, *source]
+    flags = COMMAND_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    if command != "prepare":
+        argv += ["--max-iter", draw(st.sampled_from(["1", "2", "0"])),
+                 "--n-particles", draw(st.sampled_from(["1", "3", "0", "101"]))]
+    if command == "cluster":
+        argv += ["--trace", "{root}/out/trace.csv"]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True,
+                             max_size=4))
+        config = {key: draw(CONFIG_VALUES[key]) for key in keys}
+    return argv, config
+
+
+def _tree(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_every_input_ends_in_a_documented_exit_code(invocation):
+    """Any mix of flags and config-file values ends in exit 0, 1, 2, 3 or 64
+    without a traceback, and writes nothing outside --out."""
+    argv, config = invocation
+    sample = Path(cli.__file__).parent / "data" / "sample_corpus"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "empty.fasta").write_text("")
+        (root / "groups.json").write_text(json.dumps(
+            {"biclusters": [{"id": "g", "rows": ["hel01", "str07"], "cols": "AGL"}]}))
+        argv = [a.format(root=root, sample=sample) for a in argv]
+        if config is not None:
+            text = json.dumps(config).replace("{root}", str(root))
+            (root / "cfg.json").write_text(text)
+            argv += ["--config", str(root / "cfg.json")]
+        before, cwd_before = _tree(root), set(os.listdir())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main([*argv, "--out", str(root / "out")])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 64), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        written = _tree(root) - before
+        assert all(p.parts[0] == "out" for p in written), written
+        assert set(os.listdir()) == cwd_before

@@ -5,6 +5,7 @@ from motifswarm.errors import ContractError, ValidationError
 from motifswarm.metrics import StructureProfile, structure_similarity
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
+    Settings,
     compare_pipelines,
     json_text,
     profile_for_members,
@@ -67,11 +68,11 @@ class TestComparePipelines:
     def test_requires_structures(self):
         corpus = Corpus(sequences=[Sequence("a", "A" * 9)], structures=None)
         with pytest.raises(ValidationError):
-            compare_pipelines(corpus)
+            compare_pipelines(corpus, Settings())
 
     def test_report_shape_on_sample_corpus(self):
-        rep = compare_pipelines(load_sample_corpus(), k=3, k_rows=3, k_cols=2,
-                                n_particles=10, max_iter=30, seed=1)
+        settings = Settings(k=3, k_rows=3, k_cols=2, n_particles=10, max_iter=30, seed=1)
+        rep = compare_pipelines(load_sample_corpus(), settings)
         assert rep["config"]["seed"] == 1
         assert rep["config"]["thresholds"] == list(DEFAULT_THRESHOLDS)
         assert 1 <= len(rep["clusters"]) <= 3
@@ -85,8 +86,8 @@ class TestComparePipelines:
         assert len(rep["tally"]["clusters"]) == 3
 
     def test_tally_matches_entries(self):
-        rep = compare_pipelines(load_sample_corpus(), k=4, k_rows=3, k_cols=2,
-                                n_particles=10, max_iter=30, seed=5)
+        settings = Settings(k=4, k_rows=3, k_cols=2, n_particles=10, max_iter=30, seed=5)
+        rep = compare_pipelines(load_sample_corpus(), settings)
         for kind in ("clusters", "biclusters"):
             sims = [e["similarity"] for e in rep[kind]]
             for t, count in zip(rep["tally"]["thresholds"], rep["tally"][kind]):
@@ -94,23 +95,22 @@ class TestComparePipelines:
 
     def test_deterministic(self):
         corpus = planted_corpus()
-        a = compare_pipelines(corpus, k=3, k_rows=3, k_cols=2,
-                              n_particles=10, max_iter=40, seed=7)
-        b = compare_pipelines(corpus, k=3, k_rows=3, k_cols=2,
-                              n_particles=10, max_iter=40, seed=7)
+        settings = Settings(k=3, k_rows=3, k_cols=2, n_particles=10, max_iter=40, seed=7)
+        a = compare_pipelines(corpus, settings)
+        b = compare_pipelines(corpus, settings)
         assert json_text(a) == json_text(b)
 
     def test_single_group_degenerate(self):
         corpus = planted_corpus(n_per_class=3)
-        rep = compare_pipelines(corpus, k=1, k_rows=1, k_cols=1,
-                                n_particles=5, max_iter=20, seed=0)
+        rep = compare_pipelines(corpus, Settings(k=1, k_rows=1, k_cols=1,
+                                                 n_particles=5, max_iter=20, seed=0))
         assert len(rep["clusters"]) == 1
         assert all(c in (0, 1) for c in rep["tally"]["clusters"])
 
     def test_direction_on_planted_classes(self):
         corpus = planted_corpus()
-        rep = compare_pipelines(corpus, k=5, k_rows=5, k_cols=3,
-                                n_particles=20, max_iter=100, seed=0)
+        rep = compare_pipelines(corpus, Settings(k=5, k_rows=5, k_cols=3,
+                                                 n_particles=20, max_iter=100, seed=0))
         assert rep["tally"]["biclusters"][0] >= rep["tally"]["clusters"][0]
 
 
@@ -133,3 +133,8 @@ class TestEmitters:
         assert text.index('"a"') < text.index('"b"')
         assert text.index('"c"') < text.index('"d"')
         assert '\n  "a": {\n    "c": 2,' in text
+
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+    def test_json_refuses_non_finite_numbers(self, number):
+        with pytest.raises(ValueError):
+            json_text({"tally": {"thresholds": [number]}})

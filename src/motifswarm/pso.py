@@ -7,7 +7,9 @@ move every particle with the inertia-weight update
     x <- move(x, v)
 
 where r1, r2 are fresh uniform[0,1] draws per dimension per step. The default
-move is x + v; psobiclust passes a sigmoid bit move.
+move is x + v; psobiclust passes a sigmoid bit move. The engine updates its
+position and velocity arrays in place, so an iteration allocates no array of
+the swarm's size beyond the random draws.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class Swarm:
 
 
 def real_move(positions, velocities, rng):
-    return positions + velocities
+    positions += velocities
+    return positions
 
 
 def pso_optimize(
@@ -83,6 +86,12 @@ def pso_optimize(
     velocities, rng) returns the next positions. rng overrides the default
     generator seeded from cfg.seed. callback, when set, is called as
     callback(iteration, gbest_fitness) once per iteration.
+
+    The swarm's arrays are reused from one iteration to the next: velocities
+    are updated in place, and move may overwrite positions (both moves here
+    do). So neither fitness nor callback may keep a reference to the
+    positions array after it returns; copy what must outlive the call. The
+    returned pbest and gbest positions are copies, never views of positions.
     """
     rows = [np.asarray(p, dtype=float).ravel() for p in init_positions]
     if not rows or any(r.shape != rows[0].shape for r in rows):
@@ -108,6 +117,7 @@ def pso_optimize(
     gbest_pos = positions[0].copy()
     gbest_fit = np.inf
     history: list[float] = []
+    gap = np.empty_like(positions)  # best - x, the one scratch array of the update
 
     for iteration in range(1, cfg.max_iter + 1):
         current = np.asarray(fitness(positions), dtype=float)
@@ -125,19 +135,22 @@ def pso_optimize(
         best = int(pbest_fit.argmin())
         if pbest_fit[best] < gbest_fit:
             gbest_fit = float(pbest_fit[best])
-            gbest_pos = pbest_pos[best].copy()
+            gbest_pos[:] = pbest_pos[best]
         history.append(gbest_fit)
         if callback is not None:
             callback(iteration, gbest_fit)
 
-        # r1 is drawn before r2; neither outlives this expression.
-        velocities = (
-            cfg.w * velocities
-            + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
-            + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions)
-        )
+        # w*v + (c1*r1)*(pbest - x) + (c2*r2)*(gbest - x), in place and in
+        # that order, so the values match the allocating expression bit for
+        # bit; r1 is drawn before r2.
+        velocities *= cfg.w
+        for c, best_pos in ((cfg.c1, pbest_pos), (cfg.c2, gbest_pos)):
+            draw = rng.random((n, dim))
+            draw *= c
+            draw *= np.subtract(best_pos, positions, out=gap)
+            velocities += draw
         if cfg.v_max is not None:
-            velocities = np.clip(velocities, -cfg.v_max, cfg.v_max)
+            np.clip(velocities, -cfg.v_max, cfg.v_max, out=velocities)
         positions = move(positions, velocities, rng)
 
     swarm = Swarm(

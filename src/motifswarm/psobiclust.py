@@ -10,6 +10,7 @@ of the rows and of the columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,11 +65,7 @@ def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig | None = No
 
     row_cs = pso_kmeans(m, k_rows, cfg)
     # Column run gets the next seed so the two searches are decorrelated.
-    col_cfg = PsoConfig(
-        n_particles=cfg.n_particles, max_iter=cfg.max_iter,
-        w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed + 1,
-    )
-    col_cs = pso_kmeans(m.T, k_cols, col_cfg)
+    col_cs = pso_kmeans(m.T, k_cols, replace(cfg, seed=cfg.seed + 1))
 
     seeds = []
     for i in range(k_rows):
@@ -84,8 +81,8 @@ def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig | None = No
 
 
 def _repair(bits, velocities, n_rows):
-    """Keep both halves of every membership vector non-empty by switching on
-    the highest-velocity bit of any empty half."""
+    """Keep both halves of every membership vector (bool or 0/1 float) non-empty
+    by switching on the highest-velocity bit of any empty half."""
     for half in (slice(0, n_rows), slice(n_rows, bits.shape[1])):
         dead = np.flatnonzero(~bits[:, half].any(axis=1))
         bits[dead, half.start + velocities[dead, half].argmax(axis=1)] = True
@@ -93,12 +90,46 @@ def _repair(bits, velocities, n_rows):
 
 def bit_move(n_rows: int):
     """Binary-PSO move for pso_optimize: a bit is 1 when a fresh uniform
-    draw falls below sigmoid(velocity); empty halves are then repaired."""
+    draw falls below sigmoid(velocity); empty halves are then repaired.
+    Overwrites positions with the new bits, computing the sigmoid there."""
     def move(positions, velocities, rng):
-        bits = rng.random(velocities.shape) < 1.0 / (1.0 + np.exp(-velocities))
-        _repair(bits, velocities, n_rows)
-        return bits.astype(float)
+        draw = rng.random(velocities.shape)
+        # positions holds sigmoid(v) = 1 / (1 + exp(-v)), then the bits.
+        np.negative(velocities, out=positions)
+        np.exp(positions, out=positions)
+        positions += 1.0
+        np.divide(1.0, positions, out=positions)
+        np.less(draw, positions, out=positions)
+        _repair(positions, velocities, n_rows)
+        return positions
     return move
+
+
+def msr_ranker(matrix):
+    """swarm_msr of one matrix as a function of the masks, (row_masks,
+    col_masks) -> msr per particle. The matrix is double-centred and squared
+    once, here, rather than on every call."""
+    m = np.asarray(matrix, dtype=float)
+    # Adding a row effect plus a column effect leaves every residue as it
+    # is; double-centring keeps the sums, and their cancellation error, small.
+    m = m - m.mean(axis=1, keepdims=True) - m.mean(axis=0, keepdims=True) + m.mean()
+    squared = m * m
+
+    def ranks(row_masks, col_masks) -> np.ndarray:
+        n_r = row_masks.sum(axis=1)
+        n_c = col_masks.sum(axis=1)
+        row_sums = col_masks @ m.T
+        row_sums *= row_masks
+        col_sums = (row_masks @ m) * col_masks
+        squares = ((row_masks @ squared) * col_masks).sum(axis=1)
+        total = col_sums.sum(axis=1)
+        n = n_r * n_c
+        out = (squares - np.square(row_sums, out=row_sums).sum(axis=1) / n_c
+               - (col_sums**2).sum(axis=1) / n_r + total**2 / n) / n
+        # One row or one column is its own row or column mean: residue 0 exactly.
+        return np.where((n_r == 1) | (n_c == 1), 0.0, np.maximum(out, 0.0))
+
+    return ranks
 
 
 def swarm_msr(matrix, row_masks, col_masks) -> np.ndarray:
@@ -109,23 +140,10 @@ def swarm_msr(matrix, row_masks, col_masks) -> np.ndarray:
     r_i, column sums c_j, total t, squared sum q and n = |I|*|J| cells,
     msr = (q - sum r_i^2/|J| - sum c_j^2/|I| + t^2/n) / n. The sums come from
     three matmuls. Accurate to rounding only, so it ranks particles while
-    metrics.msr gives the reported value.
+    metrics.msr gives the reported value. A search that scores one matrix
+    many times builds msr_ranker(matrix) once instead.
     """
-    m = np.asarray(matrix, dtype=float)
-    # Adding a row effect plus a column effect leaves every residue as it
-    # is; double-centring keeps the sums, and their cancellation error, small.
-    m = m - m.mean(axis=1, keepdims=True) - m.mean(axis=0, keepdims=True) + m.mean()
-    n_r = row_masks.sum(axis=1)
-    n_c = col_masks.sum(axis=1)
-    row_sums = (col_masks @ m.T) * row_masks
-    col_sums = (row_masks @ m) * col_masks
-    squares = ((row_masks @ (m * m)) * col_masks).sum(axis=1)
-    total = col_sums.sum(axis=1)
-    n = n_r * n_c
-    out = (squares - (row_sums**2).sum(axis=1) / n_c - (col_sums**2).sum(axis=1) / n_r
-           + total**2 / n) / n
-    # One row or one column is its own row or column mean: residue 0 exactly.
-    return np.where((n_r == 1) | (n_c == 1), 0.0, np.maximum(out, 0.0))
+    return msr_ranker(matrix)(row_masks, col_masks)
 
 
 def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
@@ -134,7 +152,9 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
 
     Returns the best bicluster found followed by every distinct personal
     best, ordered by fitness ascending. callback(iteration, gbest_fitness)
-    fires once per iteration; rng overrides the cfg.seed generator.
+    fires once per iteration; rng overrides the cfg.seed generator. lam
+    times the matrix's cell count must be finite. The matrix is centred and
+    squared once for the whole search (msr_ranker).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -153,6 +173,10 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
             raise ContractError("seed indices outside matrix")
     if lam is None:
         lam = default_lambda(m)
+    total = n_rows * n_cols
+    if not math.isfinite(lam * total):
+        raise ContractError(
+            f"lambda {lam} overflows the volume reward of a {n_rows}x{n_cols} matrix")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     clamp = cfg.v_max if cfg.v_max is not None else VELOCITY_CLAMP
@@ -167,12 +191,12 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
     # Random speeds, signed to lean toward keeping the seed's bits; a fully
     # signless start would scramble the seeds on the first move.
     velocities = rng.uniform(1.0, 3.0, size=bits.shape) * np.where(bits, 1.0, -1.0)
-    total = n_rows * n_cols
+    msr_of = msr_ranker(m)
 
     def fitness(positions):
         rows, cols = positions[:, :n_rows], positions[:, n_rows:]
         volume = rows.sum(axis=1) * cols.sum(axis=1)
-        return swarm_msr(m, rows, cols) - lam * volume / total
+        return msr_of(rows, cols) - lam * volume / total
 
     swarm, _ = pso_optimize(
         fitness, bits, replace(cfg, n_particles=n, v_max=clamp),

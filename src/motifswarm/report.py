@@ -97,6 +97,7 @@ class Settings:
             raise ContractError(f"saa threshold {self.saa_threshold} is outside [0, 1]")
         if not all(map(math.isfinite, self.thresholds)):
             raise ContractError(f"thresholds must be finite, got {list(self.thresholds)}")
+        _check_descending(self.thresholds)
         if self.lam is not None and not math.isfinite(self.lam):
             raise ContractError(f"lambda must be finite, got {self.lam}")
         object.__setattr__(self, "swarm", PsoConfig(
@@ -118,12 +119,18 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _check_descending(thresholds) -> None:
+    """Refuse homology cutoffs that are not sorted descending; Settings runs
+    this before any work, and tally_homology again for direct callers."""
+    if list(thresholds) != sorted(thresholds, reverse=True):
+        raise ContractError(f"thresholds must be sorted descending, got {list(thresholds)}")
+
+
 def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
     """Count the group similarities that reach each cutoff; thresholds must
     be sorted descending so counts grow down the list."""
     thresholds = tuple(thresholds)
-    if list(thresholds) != sorted(thresholds, reverse=True):
-        raise ContractError("thresholds must be sorted descending")
+    _check_descending(thresholds)
     return [sum(1 for s in similarities if s >= t) for t in thresholds]
 
 

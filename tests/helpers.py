@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from motifswarm.psobiclust import _repair
 from motifswarm.seqio import (
     AMINO_ACIDS,
     SS3_CLASSES,
@@ -48,6 +49,47 @@ def msr_oracle(matrix, rows, cols) -> float:
             residue = matrix[i][j] - row_mean[i] - col_mean[j] + overall
             total += residue * residue
     return total / (len(rows) * len(cols))
+
+
+def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, n_rows=None):
+    """The swarm engine as an allocating loop: every step builds fresh arrays,
+    with the velocity update written as one expression and np.clip. n_rows
+    selects the sigmoid bit move (then _repair) over the real move x + v.
+    Returns the final positions, velocities, pbest positions and fitness,
+    gbest position and fitness, and history."""
+    positions = np.array(init_positions, dtype=float)
+    velocities = np.array(init_velocities, dtype=float)
+    n, dim = positions.shape
+    pbest_pos = positions.copy()
+    pbest_fit = [np.inf] * n
+    gbest_pos = positions[0].copy()
+    gbest_fit = np.inf
+    history = []
+    for _ in range(cfg.max_iter):
+        current = fitness(positions)
+        for i in range(n):
+            if current[i] < pbest_fit[i]:
+                pbest_fit[i] = float(current[i])
+                pbest_pos[i] = positions[i]
+        best = min(range(n), key=lambda i: pbest_fit[i])
+        if pbest_fit[best] < gbest_fit:
+            gbest_fit = pbest_fit[best]
+            gbest_pos = pbest_pos[best].copy()
+        history.append(gbest_fit)
+        velocities = (cfg.w * velocities
+                      + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
+                      + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions))
+        if cfg.v_max is not None:
+            velocities = np.clip(velocities, -cfg.v_max, cfg.v_max)
+        if n_rows is None:
+            positions = positions + velocities
+        else:
+            bits = rng.random(velocities.shape) < 1.0 / (1.0 + np.exp(-velocities))
+            _repair(bits, velocities, n_rows)
+            positions = bits.astype(float)
+    return {"positions": positions, "velocities": velocities,
+            "pbest_positions": pbest_pos, "pbest_fitness": np.array(pbest_fit),
+            "gbest_position": gbest_pos, "gbest_fitness": gbest_fit, "history": history}
 
 
 def window_counts_oracle(residues, window_size, scheme="chunked"):

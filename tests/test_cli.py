@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifswarm import cli
+from motifswarm import cli, report
 from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS
 
@@ -113,6 +113,22 @@ class TestCluster:
 
 
 class TestBicluster:
+    def test_lambda_overflowing_the_volume_reward_exits_1(self, tmp_path):
+        """A finite lambda so large that the volume reward overflows ends in
+        one stderr line. Run in a fresh interpreter, where a numpy overflow
+        warning would print to stderr."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sample_corpus": true, "lam": 1e308}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "motifswarm.cli", "bicluster", "--config", str(cfg),
+             *FAST, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert "lambda 1e+308 overflows the volume reward" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_report_fields(self, tmp_path):
         assert run_cli("bicluster", "--sample-corpus", "--k-rows", "3",
                        "--k-cols", "2", "--out", tmp_path, *FAST) == 0
@@ -444,6 +460,19 @@ def test_non_finite_threshold_or_lambda_exits_1(tmp_path, capsys, values):
                    "--out", tmp_path / "out")
     err = assert_fails_cleanly(capsys, code, 1)
     assert "must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_thresholds_that_do_not_descend_exit_1_before_any_work(tmp_path, capsys,
+                                                              monkeypatch):
+    def never(*args):
+        raise AssertionError("the clustering stage ran")
+
+    monkeypatch.setattr(report, "cluster_corpus", never)
+    code = run_cli("compare", "--sample-corpus", "--thresholds", "0.5,0.7",
+                   "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 1)
+    assert "thresholds must be sorted descending, got [0.5, 0.7]" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize
+from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize, real_move
 from motifswarm.psobiclust import bit_move, swarm_msr
+
+from helpers import pso_oracle
 
 
 def sphere(x):
@@ -201,3 +203,52 @@ class TestBinaryEngine:
             assert np.all(arr[:, :n_rows].any(axis=1))
             assert np.all(arr[:, n_rows:].any(axis=1))
         assert np.all(np.abs(swarm.velocities) <= 4.0)
+
+
+@st.composite
+def engine_runs(draw):
+    """A swarm problem for either move: the sphere with real positions, or
+    an MSR fitness with membership bits; v_max set or unset, and start
+    velocities large enough for the clamp to fire."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 6))
+    v_max = draw(st.sampled_from([None, 0.5, 4.0]))
+    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 12)),
+                    w=draw(st.sampled_from([0.72, 0.4, 1.1])),
+                    c1=draw(st.sampled_from([1.49, 0.0, 2.0])),
+                    c2=draw(st.sampled_from([1.49, 0.7])), v_max=v_max, seed=seed)
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+        m = rng.normal(size=(n_rows, n_cols))
+        init = (rng.random((n, n_rows + n_cols)) < 0.5).astype(float)
+        init[:, 0] = init[:, n_rows] = 1.0
+        fitness, move = msr_fitness(m), bit_move(n_rows)
+    else:
+        n_rows = None
+        init = rng.uniform(-5.0, 5.0, size=(n, draw(st.integers(1, 6))))
+        fitness, move = sphere, real_move
+    velocities = rng.uniform(-3.0, 3.0, size=init.shape)
+    return fitness, move, init, velocities, cfg, n_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(engine_runs())
+def test_engine_matches_the_allocating_oracle_bit_for_bit(run):
+    """The in-place engine gives the same arrays as the allocating loop, and
+    what it returns shares no memory with the positions it reuses."""
+    fitness, move, init, velocities, cfg, n_rows = run
+    init_before = init.copy()
+    swarm, best = pso_optimize(fitness, init, cfg, init_velocities=velocities,
+                               rng=np.random.default_rng(cfg.seed), move=move)
+    want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
+                      n_rows)
+    for name in ("positions", "velocities", "pbest_positions", "pbest_fitness",
+                 "gbest_position"):
+        assert np.array_equal(getattr(swarm, name), want[name]), name
+    assert swarm.gbest_fitness == want["gbest_fitness"]
+    assert swarm.history == want["history"]
+    assert best is swarm.gbest_position
+    assert not np.shares_memory(swarm.pbest_positions, swarm.positions)
+    assert not np.shares_memory(swarm.gbest_position, swarm.positions)
+    assert np.array_equal(init, init_before)

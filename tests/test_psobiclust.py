@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motifswarm import psobiclust
 from motifswarm.errors import ContractError
 from motifswarm.metrics import msr
 from motifswarm.pso import MAX_PARTICLES, PsoConfig
@@ -15,6 +17,7 @@ from motifswarm.psobiclust import (
     seed_biclusters,
     swarm_msr,
 )
+from motifswarm.psokmeans import pso_kmeans
 
 from helpers import msr_oracle
 
@@ -90,6 +93,20 @@ class TestSeedBiclusters:
         seeds = seed_biclusters(m, 3, 2, PsoConfig(n_particles=10, max_iter=30, seed=2))
         for s in seeds:
             assert s.msr == pytest.approx(msr_oracle(m, s.rows, s.cols), rel=1e-9)
+
+    def test_config_reaches_both_runs_with_the_next_seed(self, monkeypatch):
+        seen = []
+
+        def recording(data, k, cfg):
+            seen.append(cfg)
+            return pso_kmeans(data, k, cfg)
+
+        monkeypatch.setattr(psobiclust, "pso_kmeans", recording)
+        m, _, _ = planted_matrix()
+        cfg = PsoConfig(n_particles=6, max_iter=5, w=0.5, c1=1.2, c2=1.7, v_max=0.3,
+                        seed=4)
+        seed_biclusters(m, 2, 2, cfg)
+        assert seen == [cfg, replace(cfg, seed=5)]
 
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(ContractError):
@@ -174,6 +191,14 @@ class TestPsoBicluster:
         bad = Bicluster(rows=(0, 9), cols=(0,), msr=0.0, volume=2)
         with pytest.raises(ContractError):
             pso_bicluster(m, cfg, [bad])
+
+    def test_lambda_overflowing_the_volume_reward_is_refused(self):
+        m = np.arange(24.0).reshape(6, 4)
+        seed = make_bicluster(m, [0, 1], [0, 1])
+        cfg = PsoConfig(n_particles=2, max_iter=5)
+        with pytest.raises(ContractError, match="overflows the volume reward"):
+            pso_bicluster(m, cfg, [seed], lam=1e307)
+        assert pso_bicluster(m, cfg, [seed], lam=1e306)
 
     def test_more_seeds_than_particles_allowed_is_an_error(self):
         m = np.arange(24.0).reshape(6, 4)

@@ -41,6 +41,11 @@ class TestTallyHomology:
         with pytest.raises(ContractError):
             tally_homology([], (0.60, 0.65, 0.70))
 
+    def test_settings_refuse_thresholds_that_do_not_descend(self):
+        with pytest.raises(ContractError, match="sorted descending"):
+            Settings(thresholds=(0.5, 0.7))
+        assert Settings(thresholds=(0.7, 0.7, 0.5)).thresholds == (0.7, 0.7, 0.5)
+
     def test_counts_grow_down_the_list(self):
         rng = np.random.default_rng(3)
         sims = [similarity_of_profile(s) for s in rng.uniform(0.34, 1.0, size=12)]

@@ -9,11 +9,7 @@ row of the matrix that the biclustering stage consumes.
 import numpy as np
 
 from motifswarm import AMINO_ACIDS, load_sample_corpus
-from motifswarm.featurize import (
-    build_bicluster_matrix,
-    normalize_windows,
-    reshape_and_count,
-)
+from motifswarm.featurize import build_cluster_dataset, normalize_windows, reshape_and_count
 
 corpus = load_sample_corpus()
 print(f"sample corpus: {len(corpus.sequences)} sequences, "
@@ -35,7 +31,7 @@ row = normalize_windows([window], method="mean")[0]
 print("\nmean-normalized row (first 8 columns):")
 print("  " + "  ".join(f"{AMINO_ACIDS[j]}={row[j]:.2f}" for j in range(8)))
 
-matrix = build_bicluster_matrix(corpus.sequences)
+matrix = normalize_windows(build_cluster_dataset(corpus.sequences))
 print(f"\nstacked over the corpus: bicluster matrix {matrix.shape}, "
       f"values in [{matrix.min():.2f}, {matrix.max():.2f}]")
 print("the CLI equivalent: motifswarm prepare --sample-corpus --out out/")

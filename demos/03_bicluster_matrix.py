@@ -16,12 +16,12 @@ from motifswarm import (
     pso_bicluster,
     seed_biclusters,
 )
-from motifswarm.featurize import build_bicluster_matrix
+from motifswarm.featurize import build_cluster_dataset, normalize_windows
 
 SEED = 7
 
 corpus = load_sample_corpus()
-matrix = build_bicluster_matrix(corpus.sequences)
+matrix = normalize_windows(build_cluster_dataset(corpus.sequences))
 ids = [s.id for s in corpus.sequences]
 
 lam = default_lambda(matrix)

@@ -12,24 +12,30 @@ in which case the retained columns are exactly the ones its SAA never touches.
 
 from pathlib import Path
 
-from motifswarm import PsoConfig, load_sample_corpus, pso_bicluster, seed_biclusters
-from motifswarm.featurize import build_bicluster_matrix, build_cluster_dataset
-from motifswarm.motif import (
-    build_motif_report,
-    motif_set,
-    position_frequencies,
-    render_logo_svg,
+from motifswarm import (
+    AMINO_ACIDS,
+    PsoConfig,
+    load_sample_corpus,
+    pso_bicluster,
+    seed_biclusters,
 )
+from motifswarm.featurize import build_cluster_dataset, normalize_windows
+from motifswarm.motif import build_motif_report, position_frequencies, render_logo_svg
 
 SEED = 7
 
 corpus = load_sample_corpus()
-matrix = build_bicluster_matrix(corpus.sequences)
+windows = build_cluster_dataset(corpus.sequences)
+matrix = normalize_windows(windows)
 seeds = seed_biclusters(matrix, 3, 2, PsoConfig(n_particles=12, max_iter=40,
                                                 seed=SEED))
 results = pso_bicluster(matrix, PsoConfig(n_particles=15, max_iter=80,
                                           seed=SEED + 2), seeds)
-windows = build_cluster_dataset(corpus.sequences)
+
+
+def motif_set(bic):
+    """The letters of the amino-acid columns a bicluster retained."""
+    return frozenset(AMINO_ACIDS[c] for c in bic.cols)
 
 
 def report_for(bic, gid):

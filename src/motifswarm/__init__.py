@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
-from .featurize import build_bicluster_matrix, build_cluster_dataset
+from .featurize import build_cluster_dataset
 from .metrics import cityblock, homology_class, msr, structure_similarity
 from .kmeans import ClusterSet, kmeans_run
 from .pso import PsoConfig, pso_optimize
@@ -44,7 +44,6 @@ __all__ = [
     "load_corpus",
     "load_sample_corpus",
     "build_cluster_dataset",
-    "build_bicluster_matrix",
     "cityblock",
     "msr",
     "structure_similarity",

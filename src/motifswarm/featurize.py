@@ -119,17 +119,6 @@ def _column_modes(counts: np.ndarray) -> np.ndarray:
     return np.where(top, counts, np.inf).min(axis=1)
 
 
-def _normalize(counts: np.ndarray, method: str) -> np.ndarray:
-    """The n x 20 rows of an (n, ws, 20) stack of window counts."""
-    if method not in NORMALIZATION_METHODS:
-        raise ContractError(f"unknown normalization method {method!r}")
-    if method == "mean":
-        return counts.mean(axis=1)
-    if method == "range":
-        return (counts.max(axis=1) - counts.min(axis=1)).astype(float)
-    return _column_modes(counts)
-
-
 def normalize_windows(windows, method: str = "mean") -> np.ndarray:
     """Collapse each frequency window into one 20-element row, column by
     column, and stack the rows into an n x 20 matrix.
@@ -139,7 +128,13 @@ def normalize_windows(windows, method: str = "mean") -> np.ndarray:
     """
     counts = (np.stack([w.counts for w in windows]) if windows
               else np.empty((0, 1, len(AMINO_ACIDS))))
-    return _normalize(counts, method)
+    if method not in NORMALIZATION_METHODS:
+        raise ContractError(f"unknown normalization method {method!r}")
+    if method == "mean":
+        return counts.mean(axis=1)
+    if method == "range":
+        return (counts.max(axis=1) - counts.min(axis=1)).astype(float)
+    return _column_modes(counts)
 
 
 def build_cluster_dataset(
@@ -147,22 +142,6 @@ def build_cluster_dataset(
 ) -> list[FrequencyWindow]:
     """One frequency window per sequence, in input order."""
     return [reshape_and_count(s, window_size, scheme) for s in seqs]
-
-
-def build_bicluster_matrix(
-    seqs: list[Sequence],
-    method: str = "mean",
-    window_size: int = WINDOW_SIZE,
-    scheme: str = "chunked",
-) -> np.ndarray:
-    """Stack the normalized rows of all sequences into an n x 20 matrix."""
-    _check_window_size(window_size)
-    # Counting straight into one stack keeps no window objects alive, so the
-    # stack is the only corpus-sized allocation.
-    counts = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.intp)
-    for row, seq in zip(counts, seqs):
-        row[...] = reshape_and_count(seq, window_size, scheme).counts
-    return _normalize(counts, method)
 
 
 def structure_segments(

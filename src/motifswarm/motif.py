@@ -85,11 +85,6 @@ def significant_amino_acids(freqs, threshold: float = SAA_THRESHOLD):
     return out
 
 
-def motif_set(bic, col_labels: str = AMINO_ACIDS) -> frozenset:
-    """The letters of the columns a bicluster retained."""
-    return frozenset(col_labels[c] for c in bic.cols)
-
-
 def classify_superset(saa, motif) -> str:
     """Relation of a position's significant letters to a motif letter set.
 

@@ -30,7 +30,6 @@ class PsoConfig:
     w: float = 0.72
     c1: float = 1.49
     c2: float = 1.49
-    v_max: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class PsoConfig:
         for name in ("w", "c1", "c2"):
             if not np.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite")
-        if self.v_max is not None and not np.all(np.asarray(self.v_max) > 0):
-            raise ContractError("v_max must be positive when set")
 
 
 @dataclass
@@ -69,22 +66,16 @@ def real_move(positions, velocities, rng):
     return positions
 
 
-def pso_optimize(
-    fitness,
-    init_positions,
-    cfg: PsoConfig,
-    init_velocities=None,
-    rng=None,
-    callback=None,
-    move=real_move,
-):
-    """Minimize fitness from the given start positions; returns (Swarm, best).
+def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
+                 move=real_move, callback=None):
+    """Minimize fitness from the given start state; returns (Swarm, best).
 
-    fitness maps the (n_particles, dim) position array to an (n_particles,)
-    vector. Velocities start at zero unless init_velocities is given, and
-    are clipped to [-v_max, v_max] when cfg.v_max is set. move(positions,
-    velocities, rng) returns the next positions. rng overrides the default
-    generator seeded from cfg.seed. callback, when set, is called as
+    positions and velocities are (n_particles, dim) arrays; the engine works
+    on float copies of them. fitness maps the position array to an
+    (n_particles,) vector. Velocities are clipped to [-v_max, v_max] after
+    each update; v_max is a positive scalar or a (dim,) array, np.inf for no
+    clamp. rng gives the r1, r2 draws. move(positions, velocities, rng)
+    returns the next positions. callback, when set, is called as
     callback(iteration, gbest_fitness) once per iteration.
 
     The swarm's arrays are reused from one iteration to the next: velocities
@@ -93,24 +84,16 @@ def pso_optimize(
     positions array after it returns; copy what must outlive the call. The
     returned pbest and gbest positions are copies, never views of positions.
     """
-    rows = [np.asarray(p, dtype=float).ravel() for p in init_positions]
-    if not rows or any(r.shape != rows[0].shape for r in rows):
-        raise ContractError("init_positions must be a non-empty list of equal-length vectors")
-    positions = np.stack(rows)
-    if positions.shape[0] != cfg.n_particles:
+    positions = np.array(positions, dtype=float)
+    velocities = np.array(velocities, dtype=float)
+    if positions.ndim != 2 or velocities.shape != positions.shape \
+            or positions.shape[0] != cfg.n_particles:
         raise ContractError(
-            f"{positions.shape[0]} init positions for n_particles={cfg.n_particles}"
-        )
+            f"start positions {positions.shape} and velocities {velocities.shape} "
+            f"must both be (n_particles={cfg.n_particles}, dim)")
+    if not np.all(np.asarray(v_max) > 0):
+        raise ContractError(f"v_max must be positive, got {v_max}")
     n, dim = positions.shape
-    if init_velocities is None:
-        velocities = np.zeros((n, dim))
-    else:
-        vrows = [np.asarray(v, dtype=float).ravel() for v in init_velocities]
-        if len(vrows) != n or any(v.shape != (dim,) for v in vrows):
-            raise ContractError("init_velocities shape must match init_positions")
-        velocities = np.stack(vrows)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     pbest_pos = positions.copy()
     pbest_fit = np.full(n, np.inf)
@@ -143,14 +126,19 @@ def pso_optimize(
         # w*v + (c1*r1)*(pbest - x) + (c2*r2)*(gbest - x), in place and in
         # that order, so the values match the allocating expression bit for
         # bit; r1 is drawn before r2.
-        velocities *= cfg.w
-        for c, best_pos in ((cfg.c1, pbest_pos), (cfg.c2, gbest_pos)):
-            draw = rng.random((n, dim))
-            draw *= c
-            draw *= np.subtract(best_pos, positions, out=gap)
-            velocities += draw
-        if cfg.v_max is not None:
-            np.clip(velocities, -cfg.v_max, cfg.v_max, out=velocities)
+        try:
+            with np.errstate(over="raise"):
+                velocities *= cfg.w
+                for c, best_pos in ((cfg.c1, pbest_pos), (cfg.c2, gbest_pos)):
+                    draw = rng.random((n, dim))
+                    draw *= c
+                    draw *= np.subtract(best_pos, positions, out=gap)
+                    velocities += draw
+        except FloatingPointError:
+            raise ContractError(
+                f"velocity update overflowed at iteration {iteration} "
+                f"(w={cfg.w}, c1={cfg.c1}, c2={cfg.c2})") from None
+        np.clip(velocities, -v_max, v_max, out=velocities)
         positions = move(positions, velocities, rng)
 
     swarm = Swarm(

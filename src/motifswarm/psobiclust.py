@@ -52,7 +52,7 @@ def default_lambda(matrix) -> float:
     return DEFAULT_LAMBDA_SCALE * full
 
 
-def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig | None = None):
+def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig):
     """Cluster the rows and the columns separately, then cross the two
     partitions into k_rows * k_cols seed biclusters (empty cells dropped)."""
     m = np.asarray(matrix, dtype=float)
@@ -60,8 +60,6 @@ def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig | None = No
         raise ContractError("matrix must have at least 2 rows and 2 columns")
     if not (1 <= k_rows <= m.shape[0] and 1 <= k_cols <= m.shape[1]):
         raise ContractError("k_rows/k_cols out of range for matrix")
-    if cfg is None:
-        cfg = PsoConfig(n_particles=20, max_iter=100)
 
     row_cs = pso_kmeans(m, k_rows, cfg)
     # Column run gets the next seed so the two searches are decorrelated.
@@ -106,9 +104,17 @@ def bit_move(n_rows: int):
 
 
 def msr_ranker(matrix):
-    """swarm_msr of one matrix as a function of the masks, (row_masks,
-    col_masks) -> msr per particle. The matrix is double-centred and squared
-    once, here, rather than on every call."""
+    """The mean squared residue of every masked submatrix of one matrix, as a
+    function (row_masks, col_masks) -> msr per particle of 0/1 masks shaped
+    (n_particles, n_rows) and (n_particles, n_cols).
+
+    Uses the sums-of-squares identity of Cheng & Church (2000): with row sums
+    r_i, column sums c_j, total t, squared sum q and n = |I|*|J| cells,
+    msr = (q - sum r_i^2/|J| - sum c_j^2/|I| + t^2/n) / n. The sums come from
+    three matmuls. Accurate to rounding only, so it ranks particles while
+    metrics.msr gives the reported value. The matrix is double-centred and
+    squared once, here, rather than on every call.
+    """
     m = np.asarray(matrix, dtype=float)
     # Adding a row effect plus a column effect leaves every residue as it
     # is; double-centring keeps the sums, and their cancellation error, small.
@@ -130,20 +136,6 @@ def msr_ranker(matrix):
         return np.where((n_r == 1) | (n_c == 1), 0.0, np.maximum(out, 0.0))
 
     return ranks
-
-
-def swarm_msr(matrix, row_masks, col_masks) -> np.ndarray:
-    """Mean squared residue of every masked submatrix, from 0/1 masks of
-    shape (n_particles, n_rows) and (n_particles, n_cols).
-
-    Uses the sums-of-squares identity of Cheng & Church (2000): with row sums
-    r_i, column sums c_j, total t, squared sum q and n = |I|*|J| cells,
-    msr = (q - sum r_i^2/|J| - sum c_j^2/|I| + t^2/n) / n. The sums come from
-    three matmuls. Accurate to rounding only, so it ranks particles while
-    metrics.msr gives the reported value. A search that scores one matrix
-    many times builds msr_ranker(matrix) once instead.
-    """
-    return msr_ranker(matrix)(row_masks, col_masks)
 
 
 def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
@@ -179,7 +171,6 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
             f"lambda {lam} overflows the volume reward of a {n_rows}x{n_cols} matrix")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    clamp = cfg.v_max if cfg.v_max is not None else VELOCITY_CLAMP
 
     # One particle per seed; extra capacity recycles the seed list.
     n = max(cfg.n_particles, len(seeds))
@@ -198,10 +189,8 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
         volume = rows.sum(axis=1) * cols.sum(axis=1)
         return msr_of(rows, cols) - lam * volume / total
 
-    swarm, _ = pso_optimize(
-        fitness, bits, replace(cfg, n_particles=n, v_max=clamp),
-        init_velocities=velocities, rng=rng, callback=callback, move=bit_move(n_rows),
-    )
+    swarm, _ = pso_optimize(fitness, bits, velocities, replace(cfg, n_particles=n), rng,
+                            VELOCITY_CLAMP, move=bit_move(n_rows), callback=callback)
 
     def to_bicluster(position):
         return make_bicluster(m, np.flatnonzero(position[:n_rows]),

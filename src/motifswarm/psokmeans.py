@@ -12,16 +12,12 @@ blocked matmul, and screened_fitness rescores exactly what may improve.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ContractError
 from .kmeans import ClusterSet, as_item_arrays, _assign, _pairwise_l1
 from .pso import PsoConfig, pso_optimize
-
-DEFAULT_PARTICLES = 20
-DEFAULT_ITERATIONS = 100
 
 # The lattice product runs in blocks of gaps: ~BLOCK_CELLS float cells each,
 # but never under BLOCK_GAPS gaps, below which the matmuls run slowly.
@@ -124,44 +120,38 @@ def screened_fitness(flat, ordered, k: int, empty_penalty: float):
     return fitness
 
 
-def pso_kmeans(data, k: int, cfg: PsoConfig | None = None) -> ClusterSet:
+def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
     """Cluster items into k groups by swarm search over centroid sets.
 
     A particle is its k centroids flattened into one position vector; each
-    starts on k distinct data items with a random velocity.
+    starts on k distinct data items with a random velocity. Velocities are
+    clamped to 20% of each dimension's data range (1 for a constant one).
     """
     items = as_item_arrays(data)
     n = items.shape[0]
     item_shape = items.shape[1:]
     if not 1 <= k <= n:
         raise ContractError(f"k={k} must be in [1, {n}]")
-    if cfg is None:
-        cfg = PsoConfig(n_particles=DEFAULT_PARTICLES, max_iter=DEFAULT_ITERATIONS)
 
     flat = items.reshape(n, -1)
     ordered = np.sort(flat, axis=0)
     per_dim = ordered[-1] - ordered[0]
     spread = float(per_dim.sum())
-
-    # Velocity cap defaults to 20% of the per-dimension data range.
-    if cfg.v_max is None:
-        per_dim[per_dim == 0.0] = 1.0
-        v_cap = np.tile(0.2 * per_dim, k)
-        cfg = replace(cfg, v_max=v_cap)
+    per_dim[per_dim == 0.0] = 1.0
+    v_max = np.tile(0.2 * per_dim, k)
 
     rng = np.random.default_rng(cfg.seed)
     init_positions = np.stack([flat[rng.choice(n, size=k, replace=False)].reshape(-1)
                                for _ in range(cfg.n_particles)])
-    init_velocities = rng.uniform(-1.0, 1.0, size=init_positions.shape) * cfg.v_max
+    init_velocities = rng.uniform(-1.0, 1.0, size=init_positions.shape) * v_max
 
     width = int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if lattice_pays(n, flat.shape[1], width, cfg.n_particles * k):
         fitness = screened_fitness(flat, ordered, k, spread)
     else:
         fitness = lambda positions: swarm_fitness(flat, positions, k, spread)
-    swarm, best_position = pso_optimize(
-        fitness, init_positions, cfg, init_velocities=init_velocities, rng=rng,
-    )
+    swarm, best_position = pso_optimize(fitness, init_positions, init_velocities,
+                                        cfg, rng, v_max)
 
     centroids = best_position.reshape(k, -1)
     labels, final = assignment_fitness(flat, centroids)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ContractError, InputError, ValidationError
 from . import metrics
-from .featurize import (WINDOW_SIZE, build_bicluster_matrix, build_cluster_dataset,
+from .featurize import (WINDOW_SIZE, build_cluster_dataset, normalize_windows,
                         structure_segments)
 from .kmeans import ClusterSet, kmeans_run
 from .pso import PsoConfig
@@ -176,8 +176,9 @@ def bicluster_corpus(corpus: Corpus, settings: Settings):
     seed plus two. settings.lam=None resolves to default_lambda of the
     matrix. Returns (biclusters, lambda).
     """
-    matrix = build_bicluster_matrix(corpus.sequences, settings.normalization,
-                                    settings.window_size, settings.window_scheme)
+    windows = build_cluster_dataset(corpus.sequences, settings.window_size,
+                                    settings.window_scheme)
+    matrix = normalize_windows(windows, settings.normalization)
     lam = default_lambda(matrix) if settings.lam is None else settings.lam
     swarm = settings.swarm
     seeds = seed_biclusters(matrix, settings.k_rows, settings.k_cols, swarm)

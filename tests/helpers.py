@@ -51,7 +51,7 @@ def msr_oracle(matrix, rows, cols) -> float:
     return total / (len(rows) * len(cols))
 
 
-def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, n_rows=None):
+def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows=None):
     """The swarm engine as an allocating loop: every step builds fresh arrays,
     with the velocity update written as one expression and np.clip. n_rows
     selects the sigmoid bit move (then _repair) over the real move x + v.
@@ -79,8 +79,7 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, n_rows=None):
         velocities = (cfg.w * velocities
                       + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
                       + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions))
-        if cfg.v_max is not None:
-            velocities = np.clip(velocities, -cfg.v_max, cfg.v_max)
+        velocities = np.clip(velocities, -v_max, v_max)
         if n_rows is None:
             positions = positions + velocities
         else:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from motifswarm import cli, metrics
-from motifswarm.featurize import build_bicluster_matrix, build_cluster_dataset
+from motifswarm.featurize import build_cluster_dataset, normalize_windows
 from motifswarm.kmeans import kmeans_run
 from motifswarm.metrics import StructureProfile
 from motifswarm.motif import RELATION_PARTIAL, classify_superset, logo_columns
@@ -146,7 +146,7 @@ def test_c06_pso_monotonicity():
         cs = pso_kmeans(windows, 4, PsoConfig(n_particles=10, max_iter=30, seed=s))
         assert all(b <= a for a, b in zip(cs.trace, cs.trace[1:])), f"seed {s}"
 
-    matrix = build_bicluster_matrix(corpus.sequences)
+    matrix = normalize_windows(windows)
     for s in range(20):
         seeds = seed_biclusters(matrix, 3, 2,
                                 PsoConfig(n_particles=10, max_iter=30, seed=s))

@@ -476,6 +476,25 @@ def test_thresholds_that_do_not_descend_exit_1_before_any_work(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key", [("bicluster", "w"), ("compare", "c2")])
+def test_coefficient_overflowing_the_velocity_update_exits_1(tmp_path, command, key):
+    """A finite swarm coefficient so large that the velocity update overflows
+    ends in one stderr line. Run in a fresh interpreter, where a numpy
+    overflow warning would print to stderr."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_corpus": True, key: 1e308}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "motifswarm.cli", command, "--config", str(cfg),
+         *FAST, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "velocity update overflowed at iteration" in proc.stderr
+    assert f"{key}=1e+308" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["prepare", "cluster", "bicluster", "motifs",
                                      "compare"])
 def test_sequence_file_without_records_exits_3(tmp_path, capsys, command):
@@ -524,8 +543,8 @@ IO_FLAGS = {
     "--window-scheme": ["chunked", "sliding", "diagonal"],
     "--normalization": ["mean", "range", "mode", "median"],
 }
-SWARM_FLAGS = {"--w": ["0.5", "-1", "nan", "inf"], "--c1": ["0", "2", "nan"],
-               "--c2": ["1", "-inf"]}
+SWARM_FLAGS = {"--w": ["0.5", "-1", "nan", "inf", "1e308", "-1e200"],
+               "--c1": ["0", "2", "nan", "1e308"], "--c2": ["1", "-inf", "1e308"]}
 BICLUSTER_FLAGS = {"--k-rows": ["1", "3", "0", "40"], "--k-cols": ["1", "2", "0", "21"],
                    "--lambda": ["0.1", "0", "-0.5", "nan", "inf"]}
 CLUSTER_FLAGS = {"--k": ["1", "3", "0", "-2", "999"]}

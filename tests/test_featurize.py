@@ -6,7 +6,6 @@ from motifswarm.errors import ContractError, ValidationError
 from motifswarm.featurize import (
     NORMALIZATION_METHODS,
     WINDOW_SCHEMES,
-    build_bicluster_matrix,
     build_cluster_dataset,
     normalize_windows,
     reshape_and_count,
@@ -120,7 +119,7 @@ def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
 def test_bicluster_matrix_matches_oracle(window_size, scheme, method, lengths, seed):
     rng = np.random.default_rng(seed)
     seqs = [random_sequence(rng, n, seq_id=f"s{i}") for i, n in enumerate(lengths)]
-    matrix = build_bicluster_matrix(seqs, method, window_size, scheme)
+    matrix = normalize_windows(build_cluster_dataset(seqs, window_size, scheme), method)
     for row, seq in zip(matrix, seqs):
         counts = window_counts_oracle(seq.residues, window_size, scheme)
         np.testing.assert_array_equal(row, normalize_oracle(counts, method))
@@ -175,12 +174,12 @@ def test_corpus_scale_shapes():
     windows = build_cluster_dataset(seqs)
     assert len(windows) == 300
     assert all(w.counts.shape == (9, 20) for w in windows)
-    matrix = build_bicluster_matrix(seqs)
+    matrix = normalize_windows(windows)
     assert matrix.shape == (300, 20)
 
 
 def test_bicluster_row_of_pure_sequence():
-    matrix = build_bicluster_matrix([Sequence("s", "L" * 9)], "mean")
+    matrix = normalize_windows(build_cluster_dataset([Sequence("s", "L" * 9)]), "mean")
     expected = np.zeros(20)
     expected[AA_INDEX["L"]] = 1.0
     np.testing.assert_allclose(matrix[0], expected)
@@ -189,7 +188,7 @@ def test_bicluster_row_of_pure_sequence():
 def test_bicluster_matrix_is_row_stack_of_normalized_windows():
     rng = np.random.default_rng(12)
     seqs = [random_sequence(rng, 20 + 3 * i, seq_id=f"s{i}") for i in range(5)]
-    matrix = build_bicluster_matrix(seqs, "range")
+    matrix = normalize_windows(build_cluster_dataset(seqs), "range")
     for k, seq in enumerate(seqs):
         row = normalize_windows([reshape_and_count(seq)], "range")[0]
         np.testing.assert_array_equal(matrix[k], row)

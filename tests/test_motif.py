@@ -15,13 +15,11 @@ from motifswarm.motif import (
     build_motif_report,
     classify_superset,
     logo_columns,
-    motif_set,
     position_frequencies,
     render_logo_svg,
     report_to_dict,
     significant_amino_acids,
 )
-from motifswarm.psobiclust import Bicluster
 from motifswarm.seqio import AMINO_ACIDS, Sequence
 
 
@@ -107,21 +105,6 @@ class TestSignificantAminoAcids:
         narrow = significant_amino_acids(m, threshold=0.10)
         for w, mi, na in zip(wide, mid, narrow):
             assert na.saa <= mi.saa <= w.saa
-
-
-class TestMotifSet:
-    def test_table_motif_letters(self):
-        cols = tuple(AMINO_ACIDS.index(c) for c in "ADEGILKTV")
-        bic = Bicluster(rows=(0,), cols=cols, msr=0.0, volume=len(cols))
-        assert motif_set(bic) == frozenset("ADEGILKTV")
-
-    def test_all_columns(self):
-        bic = Bicluster(rows=(0,), cols=tuple(range(20)), msr=0.0, volume=20)
-        assert motif_set(bic) == frozenset(AMINO_ACIDS)
-
-    def test_single_column(self):
-        bic = Bicluster(rows=(0,), cols=(1,), msr=0.0, volume=1)
-        assert motif_set(bic) == frozenset("R")
 
 
 class TestClassifySuperset:

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
 from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize, real_move
-from motifswarm.psobiclust import bit_move, swarm_msr
+from motifswarm.psobiclust import bit_move, msr_ranker
 
 from helpers import pso_oracle
 
@@ -19,11 +21,21 @@ def init_box(seed, n=10, dim=4, half_width=5.0):
     return rng.uniform(-half_width, half_width, size=(n, dim))
 
 
+def run(fitness, init, cfg, velocities=None, v_max=np.inf, **kwargs):
+    """pso_optimize from rest (unless velocities are given), drawing from a
+    generator seeded with cfg.seed, unclamped unless v_max is given."""
+    if velocities is None:
+        velocities = np.zeros(np.shape(init))
+    return pso_optimize(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
+                        v_max, **kwargs)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = PsoConfig(n_particles=10, max_iter=5)
-        assert (cfg.w, cfg.c1, cfg.c2) == (0.72, 1.49, 1.49)
-        assert cfg.v_max is None
+        assert dataclasses.astuple(cfg) == (10, 5, 0.72, 1.49, 1.49, 0)
+        assert [f.name for f in dataclasses.fields(PsoConfig)] == [
+            "n_particles", "max_iter", "w", "c1", "c2", "seed"]
 
     @pytest.mark.parametrize("n", [0, -1, MAX_PARTICLES + 1])
     def test_particle_count_bounds(self, n):
@@ -35,15 +47,17 @@ class TestConfig:
             PsoConfig(n_particles=5, max_iter=0)
         with pytest.raises(ContractError):
             PsoConfig(n_particles=5, max_iter=5, w=float("inf"))
-        with pytest.raises(ContractError):
-            PsoConfig(n_particles=5, max_iter=5, v_max=0.0)
+        for v_max in (0.0, -1.0, np.nan, np.array([1.0, 0.0, 1.0, 1.0])):
+            with pytest.raises(ContractError, match="v_max"):
+                run(sphere, init_box(0, n=5), PsoConfig(n_particles=5, max_iter=5),
+                    v_max=v_max)
 
 
 class TestSphere:
     def test_reaches_tight_minimum(self):
         for seed in range(5):
             cfg = PsoConfig(n_particles=10, max_iter=200, seed=seed)
-            swarm, best = pso_optimize(sphere, init_box(seed), cfg)
+            swarm, best = run(sphere, init_box(seed), cfg)
             assert swarm.gbest_fitness < 1e-3
             assert sphere(best) == pytest.approx(swarm.gbest_fitness)
 
@@ -51,7 +65,7 @@ class TestSphere:
         init = init_box(3)
         init[4] = 0.0
         cfg = PsoConfig(n_particles=10, max_iter=30, seed=3)
-        swarm, _ = pso_optimize(sphere, init, cfg)
+        swarm, _ = run(sphere, init, cfg)
         assert swarm.history[0] == 0.0
         assert all(v == 0.0 for v in swarm.history)
 
@@ -60,9 +74,7 @@ class TestLoopMechanics:
     def test_single_iteration(self):
         calls = []
         cfg = PsoConfig(n_particles=3, max_iter=1, seed=0)
-        swarm, _ = pso_optimize(
-            lambda x: calls.append(x.shape) or sphere(x), init_box(0, n=3), cfg
-        )
+        swarm, _ = run(lambda x: calls.append(x.shape) or sphere(x), init_box(0, n=3), cfg)
         assert swarm.iteration == 1
         assert len(swarm.history) == 1
         assert calls == [(3, 4)]  # one call scores all three particles
@@ -70,13 +82,13 @@ class TestLoopMechanics:
     def test_gbest_monotone_nonincreasing(self):
         for seed in range(10):
             cfg = PsoConfig(n_particles=8, max_iter=60, seed=seed)
-            swarm, _ = pso_optimize(sphere, init_box(seed, n=8), cfg)
+            swarm, _ = run(sphere, init_box(seed, n=8), cfg)
             hist = swarm.history
             assert all(b <= a for a, b in zip(hist, hist[1:]))
 
     def test_gbest_is_min_of_pbests(self):
         cfg = PsoConfig(n_particles=6, max_iter=20, seed=7)
-        swarm, _ = pso_optimize(sphere, init_box(7, n=6), cfg)
+        swarm, _ = run(sphere, init_box(7, n=6), cfg)
         assert swarm.pbest_fitness.shape == (6,)
         assert swarm.gbest_fitness == swarm.pbest_fitness.min()
         assert np.all(swarm.pbest_fitness <= swarm.current_fitness + 1e-12)
@@ -85,21 +97,20 @@ class TestLoopMechanics:
         init = init_box(1, n=4)
         vels = np.full((4, 4), 2.5)
         cfg = PsoConfig(n_particles=4, max_iter=10, seed=1, w=0.0, c1=0.0, c2=0.0)
-        swarm, _ = pso_optimize(sphere, init, cfg, init_velocities=vels)
+        swarm, _ = run(sphere, init, cfg, vels)
         assert np.array_equal(swarm.positions, init)
         assert np.all(swarm.velocities == 0.0)
 
     def test_velocity_clamp(self):
-        cfg = PsoConfig(n_particles=6, max_iter=25, seed=2, v_max=0.5)
-        swarm, _ = pso_optimize(sphere, init_box(2, n=6), cfg)
+        cfg = PsoConfig(n_particles=6, max_iter=25, seed=2)
+        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5)
         assert swarm.velocities.shape == (6, 4)
         assert np.all(np.abs(swarm.velocities) <= 0.5)
 
     def test_callback_sees_every_iteration(self):
         seen = []
         cfg = PsoConfig(n_particles=5, max_iter=15, seed=4)
-        pso_optimize(sphere, init_box(4, n=5), cfg,
-                     callback=lambda i, f: seen.append((i, f)))
+        run(sphere, init_box(4, n=5), cfg, callback=lambda i, f: seen.append((i, f)))
         assert [i for i, _ in seen] == list(range(1, 16))
         fits = [f for _, f in seen]
         assert all(b <= a for a, b in zip(fits, fits[1:]))
@@ -108,35 +119,28 @@ class TestLoopMechanics:
 class TestDeterminism:
     def test_identical_runs(self):
         cfg = PsoConfig(n_particles=7, max_iter=40, seed=11)
-        a, _ = pso_optimize(sphere, init_box(11, n=7), cfg)
-        b, _ = pso_optimize(sphere, init_box(11, n=7), cfg)
+        a, _ = run(sphere, init_box(11, n=7), cfg)
+        b, _ = run(sphere, init_box(11, n=7), cfg)
         assert a.history == b.history
         assert np.array_equal(a.gbest_position, b.gbest_position)
 
-    def test_injected_rng_matches_seeded_default(self):
-        cfg = PsoConfig(n_particles=7, max_iter=40, seed=11)
-        a, _ = pso_optimize(sphere, init_box(11, n=7), cfg)
-        b, _ = pso_optimize(sphere, init_box(11, n=7), cfg,
-                            rng=np.random.default_rng(11))
-        assert a.history == b.history
-
 
 class TestErrors:
-    def test_ragged_positions(self):
+    def test_positions_must_be_two_dimensional(self):
         cfg = PsoConfig(n_particles=2, max_iter=5)
-        with pytest.raises(ContractError):
-            pso_optimize(sphere, [np.zeros(2), np.zeros(3)], cfg)
+        for init in (np.zeros(2), np.zeros((2, 3, 1))):
+            with pytest.raises(ContractError):
+                run(sphere, init, cfg)
 
     def test_count_mismatch(self):
         cfg = PsoConfig(n_particles=5, max_iter=5)
         with pytest.raises(ContractError):
-            pso_optimize(sphere, init_box(0, n=4), cfg)
+            run(sphere, init_box(0, n=4), cfg)
 
     def test_velocity_shape_mismatch(self):
         cfg = PsoConfig(n_particles=4, max_iter=5)
         with pytest.raises(ContractError):
-            pso_optimize(sphere, init_box(0, n=4),
-                         cfg, init_velocities=np.zeros((4, 5)))
+            run(sphere, init_box(0, n=4), cfg, np.zeros((4, 5)))
 
     def test_nonfinite_fitness_names_particle_and_iteration(self):
         def bad(x):
@@ -146,12 +150,12 @@ class TestErrors:
         init[2, 0] = 1.0
         cfg = PsoConfig(n_particles=3, max_iter=5, seed=0)
         with pytest.raises(ContractError, match=r"particle 2.*iteration 1"):
-            pso_optimize(bad, init, cfg)
+            run(bad, init, cfg)
 
     def test_fitness_must_return_one_value_per_particle(self):
         cfg = PsoConfig(n_particles=3, max_iter=2)
         with pytest.raises(ContractError, match="shape"):
-            pso_optimize(lambda x: sphere(x)[:2], init_box(0, n=3), cfg)
+            run(lambda x: sphere(x)[:2], init_box(0, n=3), cfg)
 
 
 @st.composite
@@ -167,14 +171,14 @@ def binary_problems(draw):
     bits = rng.random((n, n_rows + n_cols)) < 0.5
     bits[:, 0] = True
     bits[:, n_rows] = True
-    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 15)), v_max=4.0,
-                    seed=seed)
+    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 15)), seed=seed)
     return m, bits, cfg
 
 
 def msr_fitness(m):
     n_rows = m.shape[0]
-    return lambda x: swarm_msr(m, x[:, :n_rows], x[:, n_rows:]) - 0.1 * x.sum(axis=1)
+    msr_of = msr_ranker(m)
+    return lambda x: msr_of(x[:, :n_rows], x[:, n_rows:]) - 0.1 * x.sum(axis=1)
 
 
 class TestBinaryEngine:
@@ -183,8 +187,8 @@ class TestBinaryEngine:
     def test_history_length_and_monotone(self, problem):
         m, bits, cfg = problem
         seen = []
-        swarm, best = pso_optimize(msr_fitness(m), bits, cfg, move=bit_move(m.shape[0]),
-                                   callback=lambda i, f: seen.append(i))
+        swarm, best = run(msr_fitness(m), bits, cfg, v_max=4.0, move=bit_move(m.shape[0]),
+                          callback=lambda i, f: seen.append(i))
         hist = swarm.history
         assert swarm.iteration == cfg.max_iter == len(hist)
         assert seen == list(range(1, cfg.max_iter + 1))
@@ -197,7 +201,7 @@ class TestBinaryEngine:
     def test_moves_keep_bits_and_both_halves(self, problem):
         m, bits, cfg = problem
         n_rows = m.shape[0]
-        swarm, _ = pso_optimize(msr_fitness(m), bits, cfg, move=bit_move(n_rows))
+        swarm, _ = run(msr_fitness(m), bits, cfg, v_max=4.0, move=bit_move(n_rows))
         for arr in (swarm.positions, swarm.pbest_positions):
             assert set(np.unique(arr)) <= {0.0, 1.0}
             assert np.all(arr[:, :n_rows].any(axis=1))
@@ -208,16 +212,16 @@ class TestBinaryEngine:
 @st.composite
 def engine_runs(draw):
     """A swarm problem for either move: the sphere with real positions, or
-    an MSR fitness with membership bits; v_max set or unset, and start
+    an MSR fitness with membership bits; a finite or infinite v_max, and start
     velocities large enough for the clamp to fire."""
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 6))
-    v_max = draw(st.sampled_from([None, 0.5, 4.0]))
+    v_max = draw(st.sampled_from([0.5, 4.0, np.inf]))
     cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 12)),
                     w=draw(st.sampled_from([0.72, 0.4, 1.1])),
                     c1=draw(st.sampled_from([1.49, 0.0, 2.0])),
-                    c2=draw(st.sampled_from([1.49, 0.7])), v_max=v_max, seed=seed)
+                    c2=draw(st.sampled_from([1.49, 0.7])), seed=seed)
     if draw(st.booleans()):
         n_rows, n_cols = draw(st.integers(2, 8)), draw(st.integers(2, 6))
         m = rng.normal(size=(n_rows, n_cols))
@@ -229,20 +233,20 @@ def engine_runs(draw):
         init = rng.uniform(-5.0, 5.0, size=(n, draw(st.integers(1, 6))))
         fitness, move = sphere, real_move
     velocities = rng.uniform(-3.0, 3.0, size=init.shape)
-    return fitness, move, init, velocities, cfg, n_rows
+    return fitness, move, init, velocities, cfg, v_max, n_rows
 
 
 @settings(max_examples=80, deadline=None)
 @given(engine_runs())
-def test_engine_matches_the_allocating_oracle_bit_for_bit(run):
+def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
     """The in-place engine gives the same arrays as the allocating loop, and
     what it returns shares no memory with the positions it reuses."""
-    fitness, move, init, velocities, cfg, n_rows = run
-    init_before = init.copy()
-    swarm, best = pso_optimize(fitness, init, cfg, init_velocities=velocities,
-                               rng=np.random.default_rng(cfg.seed), move=move)
+    fitness, move, init, velocities, cfg, v_max, n_rows = problem
+    init_before, velocities_before = init.copy(), velocities.copy()
+    swarm, best = pso_optimize(fitness, init, velocities, cfg,
+                               np.random.default_rng(cfg.seed), v_max, move=move)
     want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
-                      n_rows)
+                      v_max, n_rows)
     for name in ("positions", "velocities", "pbest_positions", "pbest_fitness",
                  "gbest_position"):
         assert np.array_equal(getattr(swarm, name), want[name]), name
@@ -252,3 +256,4 @@ def test_engine_matches_the_allocating_oracle_bit_for_bit(run):
     assert not np.shares_memory(swarm.pbest_positions, swarm.positions)
     assert not np.shares_memory(swarm.gbest_position, swarm.positions)
     assert np.array_equal(init, init_before)
+    assert np.array_equal(velocities, velocities_before)

@@ -14,8 +14,8 @@ from motifswarm.psobiclust import (
     default_lambda,
     make_bicluster,
     pso_bicluster,
+    msr_ranker,
     seed_biclusters,
-    swarm_msr,
 )
 from motifswarm.psokmeans import pso_kmeans
 
@@ -103,18 +103,18 @@ class TestSeedBiclusters:
 
         monkeypatch.setattr(psobiclust, "pso_kmeans", recording)
         m, _, _ = planted_matrix()
-        cfg = PsoConfig(n_particles=6, max_iter=5, w=0.5, c1=1.2, c2=1.7, v_max=0.3,
-                        seed=4)
+        cfg = PsoConfig(n_particles=6, max_iter=5, w=0.5, c1=1.2, c2=1.7, seed=4)
         seed_biclusters(m, 2, 2, cfg)
         assert seen == [cfg, replace(cfg, seed=5)]
 
     def test_degenerate_matrix_rejected(self):
+        cfg = PsoConfig(n_particles=4, max_iter=5)
         with pytest.raises(ContractError):
-            seed_biclusters(np.zeros((1, 5)), 1, 2)
+            seed_biclusters(np.zeros((1, 5)), 1, 2, cfg)
         with pytest.raises(ContractError):
-            seed_biclusters(np.zeros((5, 1)), 2, 1)
+            seed_biclusters(np.zeros((5, 1)), 2, 1, cfg)
         with pytest.raises(ContractError):
-            seed_biclusters(np.zeros((4, 4)), 5, 2)
+            seed_biclusters(np.zeros((4, 4)), 5, 2, cfg)
 
 
 class TestPsoBicluster:
@@ -221,7 +221,7 @@ def test_swarm_msr_matches_oracle(n_rows, n_cols, n, seed, scale, offset):
     rows[0], cols[0] = True, True  # the full matrix
     rows[np.arange(n), rng.integers(n_rows, size=n)] = True
     cols[np.arange(n), rng.integers(n_cols, size=n)] = True
-    got = swarm_msr(m, rows.astype(float), cols.astype(float))
+    got = msr_ranker(m)(rows.astype(float), cols.astype(float))
     assert got.shape == (n,)
     for p in range(n):
         r, c = np.flatnonzero(rows[p]), np.flatnonzero(cols[p])

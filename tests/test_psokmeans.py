@@ -17,6 +17,7 @@ from motifswarm.psokmeans import (
     pso_kmeans,
     swarm_fitness,
 )
+from motifswarm.report import Settings
 from motifswarm.seqio import load_sample_corpus
 
 from helpers import cityblock_oracle, make_blobs, partitions_match
@@ -88,7 +89,7 @@ class TestPsoKmeans:
     def test_default_config(self):
         rng = np.random.default_rng(10)
         data = rng.normal(size=(15, 2))
-        cs = pso_kmeans(data, k=2)
+        cs = pso_kmeans(data, k=2, cfg=Settings().swarm)
         assert cs.iterations_run == 100
         assert len(cs.trace) == 100
 
@@ -104,10 +105,11 @@ class TestPsoKmeans:
 
     def test_k_bounds(self):
         data = np.zeros((4, 2))
+        cfg = PsoConfig(n_particles=4, max_iter=5)
         with pytest.raises(ContractError):
-            pso_kmeans(data, k=0)
+            pso_kmeans(data, k=0, cfg=cfg)
         with pytest.raises(ContractError):
-            pso_kmeans(data, k=5)
+            pso_kmeans(data, k=5, cfg=cfg)
 
 
 @settings(max_examples=60, deadline=None)

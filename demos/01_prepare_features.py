@@ -2,7 +2,8 @@
 
 Every sequence becomes a 9 x 20 window: the sequence is folded into
 consecutive 9-residue blocks and row i counts which amino acid sits at block
-position i. Collapsing each window column-by-column then gives one 20-element
+position i. A corpus's windows are one (n, 9, 20) count array, row i for
+sequence i. Collapsing each window column-by-column then gives one 20-element
 row of the matrix that the biclustering stage consumes.
 """
 
@@ -20,18 +21,19 @@ print(f"\nfirst sequence {seq.id!r} ({len(seq)} residues):")
 print(f"  {seq.residues}")
 
 window = reshape_and_count(seq)
-print(f"\nits frequency window has shape {window.counts.shape}; "
+print(f"\nits frequency window has shape {window.shape}; "
       f"each row sums to the block count:")
 for i in range(3):
-    top = np.argsort(window.counts[i])[::-1][:3]
-    letters = ", ".join(f"{AMINO_ACIDS[j]}x{window.counts[i, j]}" for j in top)
-    print(f"  position {i + 1}: {letters}, row sum {window.counts[i].sum()}")
+    top = np.argsort(window[i])[::-1][:3]
+    letters = ", ".join(f"{AMINO_ACIDS[j]}x{window[i, j]}" for j in top)
+    print(f"  position {i + 1}: {letters}, row sum {window[i].sum()}")
 
-row = normalize_windows([window], method="mean")[0]
+row = normalize_windows(window[None], method="mean")[0]
 print("\nmean-normalized row (first 8 columns):")
 print("  " + "  ".join(f"{AMINO_ACIDS[j]}={row[j]:.2f}" for j in range(8)))
 
-matrix = normalize_windows(build_cluster_dataset(corpus.sequences))
-print(f"\nstacked over the corpus: bicluster matrix {matrix.shape}, "
-      f"values in [{matrix.min():.2f}, {matrix.max():.2f}]")
+windows = build_cluster_dataset(corpus.sequences)
+matrix = normalize_windows(windows)
+print(f"\nover the corpus: windows {windows.shape}, bicluster matrix "
+      f"{matrix.shape}, values in [{matrix.min():.2f}, {matrix.max():.2f}]")
 print("the CLI equivalent: motifswarm prepare --sample-corpus --out out/")

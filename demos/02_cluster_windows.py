@@ -15,7 +15,7 @@ K = 3
 SEED = 7
 
 corpus = load_sample_corpus()
-windows = build_cluster_dataset(corpus.sequences)
+windows = build_cluster_dataset(corpus.sequences)  # (n, 9, 20), row i for ids[i]
 ids = [s.id for s in corpus.sequences]
 
 km = kmeans_run(windows, K, seed=SEED)

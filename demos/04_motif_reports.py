@@ -39,9 +39,10 @@ def motif_set(bic):
 
 
 def report_for(bic, gid):
-    members = [windows[r] for r in bic.rows]
+    members = windows[list(bic.rows)]  # the group's rows of the (n, 9, 20) windows
     freqs = position_frequencies(members)
-    n_segments = int(sum(w.counts[0].sum() for w in members))
+    # every block fills position 0, so its count is the group's block count
+    n_segments = int(members[:, 0].sum())
     return build_motif_report(gid, freqs, motif_set(bic), n_segments), n_segments
 
 

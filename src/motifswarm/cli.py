@@ -23,7 +23,7 @@ from . import __version__, featurize
 from .errors import ContractError, InputError, ValidationError
 from .motif import build_motif_report, position_frequencies, render_logo_svg, report_to_dict
 from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
-                     compare_pipelines, json_text, tally_to_csv)
+                     compare_pipelines, corpus_windows, json_text, tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
 
 VERSION = f"motifswarm-v{__version__}"
@@ -92,17 +92,16 @@ def _csv(header: list, rows) -> str:
 def cmd_prepare(cfg: Settings) -> None:
     """Write the frequency windows, the normalized matrix and a manifest."""
     corpus = _load_corpus(cfg)
-    windows = featurize.build_cluster_dataset(
-        corpus.sequences, cfg.window_size, cfg.window_scheme)
+    windows = corpus_windows(corpus, cfg)
     matrix = featurize.normalize_windows(windows, cfg.normalization)
     out = Path(cfg.out)
 
     # .tolist() gives Python int and float cells, which _csv writes directly.
     letters = list(AMINO_ACIDS)
     window_rows = [
-        [w.sequence_id, i, *row]
-        for w in windows
-        for i, row in enumerate(w.counts.tolist(), start=1)
+        [seq.id, i, *row]
+        for seq, window in zip(corpus.sequences, windows.tolist())
+        for i, row in enumerate(window, start=1)
     ]
     _write_text(out / "windows.csv",
                 _csv(["sequence_id", "position", *letters], window_rows))
@@ -116,7 +115,7 @@ def cmd_prepare(cfg: Settings) -> None:
         "seed": cfg.seed,
         "n_sequences": len(corpus.sequences),
         "n_windows": len(windows),
-        "window_shape": list(windows[0].counts.shape),
+        "window_shape": list(windows.shape[1:]),
         "matrix_shape": list(matrix.shape),
         "has_structures": corpus.structures is not None,
         "outputs": ["windows.csv", "matrix.csv"],
@@ -126,7 +125,7 @@ def cmd_prepare(cfg: Settings) -> None:
 def cmd_cluster(cfg: Settings) -> None:
     """Cluster the frequency windows and write the grouping report."""
     corpus = _load_corpus(cfg)
-    cs = cluster_corpus(corpus, cfg)
+    cs = cluster_corpus(corpus_windows(corpus, cfg), cfg)
     out = Path(cfg.out)
     _write_text(out / "clusters.json", json_text({
         "config": cfg.echo(),
@@ -143,10 +142,10 @@ def cmd_cluster(cfg: Settings) -> None:
         _write_text(Path(cfg.trace), _csv(["iteration", "fitness"], rows))
 
 
-def _bicluster_entries(cfg: Settings, corpus: Corpus):
-    """Bicluster the corpus; returns the biclusters.json entries, letters in
-    alphabet order, and the resolved lambda."""
-    bics, lam = bicluster_corpus(corpus, cfg)
+def _bicluster_entries(cfg: Settings, corpus: Corpus, windows):
+    """Bicluster the corpus's windows; returns the biclusters.json entries,
+    letters in alphabet order, and the resolved lambda."""
+    bics, lam = bicluster_corpus(windows, cfg)
     ids = [s.id for s in corpus.sequences]
     entries = [
         {
@@ -165,7 +164,7 @@ def _bicluster_entries(cfg: Settings, corpus: Corpus):
 def cmd_bicluster(cfg: Settings) -> None:
     """Bicluster the normalized matrix and write the group report."""
     corpus = _load_corpus(cfg)
-    entries, lam = _bicluster_entries(cfg, corpus)
+    entries, lam = _bicluster_entries(cfg, corpus, corpus_windows(corpus, cfg))
     _write_text(Path(cfg.out) / "biclusters.json", json_text({
         "config": cfg.echo(),
         "version": VERSION,
@@ -215,22 +214,18 @@ def cmd_motifs(cfg: Settings) -> None:
     otherwise the biclustering stage runs first with this same config.
     """
     corpus = _load_corpus(cfg)
-    if cfg.biclusters:
-        entries = _load_bicluster_groups(cfg.biclusters, corpus)
-    else:
-        entries, _ = _bicluster_entries(cfg, corpus)
-    windows = {
-        w.sequence_id: w
-        for w in featurize.build_cluster_dataset(
-            corpus.sequences, cfg.window_size, cfg.window_scheme)
-    }
+    entries = _load_bicluster_groups(cfg.biclusters, corpus) if cfg.biclusters else None
+    windows = corpus_windows(corpus, cfg)
+    if entries is None:
+        entries, _ = _bicluster_entries(cfg, corpus, windows)
+    row_of = {seq.id: i for i, seq in enumerate(corpus.sequences)}
     out = Path(cfg.out) / "motifs"
     group_ids = []
     for entry in entries:
-        members = [windows[r] for r in entry["rows"]]
+        members = windows[[row_of[r] for r in entry["rows"]]]
         freqs = position_frequencies(members)
         # every window block fills position 0, so its count is the block count
-        n_segments = int(sum(w.counts[0].sum() for w in members))
+        n_segments = int(members[:, 0].sum())
         report = build_motif_report(
             entry["id"], freqs, frozenset(entry["cols"]), n_segments,
             threshold=cfg.saa_threshold, correction=cfg.logo_correction)
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"motifswarm: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"motifswarm: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -3,19 +3,18 @@
 Each sequence is folded into consecutive 9-residue blocks; counting how often
 each amino acid occupies each of the 9 block positions gives one 9x20
 frequency window per sequence (the clustering unit). Residues are encoded
-once as column indices and counted with np.bincount. For biclustering, every
-window is collapsed into a single 20-element row by a per-column
-normalization, and the rows are stacked into an n_sequences x 20 matrix.
+once as column indices and counted with np.bincount. A corpus's windows are
+one (n, 9, 20) int64 array whose row i belongs to sequence i. For
+biclustering, every window is collapsed into a single 20-element row by a
+per-column normalization, giving an n_sequences x 20 matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .seqio import AMINO_ACIDS, SecondaryStructure, Sequence, encode
+from .seqio import AMINO_ACIDS, Sequence, encode
 
 WINDOW_SIZE = 9
 
@@ -25,37 +24,6 @@ NORMALIZATION_METHODS = ("mean", "range", "mode")
 #: Window chunking schemes. "chunked" folds the sequence into consecutive
 #: non-overlapping blocks (default); "sliding" uses every stride-1 window.
 WINDOW_SCHEMES = ("chunked", "sliding")
-
-
-@dataclass
-class FrequencyWindow:
-    """window_size x 20 matrix of position/amino-acid occupancy counts.
-
-    Row i counts, over all blocks of the sequence, how often block position i
-    holds each amino acid. A short final block simply contributes no counts
-    to the positions it does not fill.
-    """
-
-    sequence_id: str
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts)
-        if self.counts.ndim != 2 or self.counts.shape[1] != len(AMINO_ACIDS):
-            raise ContractError(
-                f"frequency window must be ws x {len(AMINO_ACIDS)}, "
-                f"got shape {self.counts.shape}"
-            )
-        if (self.counts < 0).any():
-            raise ContractError("frequency window entries must be non-negative")
-
-
-@dataclass
-class StructureWindowSet:
-    """The complete 9-label structure segments of one sequence."""
-
-    sequence_id: str
-    segments: list[str] = field(default_factory=list)
 
 
 def _check_window_size(window_size: int) -> None:
@@ -73,8 +41,9 @@ def _block_counts(codes: np.ndarray, window_size: int, n_symbols: int) -> np.nda
 
 def reshape_and_count(
     seq: Sequence, window_size: int = WINDOW_SIZE, scheme: str = "chunked"
-) -> FrequencyWindow:
-    """Build the window_size x 20 frequency window for one sequence.
+) -> np.ndarray:
+    """The window_size x 20 frequency window of one sequence: row i counts,
+    over all blocks, how often block position i holds each amino acid.
 
     Under the default "chunked" scheme the sequence is split into consecutive
     non-overlapping blocks; block t contributes its i-th residue to row i.
@@ -93,17 +62,15 @@ def reshape_and_count(
     codes = encode(seq.residues)
     n_letters = len(AMINO_ACIDS)
     if scheme == "chunked":
-        counts = _block_counts(codes, window_size, n_letters)
-    else:
-        # Window start s puts residue s + i in row i, so row i counts the
-        # n - window_size + 1 residues from i on: a difference of per-letter
-        # prefix sums.
-        onehot = np.zeros((n + 1, n_letters), dtype=np.int64)
-        onehot[np.arange(1, n + 1), codes] = 1
-        prefix = onehot.cumsum(axis=0)
-        span = n - window_size + 1
-        counts = prefix[span : span + window_size] - prefix[:window_size]
-    return FrequencyWindow(sequence_id=seq.id, counts=counts)
+        return _block_counts(codes, window_size, n_letters)
+    # Window start s puts residue s + i in row i, so row i counts the
+    # n - window_size + 1 residues from i on: a difference of per-letter
+    # prefix sums.
+    onehot = np.zeros((n + 1, n_letters), dtype=np.int64)
+    onehot[np.arange(1, n + 1), codes] = 1
+    prefix = onehot.cumsum(axis=0)
+    span = n - window_size + 1
+    return prefix[span : span + window_size] - prefix[:window_size]
 
 
 def _column_modes(counts: np.ndarray) -> np.ndarray:
@@ -119,43 +86,28 @@ def _column_modes(counts: np.ndarray) -> np.ndarray:
     return np.where(top, counts, np.inf).min(axis=1)
 
 
-def normalize_windows(windows, method: str = "mean") -> np.ndarray:
-    """Collapse each frequency window into one 20-element row, column by
-    column, and stack the rows into an n x 20 matrix.
+def normalize_windows(windows: np.ndarray, method: str = "mean") -> np.ndarray:
+    """Collapse each window of an (n, ws, 20) stack into one 20-element row,
+    column by column, giving an n x 20 matrix.
 
     mean: arithmetic mean of the column. range: max minus min. mode: the most
     frequent count value in the column, ties resolved to the smallest value.
     """
-    counts = (np.stack([w.counts for w in windows]) if windows
-              else np.empty((0, 1, len(AMINO_ACIDS))))
     if method not in NORMALIZATION_METHODS:
         raise ContractError(f"unknown normalization method {method!r}")
     if method == "mean":
-        return counts.mean(axis=1)
+        return windows.mean(axis=1)
     if method == "range":
-        return (counts.max(axis=1) - counts.min(axis=1)).astype(float)
-    return _column_modes(counts)
+        return (windows.max(axis=1) - windows.min(axis=1)).astype(float)
+    return _column_modes(windows)
 
 
 def build_cluster_dataset(
     seqs: list[Sequence], window_size: int = WINDOW_SIZE, scheme: str = "chunked"
-) -> list[FrequencyWindow]:
-    """One frequency window per sequence, in input order."""
-    return [reshape_and_count(s, window_size, scheme) for s in seqs]
-
-
-def structure_segments(
-    ss: SecondaryStructure, window_size: int = WINDOW_SIZE
-) -> StructureWindowSet:
-    """Chop a structure annotation into complete window_size-label segments.
-
-    The incomplete tail, if any, is dropped; a sequence of length L yields
-    floor(L / window_size) segments.
-    """
+) -> np.ndarray:
+    """The (len(seqs), window_size, 20) windows of seqs, in input order."""
     _check_window_size(window_size)
-    n_complete = len(ss) // window_size
-    segments = [
-        ss.classes3[t * window_size : (t + 1) * window_size]
-        for t in range(n_complete)
-    ]
-    return StructureWindowSet(sequence_id=ss.id, segments=segments)
+    windows = np.zeros((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
+    for row, seq in zip(windows, seqs):
+        row[...] = reshape_and_count(seq, window_size, scheme)
+    return windows

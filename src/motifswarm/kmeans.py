@@ -1,8 +1,9 @@
 """Lloyd-style k-means under the city-block distance.
 
-Works on frequency windows or plain vectors. Because mean-updated centroids
-are not guaranteed to lower an L1 objective monotonically, every iteration's
-(assignment, centroids) pair is scored and the best-seen pair is returned.
+Works on an (n, ws, 20) window stack or on plain vectors. Because
+mean-updated centroids are not guaranteed to lower an L1 objective
+monotonically, every iteration's (assignment, centroids) pair is scored and
+the best-seen pair is returned.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ class ClusterSet:
 
 
 def as_item_arrays(data) -> np.ndarray:
-    """Stack items (arrays or frequency windows) into an (n, ...) float array."""
-    items = [np.asarray(getattr(x, "counts", x), dtype=float) for x in data]
-    if not items:
+    """The items (an (n, ...) array or a list of same-shaped arrays) as one
+    (n, ...) float array."""
+    try:
+        items = np.asarray(data, dtype=float)
+    except ValueError:
+        raise ContractError("items must share one shape") from None
+    if len(items) == 0:
         raise ContractError("empty dataset")
-    shape = items[0].shape
-    if any(it.shape != shape for it in items):
-        raise ContractError("items must share one shape")
-    return np.stack(items)
+    return items
 
 
 def _pairwise_l1(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:

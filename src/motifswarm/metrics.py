@@ -14,7 +14,7 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from .errors import ContractError
-from .featurize import StructureWindowSet, _block_counts
+from .featurize import WINDOW_SIZE, _block_counts
 from .seqio import SS3_CLASSES, encode
 
 HOMOLOGY_IDENTICAL = "Identical"
@@ -88,17 +88,16 @@ class StructureProfile:
     n_segments: int
 
 
-def build_profile(segsets: Iterable[StructureWindowSet]) -> StructureProfile:
-    """Tally per-position class frequencies over all segments of the group."""
-    segments = [seg for ws in segsets for seg in ws.segments]
-    if not segments:
+def build_profile(structures: Iterable[str]) -> StructureProfile:
+    """Tally per-position class frequencies over the complete 9-label
+    segments of the members' H/E/C strings; each string's incomplete tail is
+    dropped, so a string of length L gives floor(L / 9) segments."""
+    joined = "".join(s[: len(s) - len(s) % WINDOW_SIZE] for s in structures)
+    n_segments = len(joined) // WINDOW_SIZE
+    if not n_segments:
         raise ContractError("cannot build a profile from zero segments")
-    ws = len(segments[0])
-    if any(len(seg) != ws for seg in segments):
-        raise ContractError("structure segments must share one length")
-    codes = encode("".join(segments), SS3_CLASSES)
-    counts = _block_counts(codes, ws, len(SS3_CLASSES))
-    return StructureProfile(freqs=counts / len(segments), n_segments=len(segments))
+    counts = _block_counts(encode(joined, SS3_CLASSES), WINDOW_SIZE, len(SS3_CLASSES))
+    return StructureProfile(freqs=counts / n_segments, n_segments=n_segments)
 
 
 def structure_similarity(profile: StructureProfile) -> float:

@@ -2,6 +2,9 @@
 acids (strictly above 7% frequency), the amino-acid set a bicluster retains,
 Full/Partial/Disjoint superset classification, and sequence-logo columns in
 bits with an optional small-sample correction.
+
+A group's positional frequencies are read off its members' rows of the
+corpus's (n, ws, 20) window array.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .kmeans import as_item_arrays
 from .seqio import AMINO_ACIDS
 
 SAA_THRESHOLD = 0.07
@@ -51,19 +55,14 @@ class MotifReport:
     degenerate: bool  # every position's saa came out empty
 
 
-def position_frequencies(cluster_members) -> np.ndarray:
-    """Sum the members' ws x 20 count matrices and normalize each window row
-    to 1.
+def position_frequencies(members) -> np.ndarray:
+    """Sum an (m, ws, 20) stack of member windows and normalize each window
+    row to 1.
 
     A row with no observations anywhere (padded tail of a tiny corpus) stays
     all-zero; callers can spot those by their zero sum.
     """
-    members = [np.asarray(getattr(w, "counts", w), dtype=float) for w in cluster_members]
-    if not members:
-        raise ContractError("need at least one member window")
-    if any(m.shape != members[0].shape for m in members):
-        raise ContractError("member windows must share one shape")
-    total = np.sum(members, axis=0)
+    total = as_item_arrays(members).sum(axis=0)
     sums = total.sum(axis=1, keepdims=True)
     scale = np.where(sums > 0, sums, 1.0)
     return total / scale

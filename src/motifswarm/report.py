@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ContractError, InputError, ValidationError
 from . import metrics
-from .featurize import (WINDOW_SIZE, build_cluster_dataset, normalize_windows,
-                        structure_segments)
+from .featurize import WINDOW_SIZE, build_cluster_dataset, normalize_windows
 from .kmeans import ClusterSet, kmeans_run
 from .pso import PsoConfig
 from .psokmeans import pso_kmeans
@@ -135,8 +134,7 @@ def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
 
 
 def profile_for_members(corpus: Corpus, member_ids):
-    segsets = [structure_segments(corpus.structure_for(mid)) for mid in member_ids]
-    return metrics.build_profile(segsets)
+    return metrics.build_profile(corpus.structure_for(mid).classes3 for mid in member_ids)
 
 
 def _group_entry(corpus: Corpus, gid: str, member_ids: list) -> dict:
@@ -158,26 +156,29 @@ def cluster_entries(corpus: Corpus, cs) -> list:
             for c in range(cs.k)]
 
 
-def cluster_corpus(corpus: Corpus, settings: Settings) -> ClusterSet:
-    """Cluster the corpus's frequency windows into settings.k groups with
+def corpus_windows(corpus: Corpus, settings: Settings):
+    """The corpus's (n, window_size, 20) frequency windows under settings;
+    row i belongs to corpus.sequences[i]."""
+    return build_cluster_dataset(corpus.sequences, settings.window_size,
+                                 settings.window_scheme)
+
+
+def cluster_corpus(windows, settings: Settings) -> ClusterSet:
+    """Cluster a corpus's frequency windows into settings.k groups with
     settings.engine."""
-    windows = build_cluster_dataset(corpus.sequences, settings.window_size,
-                                    settings.window_scheme)
     if settings.engine == "kmeans":
         return kmeans_run(windows, settings.k, max_iter=settings.max_iter,
                           seed=settings.seed)
     return pso_kmeans(windows, settings.k, settings.swarm)
 
 
-def bicluster_corpus(corpus: Corpus, settings: Settings):
-    """Seed-then-refine biclustering of the corpus's normalized matrix.
+def bicluster_corpus(windows, settings: Settings):
+    """Seed-then-refine biclustering of a corpus's normalized windows.
 
     The seeding swarms run on settings.swarm and the refining swarm on its
     seed plus two. settings.lam=None resolves to default_lambda of the
     matrix. Returns (biclusters, lambda).
     """
-    windows = build_cluster_dataset(corpus.sequences, settings.window_size,
-                                    settings.window_scheme)
     matrix = normalize_windows(windows, settings.normalization)
     lam = default_lambda(matrix) if settings.lam is None else settings.lam
     swarm = settings.swarm
@@ -195,10 +196,11 @@ def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
     if corpus.structures is None:
         raise ValidationError("corpus has no structure annotations")
     thresholds = settings.thresholds
-    clusters = [e for e in cluster_entries(corpus, cluster_corpus(corpus, settings))
+    windows = corpus_windows(corpus, settings)
+    clusters = [e for e in cluster_entries(corpus, cluster_corpus(windows, settings))
                 if e["size"]]
 
-    bics, lam = bicluster_corpus(corpus, settings)
+    bics, lam = bicluster_corpus(windows, settings)
     ids = [s.id for s in corpus.sequences]
     biclusters = []
     for b, bic in enumerate(bics):

@@ -173,11 +173,12 @@ def parse_structures(
 ) -> list[SecondaryStructure]:
     """Parse id + 8-class structure-string records and collapse them to H/E/C.
 
-    Every structure id must match a parsed sequence (LinkError otherwise) and
-    the string length must equal the sequence length (ValidationError naming
-    the id and both lengths).
+    Every structure id must match a parsed sequence (LinkError otherwise),
+    occur once (ValidationError naming it), and the string length must equal
+    the sequence length (ValidationError naming the id and both lengths).
     """
     by_id = {s.id: s for s in sequences}
+    seen: set[str] = set()
     structures: list[SecondaryStructure] = []
     current_id: str | None = None
     header_line = 0
@@ -187,6 +188,10 @@ def parse_structures(
             raise LinkError(
                 f"structure '{struct_id}' (line {lineno}) has no matching sequence"
             )
+        if struct_id in seen:
+            raise ValidationError(
+                f"structure '{struct_id}' (line {lineno}) is a repeated id")
+        seen.add(struct_id)
         seq = by_id[struct_id]
         if len(ss8) != len(seq):
             raise ValidationError(
@@ -243,15 +248,20 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-validate a sequence file and optional structure file.
 
-    A file without records is rejected, and so is a sequence shorter than
-    MIN_SEQUENCE_LENGTH: it yields no complete window. When structures are
-    supplied, the set of structure ids must equal the set of sequence ids.
+    A file without records is rejected, and so are a repeated sequence id and
+    a sequence shorter than MIN_SEQUENCE_LENGTH: it yields no complete
+    window. When structures are supplied, the set of structure ids must equal
+    the set of sequence ids.
     """
     seq_text = Path(sequence_path).read_text(encoding="utf-8")
     sequences = parse_sequences(seq_text)
     if not sequences:
         raise ValidationError(f"{sequence_path} holds no sequence records")
+    seen: set[str] = set()
     for seq in sequences:
+        if seq.id in seen:
+            raise ValidationError(f"sequence '{seq.id}' is a repeated id")
+        seen.add(seq.id)
         if len(seq) < MIN_SEQUENCE_LENGTH:
             raise ValidationError(
                 f"sequence '{seq.id}' has length {len(seq)} < minimum "

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifswarm import cli, report
 from motifswarm.report import Settings
-from motifswarm.seqio import AMINO_ACIDS
+from motifswarm.seqio import AMINO_ACIDS, sample_corpus_paths
 
 
 def run_cli(*argv):
@@ -325,6 +325,28 @@ class TestCommandsAgree:
         clusters = json.loads((tmp_path / "k" / "clusters.json").read_text())
         assert [c for c in clusters["clusters"] if c["size"]] == cmp["clusters"]
 
+    def test_motifs_from_either_group_source(self, tmp_path):
+        """motifs biclusters first unless given a bicluster report; both
+        routes write the same groups, reports and logos."""
+        assert run_cli("motifs", *self.COMMON, *self.BICLUSTER,
+                       "--out", tmp_path / "auto") == 0
+        assert run_cli("bicluster", *self.COMMON, *self.BICLUSTER,
+                       "--out", tmp_path / "b") == 0
+        groups_json = tmp_path / "b" / "biclusters.json"
+        assert run_cli("motifs", *self.COMMON, *self.BICLUSTER,
+                       "--biclusters", groups_json, "--out", tmp_path / "given") == 0
+        auto, given = tmp_path / "auto" / "motifs", tmp_path / "given" / "motifs"
+        assert sorted(os.listdir(auto)) == sorted(os.listdir(given))
+        groups = json.loads((auto / "motifs.json").read_text())["groups"]
+        assert groups
+        for name in ["motifs", *groups]:
+            a, g = (json.loads((d / f"{name}.json").read_text()) for d in (auto, given))
+            assert a["config"].pop("biclusters") is None
+            assert g["config"].pop("biclusters") == str(groups_json)
+            assert a == g
+        for svg in (f"{gid}.svg" for gid in groups):
+            assert (auto / svg).read_bytes() == (given / svg).read_bytes()
+
     def test_compare_runs_the_configured_engine(self, tmp_path):
         cfg = tmp_path / "kmeans.json"
         cfg.write_text('{"engine": "kmeans"}')
@@ -506,6 +528,38 @@ def test_sequence_file_without_records_exits_3(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--sequences", "--structures", "--config",
+                                  "--biclusters"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff\xfe>a\nAAAAAAAAA\n")
+    source = {"--sequences": [],
+              "--structures": ["--sequences", sample_corpus_paths()[0]]}.get(
+                  flag, ["--sample-corpus"])
+    code = run_cli("motifs", *source, flag, latin1, "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 2)
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sequences,structures,message", [
+    (">a\nAAAAAAAAA\n>b\nCCCCCCCCC\n>a\nGGGGGGGGG\n", None,
+     "sequence 'a' is a repeated id"),
+    (">a\nAAAAAAAAA\n", ">a\nHHHHHHHHH\n>a\nEEEEEEEEE\n",
+     "structure 'a' (line 4) is a repeated id"),
+])
+def test_repeated_id_exits_3(tmp_path, capsys, sequences, structures, message):
+    fasta = tmp_path / "seqs.fasta"
+    fasta.write_text(sequences)
+    argv = ["prepare", "--sequences", fasta, "--out", tmp_path / "out"]
+    if structures is not None:
+        (tmp_path / "ss.txt").write_text(structures)
+        argv += ["--structures", tmp_path / "ss.txt"]
+    err = assert_fails_cleanly(capsys, run_cli(*argv), 3)
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -536,7 +590,7 @@ class TestUsage:
 SOURCES = [["--sample-corpus"], ["--sequences", "{sample}/sequences.fasta",
                                  "--structures", "{sample}/structures.txt"],
            ["--sequences", "{root}/empty.fasta"], ["--sequences", "{root}/missing"],
-           ["--sequences", "{root}"], []]
+           ["--sequences", "{root}"], ["--sequences", "{root}/latin1.fasta"], []]
 IO_FLAGS = {
     "--seed": ["0", "3", "-1", "x"],
     "--window-size": ["1", "5", "0", "-3", "1000"],
@@ -556,7 +610,7 @@ COMMAND_FLAGS = {
     "motifs": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS,
                "--saa-threshold": ["0", "0.07", "1", "-1", "1.5", "nan"],
                "--biclusters": ["{root}/groups.json", "{root}/empty.fasta",
-                                "{root}/missing"]},
+                                "{root}/missing", "{root}/latin1.fasta"]},
     "compare": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS, **CLUSTER_FLAGS,
                 "--thresholds": ["0.7,0.6", "0.6,0.7", "nan", "inf,0.5", "", "x"]},
 }
@@ -569,7 +623,7 @@ JSON_VALUES = st.one_of(
 KIND_VALUES = {"int": st.integers(-3, 40), "float": st.floats(), "bool": st.booleans(),
                "tuple": st.lists(st.floats(), max_size=3),
                "str": st.sampled_from(["chunked", "sliding", "mode", "kmeans", "x"])}
-PATH_VALUES = st.sampled_from([None, 7, "{root}/missing"])
+PATH_VALUES = st.sampled_from([None, 7, "{root}/missing", "{root}/latin1.fasta"])
 CONFIG_VALUES = {
     f.name: PATH_VALUES if f.name in ("sequences", "structures", "biclusters", "trace",
                                       "out")
@@ -616,6 +670,7 @@ def test_every_input_ends_in_a_documented_exit_code(invocation):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "empty.fasta").write_text("")
+        (root / "latin1.fasta").write_bytes(b"\xff\xfe>a\nAAAAAAAAA\n")
         (root / "groups.json").write_text(json.dumps(
             {"biclusters": [{"id": "g", "rows": ["hel01", "str07"], "cols": "AGL"}]}))
         argv = [a.format(root=root, sample=sample) for a in argv]

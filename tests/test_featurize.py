@@ -9,10 +9,8 @@ from motifswarm.featurize import (
     build_cluster_dataset,
     normalize_windows,
     reshape_and_count,
-    structure_segments,
-    FrequencyWindow,
 )
-from motifswarm.seqio import AA_INDEX, AMINO_ACIDS, SecondaryStructure, Sequence
+from motifswarm.seqio import AA_INDEX, AMINO_ACIDS, Sequence
 
 from helpers import (
     normalize_oracle,
@@ -22,13 +20,13 @@ from helpers import (
 
 
 def col(window, aa):
-    return window.counts[:, AA_INDEX[aa]]
+    return window[:, AA_INDEX[aa]]
 
 
 def test_single_block_single_residue():
     w = reshape_and_count(Sequence("s", "A" * 9))
     assert (col(w, "A") == 1).all()
-    other = np.delete(w.counts, AA_INDEX["A"], axis=1)
+    other = np.delete(w, AA_INDEX["A"], axis=1)
     assert (other == 0).all()
 
 
@@ -40,7 +38,7 @@ def test_two_identical_blocks():
 def test_partial_final_block_row_sums():
     # 17 residues: second block fills positions 1..8 only.
     w = reshape_and_count(Sequence("s", "ACDEFGHIKLMNPQRST"))
-    sums = w.counts.sum(axis=1)
+    sums = w.sum(axis=1)
     assert (sums[:8] == 2).all()
     assert sums[8] == 1
 
@@ -55,7 +53,7 @@ def test_total_count_conservation():
     for length in [9, 10, 17, 18, 26, 27, 40, 100]:
         seq = random_sequence(rng, length)
         w = reshape_and_count(seq)
-        assert w.counts.sum() == length
+        assert w.sum() == length
 
 
 def test_reverse_changes_matrix():
@@ -63,13 +61,13 @@ def test_reverse_changes_matrix():
     seq = random_sequence(rng, 27)
     rev = Sequence(seq.id, seq.residues[::-1])
     assert seq.residues != rev.residues
-    assert (reshape_and_count(seq).counts != reshape_and_count(rev).counts).any()
+    assert (reshape_and_count(seq) != reshape_and_count(rev)).any()
 
 
 def test_sliding_scheme_row_sums():
     seq = Sequence("s", "ACDEFGHIKLMNPQRST")  # length 17 -> 9 windows
     w = reshape_and_count(seq, scheme="sliding")
-    assert (w.counts.sum(axis=1) == 9).all()
+    assert (w.sum(axis=1) == 9).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,7 +78,7 @@ def test_window_counts_match_oracle(window_size, data, scheme):
                                  max_size=5 * window_size + 11))
     w = reshape_and_count(Sequence("s", residues), window_size, scheme)
     np.testing.assert_array_equal(
-        w.counts, window_counts_oracle(residues, window_size, scheme))
+        w, window_counts_oracle(residues, window_size, scheme))
 
 
 @pytest.mark.parametrize("window_size", [0, -1, -9])
@@ -88,7 +86,7 @@ def test_window_size_below_one_is_contract_error(window_size):
     with pytest.raises(ContractError, match="window size"):
         reshape_and_count(Sequence("s", "A" * 18), window_size)
     with pytest.raises(ContractError, match="window size"):
-        structure_segments(SecondaryStructure("s", "H" * 18), window_size)
+        build_cluster_dataset([], window_size)
 
 
 def test_residue_outside_alphabet_is_contract_error():
@@ -102,13 +100,12 @@ def test_residue_outside_alphabet_is_contract_error():
 def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
     # Small count values make tied modes common.
     rng = np.random.default_rng(seed)
-    windows = [FrequencyWindow(f"w{t}", rng.integers(0, top + 1, size=(window_size, 20)))
-               for t in range(n)]
+    windows = rng.integers(0, top + 1, size=(n, window_size, 20))
     matrix = normalize_windows(windows, method)
     assert matrix.shape == (n, len(AMINO_ACIDS))
     for t, w in enumerate(windows):
-        np.testing.assert_array_equal(matrix[t], normalize_oracle(w.counts, method))
-        np.testing.assert_array_equal(normalize_windows([w], method)[0], matrix[t])
+        np.testing.assert_array_equal(matrix[t], normalize_oracle(w, method))
+        np.testing.assert_array_equal(normalize_windows(w[None], method)[0], matrix[t])
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,30 +123,32 @@ def test_bicluster_matrix_matches_oracle(window_size, scheme, method, lengths, s
 
 
 def test_normalize_windows_of_nothing_is_empty_matrix():
-    assert normalize_windows([], "mode").shape == (0, len(AMINO_ACIDS))
+    matrix = normalize_windows(build_cluster_dataset([]), "mode")
+    assert matrix.shape == (0, len(AMINO_ACIDS))
 
 
 def make_window(column_values, aa="A"):
-    counts = np.zeros((9, 20), dtype=int)
-    counts[:, AA_INDEX[aa]] = column_values
-    return FrequencyWindow(sequence_id="w", counts=counts)
+    """A one-window (1, 9, 20) stack with column aa set to column_values."""
+    counts = np.zeros((1, 9, 20), dtype=int)
+    counts[0, :, AA_INDEX[aa]] = column_values
+    return counts
 
 
 def test_normalize_mean_constant_column():
-    row = normalize_windows([make_window([1] * 9)], "mean")[0]
+    row = normalize_windows(make_window([1] * 9), "mean")[0]
     assert row[AA_INDEX["A"]] == pytest.approx(1.0)
 
 
 def test_normalize_range():
-    row = normalize_windows([make_window([0, 0, 0, 0, 0, 0, 0, 0, 3])], "range")[0]
+    row = normalize_windows(make_window([0, 0, 0, 0, 0, 0, 0, 0, 3]), "range")[0]
     assert row[AA_INDEX["A"]] == 3
 
 
 def test_normalize_mode_majority_and_tie():
-    row = normalize_windows([make_window([2, 2, 2, 0, 0, 0, 0, 0, 0])], "mode")[0]
+    row = normalize_windows(make_window([2, 2, 2, 0, 0, 0, 0, 0, 0]), "mode")[0]
     assert row[AA_INDEX["A"]] == 0  # 0 occurs 6 times, 2 occurs 3 times
     # Exact tie between count values 0 and 2: smallest wins.
-    tie = normalize_windows([make_window([2, 2, 2, 2, 0, 0, 0, 0, 1])], "mode")[0]
+    tie = normalize_windows(make_window([2, 2, 2, 2, 0, 0, 0, 0, 1]), "mode")[0]
     assert tie[AA_INDEX["A"]] == 0
 
 
@@ -157,23 +156,25 @@ def test_normalize_mean_mass_preserving():
     rng = np.random.default_rng(9)
     for length in [9, 18, 45]:
         seq = random_sequence(rng, length)
-        row = normalize_windows([reshape_and_count(seq)], "mean")[0]
+        row = normalize_windows(reshape_and_count(seq)[None], "mean")[0]
         assert row.sum() == pytest.approx(length / 9)
 
 
 def test_cluster_dataset_counts():
     rng = np.random.default_rng(10)
     seqs = [random_sequence(rng, 18, seq_id=f"s{i}") for i in range(3)]
-    assert len(build_cluster_dataset(seqs)) == 3
-    assert build_cluster_dataset([]) == []
+    assert build_cluster_dataset(seqs).shape == (3, 9, 20)
+    assert build_cluster_dataset([]).shape == (0, 9, 20)
 
 
 def test_corpus_scale_shapes():
     rng = np.random.default_rng(11)
     seqs = [random_sequence(rng, 30, seq_id=f"s{i}") for i in range(300)]
     windows = build_cluster_dataset(seqs)
-    assert len(windows) == 300
-    assert all(w.counts.shape == (9, 20) for w in windows)
+    assert windows.shape == (300, 9, 20)
+    assert windows.dtype == np.int64
+    for k in (0, 150, 299):
+        np.testing.assert_array_equal(windows[k], reshape_and_count(seqs[k]))
     matrix = normalize_windows(windows)
     assert matrix.shape == (300, 20)
 
@@ -190,21 +191,6 @@ def test_bicluster_matrix_is_row_stack_of_normalized_windows():
     seqs = [random_sequence(rng, 20 + 3 * i, seq_id=f"s{i}") for i in range(5)]
     matrix = normalize_windows(build_cluster_dataset(seqs), "range")
     for k, seq in enumerate(seqs):
-        row = normalize_windows([reshape_and_count(seq)], "range")[0]
+        row = normalize_windows(reshape_and_count(seq)[None], "range")[0]
         np.testing.assert_array_equal(matrix[k], row)
 
-
-def test_structure_segments_chunking():
-    ss = SecondaryStructure("s", "H" * 18)
-    assert structure_segments(ss).segments == ["H" * 9, "H" * 9]
-    ss17 = SecondaryStructure("s", "H" * 17)
-    assert len(structure_segments(ss17).segments) == 1
-    mixed = SecondaryStructure("s", "HHHEEECCC" + "EEEEEEEEE" + "CHCHCHCHC")
-    segs = structure_segments(mixed).segments
-    assert segs == ["HHHEEECCC", "EEEEEEEEE", "CHCHCHCHC"]
-
-
-def test_structure_segment_count_is_floor():
-    for n in [9, 10, 17, 18, 26, 27, 35]:
-        ss = SecondaryStructure("s", "C" * n)
-        assert len(structure_segments(ss).segments) == n // 9

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.featurize import StructureWindowSet
 from motifswarm.metrics import (
     HOMOLOGY_IDENTICAL,
     HOMOLOGY_NONE,
@@ -165,19 +164,17 @@ class TestHomologyClass:
 
 class TestBuildProfile:
     def test_all_helix_segments(self):
-        sets = [StructureWindowSet("a", ["H" * 9]), StructureWindowSet("b", ["H" * 9])]
-        prof = build_profile(sets)
+        prof = build_profile(["H" * 9, "H" * 9])
         np.testing.assert_allclose(prof.freqs, [[1, 0, 0]] * 9)
         assert prof.n_segments == 2
 
     def test_half_helix_half_sheet(self):
-        sets = [StructureWindowSet("a", ["H" * 9, "E" * 9])]
-        prof = build_profile(sets)
+        prof = build_profile(["H" * 9 + "E" * 9])
         np.testing.assert_allclose(prof.freqs, [[0.5, 0.5, 0]] * 9)
 
     def test_mixed_hand_tally(self):
         segs = ["HHHHEEEEC", "HHEEEECCC", "HHHHHHHHH", "CCCCCCCCC"]
-        prof = build_profile([StructureWindowSet("a", segs)])
+        prof = build_profile(["".join(segs)])
         # position 1: H,H,H,C -> (0.75, 0, 0.25)
         np.testing.assert_allclose(prof.freqs[0], [0.75, 0.0, 0.25])
         # position 5: E,E,H,C -> (0.25, 0.5, 0.25)
@@ -186,20 +183,36 @@ class TestBuildProfile:
 
     def test_zero_segments_rejected(self):
         with pytest.raises(ContractError):
-            build_profile([StructureWindowSet("a", [])])
+            build_profile([])
+        with pytest.raises(ContractError):
+            build_profile(["H" * 8, "E" * 3])
 
-    def test_unequal_segment_lengths_rejected(self):
-        with pytest.raises(ContractError, match="one length"):
-            build_profile([StructureWindowSet("a", ["HHH", "EE"])])
+    def test_chunks_each_structure_into_blocks(self):
+        mixed = "HHHEEECCC" + "EEEEEEEEE" + "CHCHCHCHC"
+        np.testing.assert_array_equal(
+            build_profile([mixed]).freqs,
+            profile_oracle(["HHHEEECCC", "EEEEEEEEE", "CHCHCHCHC"]))
+        assert build_profile(["H" * 18]).n_segments == 2
+        assert build_profile(["H" * 17]).n_segments == 1
+
+    def test_each_tail_is_dropped_on_its_own(self):
+        # The tails "EEEE" and "CCCCC" together would fill a block; neither
+        # may join the other member's labels.
+        prof = build_profile(["H" * 9 + "EEEE", "C" * 9 + "CCCCC"])
+        assert prof.n_segments == 2
+        np.testing.assert_array_equal(prof.freqs, profile_oracle(["H" * 9, "C" * 9]))
+
+    def test_segment_count_is_floor(self):
+        for n in [9, 10, 17, 18, 26, 27, 35]:
+            assert build_profile(["C" * n]).n_segments == n // 9
 
     @settings(max_examples=100, deadline=None)
-    @given(ws=st.integers(1, 12), data=st.data())
-    def test_matches_oracle(self, ws, data):
-        segsets = data.draw(st.lists(st.lists(
-            st.text(alphabet="HEC", min_size=ws, max_size=ws), max_size=4),
-            min_size=1, max_size=4).filter(lambda sets: any(sets)))
-        prof = build_profile([StructureWindowSet(f"s{i}", segs)
-                              for i, segs in enumerate(segsets)])
-        segments = [seg for segs in segsets for seg in segs]
+    @given(data=st.data())
+    def test_matches_oracle(self, data):
+        structures = data.draw(st.lists(
+            st.text(alphabet="HEC", max_size=40), min_size=1, max_size=4).filter(
+                lambda ss: any(len(s) >= 9 for s in ss)))
+        prof = build_profile(structures)
+        segments = [s[t : t + 9] for s in structures for t in range(0, len(s) - 8, 9)]
         np.testing.assert_array_equal(prof.freqs, profile_oracle(segments))
         assert prof.n_segments == len(segments)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motifswarm.errors import ContractError
-from motifswarm.featurize import reshape_and_count
+from motifswarm.featurize import build_cluster_dataset, reshape_and_count
 from motifswarm.motif import (
     MAX_BITS,
     RELATION_DISJOINT,
@@ -54,12 +54,12 @@ class TestPositionFrequencies:
 
     def test_matches_hand_normalized_sums(self):
         seqs = ["ARNDCQEGH", "ILKMFPSTW", "AAAAAAAAA", "VVVVVVVVV", "ARNARNARN"]
-        windows = [reshape_and_count(Sequence(str(i), s)) for i, s in enumerate(seqs)]
+        windows = build_cluster_dataset([Sequence(str(i), s) for i, s in enumerate(seqs)])
         freqs = position_frequencies(windows)
         for i in range(9):
-            row_total = sum(float(w.counts[i, j]) for w in windows for j in range(20))
+            row_total = sum(float(w[i, j]) for w in windows for j in range(20))
             for j in range(20):
-                summed = sum(float(w.counts[i, j]) for w in windows)
+                summed = sum(float(w[i, j]) for w in windows)
                 assert freqs[i, j] == pytest.approx(summed / row_total)
 
     def test_zero_row_left_zero(self):

@@ -160,6 +160,20 @@ def test_structure_for_unknown_sequence_is_link_error():
         parse_structures(">ghost\nHHHHH\n", seqs)
 
 
+def test_repeated_structure_id_is_validation_error():
+    seqs = parse_sequences(">s1\nACDEFGHIK\n>s2\nACDEFGHIK\n")
+    with pytest.raises(ValidationError,
+                       match=r"structure 's2' \(line 6\) is a repeated id"):
+        parse_structures(">s2\nHHHHHHHHH\n>s1\nHHHHHHHHH\n>s2\nEEEEEEEEE\n", seqs)
+
+
+def test_load_corpus_rejects_a_repeated_sequence_id(tmp_path):
+    fasta = tmp_path / "seqs.fasta"
+    fasta.write_text(">a\nACDEFGHIK\n>b\nACDEFGHIK\n>a first of two\nACDEFGHIK\n")
+    with pytest.raises(ValidationError, match="sequence 'a' is a repeated id"):
+        load_corpus(fasta)
+
+
 def test_load_corpus_requires_window_length(tmp_path):
     fasta = tmp_path / "seqs.fasta"
     fasta.write_text(">tiny\nACDEF\n")

@@ -6,12 +6,7 @@ is biclustered with binary PSO, and groups are scored by secondary-structure
 homology and summarized as SAA/motif reports with sequence logos.
 """
 
-from importlib import metadata
-
-try:
-    __version__ = metadata.version("motifswarm")
-except metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0+unknown"
+__version__ = "0.1.0"
 
 from .errors import (
     ContractError,

@@ -24,7 +24,7 @@ from .errors import ContractError, InputError, ValidationError
 from .motif import build_motif_report, position_frequencies, render_logo_svg, report_to_dict
 from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
                      compare_pipelines, corpus_windows, json_text, tally_to_csv)
-from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
+from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus, read_text
 
 VERSION = f"motifswarm-v{__version__}"
 
@@ -42,7 +42,7 @@ def build_config(args: argparse.Namespace) -> Settings:
     merged = {}
     if getattr(args, "config", None):
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = read_text(args.config)
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}") from exc
         try:
@@ -82,10 +82,13 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv(header: list, rows) -> str:
-    """CSV text of rows of str, int and float cells; str(float) is its
-    shortest round-trip repr, so numbers read back exactly."""
+    """CSV text of an iterable of tuples of str, int and float cells. Each
+    row goes through one "%s" template, and "%s" % x == str(x) for these
+    types; str(float) is its shortest round-trip repr, so numbers read back
+    exactly."""
+    template = ",".join(["%s"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(template % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -98,16 +101,16 @@ def cmd_prepare(cfg: Settings) -> None:
 
     # .tolist() gives Python int and float cells, which _csv writes directly.
     letters = list(AMINO_ACIDS)
-    window_rows = [
-        [seq.id, i, *row]
+    window_rows = (
+        (seq.id, i, *row)
         for seq, window in zip(corpus.sequences, windows.tolist())
         for i, row in enumerate(window, start=1)
-    ]
+    )
     _write_text(out / "windows.csv",
                 _csv(["sequence_id", "position", *letters], window_rows))
-    matrix_rows = [
-        [seq.id, *row] for seq, row in zip(corpus.sequences, matrix.tolist())
-    ]
+    matrix_rows = (
+        (seq.id, *row) for seq, row in zip(corpus.sequences, matrix.tolist())
+    )
     _write_text(out / "matrix.csv", _csv(["sequence_id", *letters], matrix_rows))
     _write_text(out / "manifest.json", json_text({
         "config": cfg.echo(),
@@ -138,7 +141,7 @@ def cmd_cluster(cfg: Settings) -> None:
         "clusters": cluster_entries(corpus, cs),
     }))
     if cfg.trace:
-        rows = [[i, float(f)] for i, f in enumerate(cs.trace)]
+        rows = ((i, float(f)) for i, f in enumerate(cs.trace))
         _write_text(Path(cfg.trace), _csv(["iteration", "fitness"], rows))
 
 
@@ -176,7 +179,7 @@ def cmd_bicluster(cfg: Settings) -> None:
 
 def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"bicluster report is not valid JSON: {exc}") from exc
     entries = data.get("biclusters") if isinstance(data, dict) else None
@@ -359,7 +362,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"motifswarm: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"motifswarm: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -2,11 +2,12 @@
 
 Each sequence is folded into consecutive 9-residue blocks; counting how often
 each amino acid occupies each of the 9 block positions gives one 9x20
-frequency window per sequence (the clustering unit). Residues are encoded
-once as column indices and counted with np.bincount. A corpus's windows are
-one (n, 9, 20) int64 array whose row i belongs to sequence i. For
-biclustering, every window is collapsed into a single 20-element row by a
-per-column normalization, giving an n_sequences x 20 matrix.
+frequency window per sequence (the clustering unit). A corpus is encoded as
+column indices and counted by one np.bincount call per chunk of whole
+sequences; its windows are one (n, 9, 20) int64 array whose row i belongs to
+sequence i. For biclustering, every window is collapsed into a single
+20-element row by a per-column normalization, giving an n_sequences x 20
+matrix.
 """
 
 from __future__ import annotations
@@ -25,18 +26,53 @@ NORMALIZATION_METHODS = ("mean", "range", "mode")
 #: non-overlapping blocks (default); "sliding" uses every stride-1 window.
 WINDOW_SCHEMES = ("chunked", "sliding")
 
+#: build_cluster_dataset counts whole sequences in chunks of about this many
+#: residues, so its temporaries stay bounded (and in cache) whatever the
+#: corpus size.
+CHUNK_RESIDUES = 2**14
+
 
 def _check_window_size(window_size: int) -> None:
     if window_size < 1:
         raise ContractError(f"window size must be >= 1, got {window_size}")
 
 
-def _block_counts(codes: np.ndarray, window_size: int, n_symbols: int) -> np.ndarray:
-    """(window_size, n_symbols) counts of each code at each position of the
-    consecutive window_size blocks of codes."""
-    cells = np.arange(codes.size) % window_size * n_symbols + codes
-    counts = np.bincount(cells, minlength=window_size * n_symbols)
-    return counts.reshape(window_size, n_symbols)
+def _count_windows(codes: np.ndarray, lengths: np.ndarray, window_size: int,
+                   n_symbols: int, scheme: str = "chunked") -> np.ndarray:
+    """(len(lengths), window_size, n_symbols) counts of the sequences whose
+    codes lie back to back in codes, lengths[s] codes for sequence s, by one
+    np.bincount call. The sliding scheme needs every length >= window_size.
+
+    Chunked: the code at position p of sequence s counts in row p mod
+    window_size. Sliding: it counts in every row i with 0 <= p - i <= L -
+    window_size, a run of rows added as +1 at its first row and -1 one past
+    its last (a spill row), then summed along the window axis.
+    """
+    lengths = np.asarray(lengths)
+    n, ws = len(lengths), window_size
+    pos = np.arange(codes.size)
+    pos -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    if scheme == "chunked":
+        pos %= ws
+        pos += np.repeat(np.arange(0, n * ws, ws), lengths)
+        pos *= n_symbols
+        pos += codes
+        counts = np.bincount(pos, minlength=n * ws * n_symbols)
+        return counts.reshape(n, ws, n_symbols)
+    # cells[0] marks each residue's first row, cells[1] one past its last
+    # row, in a second half of the count table.
+    cells = np.empty((2, codes.size), dtype=np.intp)
+    np.subtract(pos, np.repeat(lengths - ws, lengths), out=cells[0])
+    np.maximum(cells[0], 0, out=cells[0])
+    np.minimum(pos, ws - 1, out=cells[1])
+    cells[1] += 1 + n * (ws + 1)
+    cells += np.repeat(np.arange(0, n * (ws + 1), ws + 1), lengths)
+    cells *= n_symbols
+    cells += codes
+    half = n * (ws + 1) * n_symbols
+    counts = np.bincount(cells.ravel(), minlength=2 * half)
+    steps = (counts[:half] - counts[half:]).reshape(n, ws + 1, n_symbols)
+    return steps.cumsum(axis=1)[:, :ws]
 
 
 def reshape_and_count(
@@ -51,26 +87,7 @@ def reshape_and_count(
     The "sliding" scheme instead counts every stride-1 window of length
     window_size.
     """
-    if scheme not in WINDOW_SCHEMES:
-        raise ContractError(f"unknown window scheme {scheme!r}")
-    _check_window_size(window_size)
-    n = len(seq)
-    if n < window_size:
-        raise ValidationError(
-            f"sequence '{seq.id}' has length {n} < window size {window_size}"
-        )
-    codes = encode(seq.residues)
-    n_letters = len(AMINO_ACIDS)
-    if scheme == "chunked":
-        return _block_counts(codes, window_size, n_letters)
-    # Window start s puts residue s + i in row i, so row i counts the
-    # n - window_size + 1 residues from i on: a difference of per-letter
-    # prefix sums.
-    onehot = np.zeros((n + 1, n_letters), dtype=np.int64)
-    onehot[np.arange(1, n + 1), codes] = 1
-    prefix = onehot.cumsum(axis=0)
-    span = n - window_size + 1
-    return prefix[span : span + window_size] - prefix[:window_size]
+    return build_cluster_dataset([seq], window_size, scheme)[0]
 
 
 def _column_modes(counts: np.ndarray) -> np.ndarray:
@@ -105,9 +122,37 @@ def normalize_windows(windows: np.ndarray, method: str = "mean") -> np.ndarray:
 def build_cluster_dataset(
     seqs: list[Sequence], window_size: int = WINDOW_SIZE, scheme: str = "chunked"
 ) -> np.ndarray:
-    """The (len(seqs), window_size, 20) windows of seqs, in input order."""
+    """The (len(seqs), window_size, 20) windows of seqs, in input order.
+
+    A sequence shorter than window_size is a ValidationError naming the first
+    one; a residue outside the alphabet is a ContractError giving its
+    position within its sequence. Whichever comes first in seqs is raised.
+    """
     _check_window_size(window_size)
-    windows = np.zeros((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
-    for row, seq in zip(windows, seqs):
-        row[...] = reshape_and_count(seq, window_size, scheme)
+    if scheme not in WINDOW_SCHEMES:
+        raise ContractError(f"unknown window scheme {scheme!r}")
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    short = np.flatnonzero(lengths < window_size)
+    n_ok = short[0] if short.size else len(seqs)
+    windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
+    # Chunk c holds the sequences that start in residues [c, c + 1) x CHUNK_RESIDUES.
+    starts = np.cumsum(lengths[:n_ok]) - lengths[:n_ok]
+    bounds = np.flatnonzero(np.diff(starts // CHUNK_RESIDUES, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        text = "".join([s.residues for s in seqs[lo:hi]])
+        try:
+            codes = encode(text)
+        except ContractError:
+            # Encode alone the sequence that holds the first bad residue, so
+            # the error gives the position within that sequence.
+            bad = starts[lo] + len(text) - len(text.lstrip(AMINO_ACIDS))
+            encode(seqs[np.searchsorted(starts, bad, "right") - 1].residues)
+            raise
+        windows[lo:hi] = _count_windows(codes, lengths[lo:hi], window_size,
+                                        len(AMINO_ACIDS), scheme)
+    if short.size:
+        seq = seqs[n_ok]
+        raise ValidationError(
+            f"sequence '{seq.id}' has length {len(seq)} < window size {window_size}"
+        )
     return windows

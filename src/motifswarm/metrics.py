@@ -14,7 +14,7 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from .errors import ContractError
-from .featurize import WINDOW_SIZE, _block_counts
+from .featurize import WINDOW_SIZE, _count_windows
 from .seqio import SS3_CLASSES, encode
 
 HOMOLOGY_IDENTICAL = "Identical"
@@ -96,7 +96,8 @@ def build_profile(structures: Iterable[str]) -> StructureProfile:
     n_segments = len(joined) // WINDOW_SIZE
     if not n_segments:
         raise ContractError("cannot build a profile from zero segments")
-    counts = _block_counts(encode(joined, SS3_CLASSES), WINDOW_SIZE, len(SS3_CLASSES))
+    counts = _count_windows(encode(joined, SS3_CLASSES), [len(joined)], WINDOW_SIZE,
+                            len(SS3_CLASSES))[0]
     return StructureProfile(freqs=counts / n_segments, n_segments=n_segments)
 
 

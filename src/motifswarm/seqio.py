@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, LinkError, ParseError, ValidationError
+from .errors import ContractError, InputError, LinkError, ParseError, ValidationError
 
 #: Canonical one-letter amino-acid alphabet. This ordering is used for the
 #: columns of every frequency matrix produced by the package.
@@ -230,6 +230,15 @@ def parse_structures(
     return structures
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; a file that does not decode is an
+    InputError naming it. OSError passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 @dataclass
 class Corpus:
     """Parsed sequences plus (optionally) their paired structure annotations."""
@@ -253,7 +262,7 @@ def load_corpus(
     window. When structures are supplied, the set of structure ids must equal
     the set of sequence ids.
     """
-    seq_text = Path(sequence_path).read_text(encoding="utf-8")
+    seq_text = read_text(sequence_path)
     sequences = parse_sequences(seq_text)
     if not sequences:
         raise ValidationError(f"{sequence_path} holds no sequence records")
@@ -269,7 +278,7 @@ def load_corpus(
             )
     structures = None
     if structure_path is not None:
-        struct_text = Path(structure_path).read_text(encoding="utf-8")
+        struct_text = read_text(structure_path)
         parsed = parse_structures(struct_text, sequences)
         structures = {ss.id: ss for ss in parsed}
         missing = [s.id for s in sequences if s.id not in structures]

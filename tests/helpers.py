@@ -160,6 +160,14 @@ def profile_oracle(segments):
     return np.array(counts) / len(segments)
 
 
+def csv_oracle(header, rows):
+    """CSV text with every cell written by str, one row at a time."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(map(str, row)) + "\n"
+    return text
+
+
 def random_sequence(rng, length, alphabet=AMINO_ACIDS, seq_id="s"):
     residues = "".join(rng.choice(list(alphabet), size=length))
     return Sequence(id=seq_id, residues=residues)

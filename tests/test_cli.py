@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from motifswarm import cli, report
 from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS, sample_corpus_paths
+
+from helpers import csv_oracle
 
 
 def run_cli(*argv):
@@ -76,6 +79,34 @@ class TestPrepare:
         run_cli("prepare", "--sample-corpus", "--out", tmp_path)
         for name in names:
             assert (tmp_path / name).read_bytes() == first[name]
+
+
+    @pytest.mark.parametrize("flags,windows_sha,matrix_sha", [
+        ([], "a494f15c0f913696bbe7e2e928f92768a7a0f49729366e8ac22d68bf2eeeca5c",
+         "7e95e6c4007a09da118cbcf79b4131961e2532a90df4a78509ac2eb1d8f81816"),
+        (["--window-scheme", "sliding", "--normalization", "mode"],
+         "085cef112b35fdb38b7c2f0dc2f43ec062f2fbbba217b8114306227851bcce02",
+         "399c846087b955b19da59944c1551385ffebbc7f7a4f5802d3f022862c9cbeee"),
+        (["--window-size", "5", "--normalization", "range"],
+         "bbe99ef636f3b42a9038f3bbd2e17e20e6ca2af12165a5116d66d7dfc4dbe245",
+         "e7d4d6038f62513509e50c0587960db3ff0464f07b6466182b0b6fac1a6314b1"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, flags, windows_sha, matrix_sha):
+        # Digests of the sample corpus's CSVs as the per-sequence counting
+        # loop and per-cell str join wrote them; a change to counting,
+        # normalization or CSV formatting that moves a byte fails.
+        assert run_cli("prepare", "--sample-corpus", *flags, "--out", tmp_path) == 0
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("windows.csv", "matrix.csv")]
+        assert digests == [windows_sha, matrix_sha]
+
+
+def test_csv_cells_match_str():
+    header = ["id", "n", "x", "y"]
+    rows = [("100%", 2**70, -0.0, 1e16), ("a%sb", -3, 1e-7, 0.1),
+            ("%d", 0, float(2**70), 1 / 3)]
+    assert cli._csv(header, iter(rows)) == csv_oracle(header, rows)
+    assert cli._csv(header, []) == csv_oracle(header, [])
 
 
 class TestCluster:
@@ -539,6 +570,7 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
     code = run_cli("motifs", *source, flag, latin1, "--out", tmp_path / "out")
     err = assert_fails_cleanly(capsys, code, 2)
     assert "can't decode byte 0xff" in err
+    assert str(latin1) in err
     assert not (tmp_path / "out").exists()
 
 

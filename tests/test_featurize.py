@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motifswarm import featurize
 from motifswarm.errors import ContractError, ValidationError
 from motifswarm.featurize import (
     NORMALIZATION_METHODS,
@@ -116,10 +119,65 @@ def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
 def test_bicluster_matrix_matches_oracle(window_size, scheme, method, lengths, seed):
     rng = np.random.default_rng(seed)
     seqs = [random_sequence(rng, n, seq_id=f"s{i}") for i, n in enumerate(lengths)]
-    matrix = normalize_windows(build_cluster_dataset(seqs, window_size, scheme), method)
-    for row, seq in zip(matrix, seqs):
+    windows = build_cluster_dataset(seqs, window_size, scheme)
+    matrix = normalize_windows(windows, method)
+    for window, row, seq in zip(windows, matrix, seqs):
         counts = window_counts_oracle(seq.residues, window_size, scheme)
+        np.testing.assert_array_equal(window, counts)
         np.testing.assert_array_equal(row, normalize_oracle(counts, method))
+
+
+@settings(max_examples=80, deadline=None)
+@given(window_size=st.integers(1, 12), scheme=st.sampled_from(WINDOW_SCHEMES),
+       chunk=st.integers(1, 80), extra=st.lists(st.integers(0, 40), max_size=8),
+       seed=st.integers(0, 2**16))
+def test_windows_across_chunk_boundaries_match_oracle(window_size, scheme, chunk,
+                                                      extra, seed):
+    # Chunks of a few residues put most sequences in chunks of their own
+    # or split a corpus at every few sequences.
+    rng = np.random.default_rng(seed)
+    seqs = [random_sequence(rng, window_size + n, seq_id=f"s{i}")
+            for i, n in enumerate(extra)]
+    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk):
+        windows = build_cluster_dataset(seqs, window_size, scheme)
+    assert windows.shape == (len(seqs), window_size, len(AMINO_ACIDS))
+    for window, seq in zip(windows, seqs):
+        np.testing.assert_array_equal(
+            window, window_counts_oracle(seq.residues, window_size, scheme))
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 2**14])
+@pytest.mark.parametrize("scheme", WINDOW_SCHEMES)
+def test_first_short_sequence_is_named(chunk, scheme):
+    seqs = [Sequence("a", "A" * 20), Sequence("b", "C" * 12), Sequence("c", "D" * 7),
+            Sequence("d", "E" * 30), Sequence("e", "F" * 3)]
+    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk), \
+            pytest.raises(ValidationError) as err:
+        build_cluster_dataset(seqs, 9, scheme)
+    assert str(err.value) == "sequence 'c' has length 7 < window size 9"
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 2**14])
+def test_illegal_residue_position_is_within_its_sequence(chunk):
+    seqs = [Sequence("a", "A" * 20), Sequence("b", "CCJCCCCCCC"),
+            Sequence("c", "DDDDDDDDDDBD")]
+    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk), \
+            pytest.raises(ContractError) as err:
+        build_cluster_dataset(seqs, 9)
+    assert str(err.value) == f"character 'J' at position 3 is not in {AMINO_ACIDS!r}"
+
+
+@pytest.mark.parametrize("chunk", [1, 2**14])
+def test_first_bad_sequence_decides_the_error(chunk):
+    # As one sequence at a time: a short sequence ahead of a bad residue is
+    # a ValidationError, and a bad residue ahead of a short sequence is a
+    # ContractError.
+    short, bad = Sequence("s", "AAAA"), Sequence("b", "AAAAAAAAAAXA")
+    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk):
+        with pytest.raises(ValidationError, match="sequence 's' has length 4"):
+            build_cluster_dataset([Sequence("a", "A" * 9), short, bad])
+        with pytest.raises(ContractError, match="'X' at position 11"):
+            build_cluster_dataset([Sequence("a", "A" * 9), bad, short])
 
 
 def test_normalize_windows_of_nothing_is_empty_matrix():

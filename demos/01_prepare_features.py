@@ -10,7 +10,7 @@ row of the matrix that the biclustering stage consumes.
 import numpy as np
 
 from motifswarm import AMINO_ACIDS, load_sample_corpus
-from motifswarm.featurize import build_cluster_dataset, normalize_windows, reshape_and_count
+from motifswarm.featurize import build_cluster_dataset, normalize_windows
 
 corpus = load_sample_corpus()
 print(f"sample corpus: {len(corpus.sequences)} sequences, "
@@ -20,7 +20,8 @@ seq = corpus.sequences[0]
 print(f"\nfirst sequence {seq.id!r} ({len(seq)} residues):")
 print(f"  {seq.residues}")
 
-window = reshape_and_count(seq)
+windows = build_cluster_dataset(corpus.sequences)  # row i belongs to sequence i
+window = windows[0]
 print(f"\nits frequency window has shape {window.shape}; "
       f"each row sums to the block count:")
 for i in range(3):
@@ -28,11 +29,10 @@ for i in range(3):
     letters = ", ".join(f"{AMINO_ACIDS[j]}x{window[i, j]}" for j in top)
     print(f"  position {i + 1}: {letters}, row sum {window[i].sum()}")
 
-row = normalize_windows(window[None], method="mean")[0]
+row = normalize_windows(windows[:1], method="mean")[0]
 print("\nmean-normalized row (first 8 columns):")
 print("  " + "  ".join(f"{AMINO_ACIDS[j]}={row[j]:.2f}" for j in range(8)))
 
-windows = build_cluster_dataset(corpus.sequences)
 matrix = normalize_windows(windows)
 print(f"\nover the corpus: windows {windows.shape}, bicluster matrix "
       f"{matrix.shape}, values in [{matrix.min():.2f}, {matrix.max():.2f}]")

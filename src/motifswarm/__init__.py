@@ -18,7 +18,7 @@ from .errors import (
 )
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus
 from .featurize import build_cluster_dataset
-from .metrics import cityblock, homology_class, msr, structure_similarity
+from .metrics import homology_class, msr, structure_similarity
 from .kmeans import ClusterSet, kmeans_run
 from .pso import PsoConfig, pso_optimize
 from .psokmeans import pso_kmeans
@@ -39,7 +39,6 @@ __all__ = [
     "load_corpus",
     "load_sample_corpus",
     "build_cluster_dataset",
-    "cityblock",
     "msr",
     "structure_similarity",
     "homology_class",

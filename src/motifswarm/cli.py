@@ -186,6 +186,7 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
     if not isinstance(entries, list):
         raise InputError(f"{path} does not look like a bicluster report")
     known = {s.id for s in corpus.sequences}
+    seen = set()
     for n, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
                 and isinstance(entry.get("rows"), list)
@@ -197,6 +198,13 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
         if entry["id"] in ("", ".", "..") or set(entry["id"]) & set("/\\\0"):
             raise InputError(f"{path}: bicluster entry {n} has id {entry['id']!r}, "
                              "which is not a plain file name")
+        if entry["id"] in seen:
+            raise ValidationError(f"{path}: bicluster entry {n} repeats the group id "
+                                  f"{entry['id']!r}, which names its output files")
+        seen.add(entry["id"])
+        if not entry["rows"]:
+            raise ValidationError(f"{path}: bicluster entry {n} ({entry['id']!r}) "
+                                  "has no rows")
         unknown = [r for r in entry["rows"] if r not in known]
         if unknown:
             raise ValidationError(

@@ -75,21 +75,6 @@ def _count_windows(codes: np.ndarray, lengths: np.ndarray, window_size: int,
     return steps.cumsum(axis=1)[:, :ws]
 
 
-def reshape_and_count(
-    seq: Sequence, window_size: int = WINDOW_SIZE, scheme: str = "chunked"
-) -> np.ndarray:
-    """The window_size x 20 frequency window of one sequence: row i counts,
-    over all blocks, how often block position i holds each amino acid.
-
-    Under the default "chunked" scheme the sequence is split into consecutive
-    non-overlapping blocks; block t contributes its i-th residue to row i.
-    Padding positions of the incomplete final block contribute zero counts.
-    The "sliding" scheme instead counts every stride-1 window of length
-    window_size.
-    """
-    return build_cluster_dataset([seq], window_size, scheme)[0]
-
-
 def _column_modes(counts: np.ndarray) -> np.ndarray:
     """Most frequent value of each column of each (ws, 20) window in an
     (n, ws, 20) stack, ties resolved to the smallest value."""

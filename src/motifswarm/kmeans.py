@@ -63,8 +63,9 @@ def _assign(distances: np.ndarray):
     """Nearest-centroid labels of an (n, k) distance matrix (ties to the
     lowest index) and the intra-cluster fitness of that assignment."""
     labels = distances.argmin(axis=1)
-    # cumsum adds the nearest distances in item order, as
-    # metrics.intra_cluster_fitness does, so the two agree bit for bit.
+    # cumsum adds the nearest distances one at a time in item order, so the
+    # fitness equals a plain loop over the items bit for bit (the
+    # intra_cluster_fitness oracle in tests/helpers.py).
     fitness = float(np.cumsum(distances.min(axis=1))[-1]) / distances.shape[1]
     return labels, fitness
 

@@ -1,9 +1,9 @@
-"""Distance, fitness and homology measures.
+"""Residue and structure-homology measures.
 
-All measures are pure functions: city-block dissimilarity between frequency
-matrices, the per-cluster intra-distance fitness, the mean squared residue of
-a submatrix, and the dominant-class structure similarity with its homology
-thresholds.
+All measures are pure functions: the mean squared residue of a submatrix,
+and the dominant-class structure similarity with its homology thresholds. The
+city-block distances of clustering live with their kernels, in
+kmeans._pairwise_l1 and psokmeans.Lattice.
 """
 
 from __future__ import annotations
@@ -20,39 +20,6 @@ from .seqio import SS3_CLASSES, encode
 HOMOLOGY_IDENTICAL = "Identical"
 HOMOLOGY_WEAK = "Weak"
 HOMOLOGY_NONE = "None"
-
-
-def cityblock(vk: np.ndarray, vc: np.ndarray) -> float:
-    """Sum of absolute cell differences between two same-shaped arrays."""
-    vk = np.asarray(vk, dtype=float)
-    vc = np.asarray(vc, dtype=float)
-    if vk.shape != vc.shape:
-        raise ContractError(f"shape mismatch: {vk.shape} vs {vc.shape}")
-    return float(np.abs(vk - vc).sum())
-
-
-def intra_cluster_fitness(
-    data: Seq[np.ndarray],
-    labels: Seq[int],
-    centroids: Seq[np.ndarray],
-    dist=cityblock,
-) -> float:
-    """Summed item-to-centroid distances divided by the number of clusters.
-
-    Empty clusters contribute zero to the sum while still counting in the
-    denominator.
-    """
-    if len(data) == 0:
-        raise ContractError("fitness of an empty dataset is undefined")
-    if len(labels) != len(data):
-        raise ContractError("one label per item required")
-    nclust = len(centroids)
-    if nclust < 1:
-        raise ContractError("at least one cluster required")
-    total = 0.0
-    for item, label in zip(data, labels):
-        total += dist(item, centroids[label])
-    return total / nclust
 
 
 def msr(matrix: np.ndarray, rows: Seq[int], cols: Seq[int]) -> float:

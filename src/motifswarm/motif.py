@@ -10,7 +10,7 @@ corpus's (n, ws, 20) window array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,11 @@ from .seqio import AMINO_ACIDS
 
 SAA_THRESHOLD = 0.07
 MAX_BITS = math.log2(len(AMINO_ACIDS))
+
+#: Logo geometry in SVG user units: the width of one position's column and
+#: the height of the 0..log2(20) bits axis.
+LOGO_COL_WIDTH = 60
+LOGO_PLOT_HEIGHT = 260
 
 RELATION_FULL = "Full"
 RELATION_PARTIAL = "Partial"
@@ -43,13 +48,13 @@ class LogoColumn:
 class PositionRecord:
     position: int
     saa: frozenset
-    motif: frozenset | None
-    relation: str | None
+    relation: str  # of saa to the report's motif
 
 
 @dataclass(frozen=True)
 class MotifReport:
     group_id: str
+    motif: frozenset  # the letters the group retained, one set for all positions
     per_position: tuple
     logo: tuple
     degenerate: bool  # every position's saa came out empty
@@ -134,41 +139,31 @@ def build_motif_report(group, freqs, motif, n_segments,
                        correction: bool = True) -> MotifReport:
     """Assemble the per-position table plus logo for one group.
 
-    freqs is ws x 20. motif may be None (plain clusters have no retained-column
-    set - relations are left unset), one letter set for all positions, or a
-    list of ws sets.
+    freqs is ws x 20; motif is the group's retained letter set, against which
+    every position's SAA is classified.
     """
-    saas = significant_amino_acids(freqs, threshold=threshold)
-    logo = logo_columns(freqs, n_segments, correction=correction)
-    ws = len(saas)
-    if motif is None:
-        motifs = [None] * ws
-    elif isinstance(motif, (list, tuple)):
-        if len(motif) != ws:
-            raise ContractError(f"need {ws} per-position motif sets")
-        motifs = [frozenset(m) for m in motif]
-    else:
-        motifs = [frozenset(motif)] * ws
-    records = []
-    for ps, m in zip(saas, motifs):
-        relation = None if m is None else classify_superset(ps.saa, m)
-        records.append(PositionRecord(position=ps.position, saa=ps.saa,
-                                      motif=m, relation=relation))
+    motif = frozenset(motif)
+    records = tuple(
+        PositionRecord(position=ps.position, saa=ps.saa,
+                       relation=classify_superset(ps.saa, motif))
+        for ps in significant_amino_acids(freqs, threshold=threshold))
     return MotifReport(
         group_id=str(group),
-        per_position=tuple(records),
-        logo=tuple(logo),
+        motif=motif,
+        per_position=records,
+        logo=tuple(logo_columns(freqs, n_segments, correction=correction)),
         degenerate=all(not r.saa for r in records),
     )
 
 
 def report_to_dict(report: MotifReport) -> dict:
+    motif = "".join(sorted(report.motif))
     positions = []
     for rec, logo in zip(report.per_position, report.logo):
         positions.append({
             "position": rec.position,
             "saa": "".join(sorted(rec.saa)),
-            "motif": None if rec.motif is None else "".join(sorted(rec.motif)),
+            "motif": motif,
             "relation": rec.relation,
             "logo": {
                 "total_bits": logo.total_bits,
@@ -182,16 +177,15 @@ def report_to_dict(report: MotifReport) -> dict:
     }
 
 
-def render_logo_svg(report: MotifReport, col_width: int = 60,
-                    plot_height: int = 260) -> str:
+def render_logo_svg(report: MotifReport) -> str:
     """Standalone SVG: positions 1..ws across, bits 0..log2(20) up, letters
     stacked tallest-on-top and scaled to their share of the column."""
     left, bottom, top = 46, 34, 14
     n = len(report.logo)
-    width = left + n * col_width + 10
-    height = top + plot_height + bottom
-    y_per_bit = plot_height / MAX_BITS
-    baseline = top + plot_height
+    width = left + n * LOGO_COL_WIDTH + 10
+    height = top + LOGO_PLOT_HEIGHT + bottom
+    y_per_bit = LOGO_PLOT_HEIGHT / MAX_BITS
+    baseline = top + LOGO_PLOT_HEIGHT
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -199,7 +193,7 @@ def render_logo_svg(report: MotifReport, col_width: int = 60,
         f'<title>{report.group_id}</title>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{baseline}" stroke="black"/>',
-        f'<line x1="{left}" y1="{baseline}" x2="{left + n * col_width}" '
+        f'<line x1="{left}" y1="{baseline}" x2="{left + n * LOGO_COL_WIDTH}" '
         f'y2="{baseline}" stroke="black"/>',
     ]
     for b in range(int(MAX_BITS) + 1):
@@ -208,13 +202,14 @@ def render_logo_svg(report: MotifReport, col_width: int = 60,
                      f'stroke="black"/>')
         parts.append(f'<text x="{left - 8}" y="{y + 4:.1f}" font-size="11" '
                      f'text-anchor="end" font-family="monospace">{b}</text>')
-    parts.append(f'<text x="{left - 34}" y="{top + plot_height / 2:.1f}" font-size="12" '
+    mid = top + LOGO_PLOT_HEIGHT / 2
+    parts.append(f'<text x="{left - 34}" y="{mid:.1f}" font-size="12" '
                  f'font-family="monospace" transform="rotate(-90 {left - 34} '
-                 f'{top + plot_height / 2:.1f})" text-anchor="middle">bits</text>')
+                 f'{mid:.1f})" text-anchor="middle">bits</text>')
 
     for i, col in enumerate(report.logo):
-        x0 = left + i * col_width
-        cx = x0 + col_width / 2
+        x0 = left + i * LOGO_COL_WIDTH
+        cx = x0 + LOGO_COL_WIDTH / 2
         parts.append(f'<text x="{cx:.1f}" y="{baseline + 16}" font-size="12" '
                      f'text-anchor="middle" font-family="monospace">{col.position}</text>')
         y = baseline

@@ -14,7 +14,7 @@ the swarm's size beyond the random draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,13 @@ class PsoConfig:
 
 @dataclass
 class Swarm:
-    """Final state; row i of each (n_particles, ...) array is particle i."""
+    """What a search leaves: row i of pbest_positions is particle i's best
+    position, and history[t] is the gbest fitness after iteration t + 1."""
 
-    positions: np.ndarray
-    velocities: np.ndarray
     pbest_positions: np.ndarray
-    pbest_fitness: np.ndarray
-    current_fitness: np.ndarray
     gbest_position: np.ndarray
-    gbest_fitness: float
     iteration: int
-    history: list[float] = field(default_factory=list)
+    history: list[float]
 
 
 def real_move(positions, velocities, rng):
@@ -141,15 +137,6 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
         np.clip(velocities, -v_max, v_max, out=velocities)
         positions = move(positions, velocities, rng)
 
-    swarm = Swarm(
-        positions=positions,
-        velocities=velocities,
-        pbest_positions=pbest_pos,
-        pbest_fitness=pbest_fit,
-        current_fitness=current,
-        gbest_position=gbest_pos,
-        gbest_fitness=gbest_fit,
-        iteration=cfg.max_iter,
-        history=history,
-    )
+    swarm = Swarm(pbest_positions=pbest_pos, gbest_position=gbest_pos,
+                  iteration=cfg.max_iter, history=history)
     return swarm, gbest_pos

@@ -32,6 +32,18 @@ def cityblock_oracle(a, b) -> float:
     return total
 
 
+def intra_cluster_fitness(data, labels, centroids) -> float:
+    """Item-to-centroid city-block distances summed one item at a time, over
+    the number of clusters: an empty cluster adds nothing but still counts.
+    Each distance is numpy's sum of |item - centroid|, as the library's
+    kernels sum a row, so the result matches them bit for bit."""
+    total = 0.0
+    for item, label in zip(data, labels):
+        diff = np.asarray(item, dtype=float) - np.asarray(centroids[label], dtype=float)
+        total += float(np.abs(diff).sum())
+    return total / len(centroids)
+
+
 def msr_oracle(matrix, rows, cols) -> float:
     """Quadruple-average mean squared residue, loops only."""
     rows = list(rows)
@@ -55,8 +67,8 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
     """The swarm engine as an allocating loop: every step builds fresh arrays,
     with the velocity update written as one expression and np.clip. n_rows
     selects the sigmoid bit move (then _repair) over the real move x + v.
-    Returns the final positions, velocities, pbest positions and fitness,
-    gbest position and fitness, and history."""
+    Returns the position array scored at each iteration, the pbest and gbest
+    positions, and the history."""
     positions = np.array(init_positions, dtype=float)
     velocities = np.array(init_velocities, dtype=float)
     n, dim = positions.shape
@@ -65,7 +77,9 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
     gbest_pos = positions[0].copy()
     gbest_fit = np.inf
     history = []
+    scored = []
     for _ in range(cfg.max_iter):
+        scored.append(positions)
         current = fitness(positions)
         for i in range(n):
             if current[i] < pbest_fit[i]:
@@ -86,9 +100,8 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
             bits = rng.random(velocities.shape) < 1.0 / (1.0 + np.exp(-velocities))
             _repair(bits, velocities, n_rows)
             positions = bits.astype(float)
-    return {"positions": positions, "velocities": velocities,
-            "pbest_positions": pbest_pos, "pbest_fitness": np.array(pbest_fit),
-            "gbest_position": gbest_pos, "gbest_fitness": gbest_fit, "history": history}
+    return {"scored": scored, "pbest_positions": pbest_pos, "gbest_position": gbest_pos,
+            "history": history}
 
 
 def window_counts_oracle(residues, window_size, scheme="chunked"):

@@ -233,6 +233,47 @@ class TestMotifs:
         assert_fails_cleanly(capsys, code, expected_code)
         assert not (tmp_path / "motifs").exists()
 
+    @pytest.mark.parametrize("entries,message", [
+        ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
+          {"id": "h", "rows": ["str07"], "cols": "AG"},
+          {"id": "g", "rows": ["str07"], "cols": "L"}],
+         "bicluster entry 2 repeats the group id 'g'"),
+        ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
+          {"id": "h", "rows": [], "cols": "AG"}],
+         "bicluster entry 1 ('h') has no rows"),
+    ], ids=["repeated-id", "empty-rows"])
+    def test_repeated_group_id_or_empty_rows_exits_3(self, tmp_path, capsys, entries,
+                                                      message):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"biclusters": entries}))
+        code = run_cli("motifs", "--sample-corpus", "--biclusters", path,
+                       "--out", tmp_path / "out")
+        err = assert_fails_cleanly(capsys, code, 3)
+        assert f"{path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,reports_sha,logos_sha", [
+        ([], "487d44e2b6d097e8ca0625e725672a44ec715795e4406a042e70803deb2e7c69",
+         "0b853c9cf7e7a2e287c3cc8238db1911f17253e36a1163438caf3a3303fd1399"),
+        (["--window-size", "5", "--saa-threshold", "0.12", "--no-logo-correction"],
+         "e3992e18430ce1c04d7f88c38beb74960ea934a364957e3cf0c6b86a051b0cc2",
+         "06428b396dbd7dfaffb06e3316a586afa982883854c3b27bd3e110b0f8ec7edf"),
+    ], ids=["defaults", "window-5-no-correction"])
+    def test_report_and_logo_bytes_are_pinned(self, tmp_path, flags, reports_sha,
+                                              logos_sha):
+        # Digests of all 17 groups' reports and logos (without the logo's
+        # version blurb) at seed 5: a change to the SAA, relation, logo or
+        # SVG bytes fails, a version bump does not.
+        assert run_cli("motifs", "--sample-corpus", "--seed", "5", *flags,
+                       "--out", tmp_path) == 0
+        out = tmp_path / "motifs"
+        reports, logos = hashlib.sha256(), hashlib.sha256()
+        for gid in json.loads((out / "motifs.json").read_text())["groups"]:
+            payload = json.loads((out / f"{gid}.json").read_text())
+            reports.update(report.json_text(payload["report"]).encode())
+            logos.update((out / f"{gid}.svg").read_bytes().split(b"\n", 1)[1])
+        assert [reports.hexdigest(), logos.hexdigest()] == [reports_sha, logos_sha]
+
     @pytest.mark.parametrize("gid", ["../escaped", "a/b", "a\\b", "", ".", "..",
                                      "nul\0"])
     def test_group_id_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, gid):
@@ -641,8 +682,9 @@ COMMAND_FLAGS = {
     "bicluster": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS},
     "motifs": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS,
                "--saa-threshold": ["0", "0.07", "1", "-1", "1.5", "nan"],
-               "--biclusters": ["{root}/groups.json", "{root}/empty.fasta",
-                                "{root}/missing", "{root}/latin1.fasta"]},
+               "--biclusters": ["{root}/groups.json", "{root}/repeated.json",
+                                "{root}/empty.fasta", "{root}/missing",
+                                "{root}/latin1.fasta"]},
     "compare": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS, **CLUSTER_FLAGS,
                 "--thresholds": ["0.7,0.6", "0.6,0.7", "nan", "inf,0.5", "", "x"]},
 }
@@ -703,8 +745,9 @@ def test_every_input_ends_in_a_documented_exit_code(invocation):
         root = Path(tmp)
         (root / "empty.fasta").write_text("")
         (root / "latin1.fasta").write_bytes(b"\xff\xfe>a\nAAAAAAAAA\n")
-        (root / "groups.json").write_text(json.dumps(
-            {"biclusters": [{"id": "g", "rows": ["hel01", "str07"], "cols": "AGL"}]}))
+        group = {"id": "g", "rows": ["hel01", "str07"], "cols": "AGL"}
+        (root / "groups.json").write_text(json.dumps({"biclusters": [group]}))
+        (root / "repeated.json").write_text(json.dumps({"biclusters": [group, group]}))
         argv = [a.format(root=root, sample=sample) for a in argv]
         if config is not None:
             text = json.dumps(config).replace("{root}", str(root))

@@ -11,7 +11,6 @@ from motifswarm.featurize import (
     WINDOW_SCHEMES,
     build_cluster_dataset,
     normalize_windows,
-    reshape_and_count,
 )
 from motifswarm.seqio import AA_INDEX, AMINO_ACIDS, Sequence
 
@@ -27,20 +26,20 @@ def col(window, aa):
 
 
 def test_single_block_single_residue():
-    w = reshape_and_count(Sequence("s", "A" * 9))
+    w = build_cluster_dataset([Sequence("s", "A" * 9)])[0]
     assert (col(w, "A") == 1).all()
     other = np.delete(w, AA_INDEX["A"], axis=1)
     assert (other == 0).all()
 
 
 def test_two_identical_blocks():
-    w = reshape_and_count(Sequence("s", "G" * 18))
+    w = build_cluster_dataset([Sequence("s", "G" * 18)])[0]
     assert (col(w, "G") == 2).all()
 
 
 def test_partial_final_block_row_sums():
     # 17 residues: second block fills positions 1..8 only.
-    w = reshape_and_count(Sequence("s", "ACDEFGHIKLMNPQRST"))
+    w = build_cluster_dataset([Sequence("s", "ACDEFGHIKLMNPQRST")])[0]
     sums = w.sum(axis=1)
     assert (sums[:8] == 2).all()
     assert sums[8] == 1
@@ -48,14 +47,14 @@ def test_partial_final_block_row_sums():
 
 def test_too_short_sequence_rejected():
     with pytest.raises(ValidationError):
-        reshape_and_count(Sequence("s", "ACDEF"))
+        build_cluster_dataset([Sequence("s", "ACDEF")])
 
 
 def test_total_count_conservation():
     rng = np.random.default_rng(7)
     for length in [9, 10, 17, 18, 26, 27, 40, 100]:
         seq = random_sequence(rng, length)
-        w = reshape_and_count(seq)
+        w = build_cluster_dataset([seq])[0]
         assert w.sum() == length
 
 
@@ -64,12 +63,13 @@ def test_reverse_changes_matrix():
     seq = random_sequence(rng, 27)
     rev = Sequence(seq.id, seq.residues[::-1])
     assert seq.residues != rev.residues
-    assert (reshape_and_count(seq) != reshape_and_count(rev)).any()
+    forward, backward = build_cluster_dataset([seq, rev])
+    assert (forward != backward).any()
 
 
 def test_sliding_scheme_row_sums():
     seq = Sequence("s", "ACDEFGHIKLMNPQRST")  # length 17 -> 9 windows
-    w = reshape_and_count(seq, scheme="sliding")
+    w = build_cluster_dataset([seq], scheme="sliding")[0]
     assert (w.sum(axis=1) == 9).all()
 
 
@@ -79,7 +79,7 @@ def test_sliding_scheme_row_sums():
 def test_window_counts_match_oracle(window_size, data, scheme):
     residues = data.draw(st.text(alphabet=AMINO_ACIDS, min_size=window_size,
                                  max_size=5 * window_size + 11))
-    w = reshape_and_count(Sequence("s", residues), window_size, scheme)
+    w = build_cluster_dataset([Sequence("s", residues)], window_size, scheme)[0]
     np.testing.assert_array_equal(
         w, window_counts_oracle(residues, window_size, scheme))
 
@@ -87,14 +87,14 @@ def test_window_counts_match_oracle(window_size, data, scheme):
 @pytest.mark.parametrize("window_size", [0, -1, -9])
 def test_window_size_below_one_is_contract_error(window_size):
     with pytest.raises(ContractError, match="window size"):
-        reshape_and_count(Sequence("s", "A" * 18), window_size)
+        build_cluster_dataset([Sequence("s", "A" * 18)], window_size)
     with pytest.raises(ContractError, match="window size"):
         build_cluster_dataset([], window_size)
 
 
 def test_residue_outside_alphabet_is_contract_error():
     with pytest.raises(ContractError, match=r"'J' at position 3"):
-        reshape_and_count(Sequence("s", "ACJDEFGHIK"))
+        build_cluster_dataset([Sequence("s", "ACJDEFGHIK")])
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,7 +214,7 @@ def test_normalize_mean_mass_preserving():
     rng = np.random.default_rng(9)
     for length in [9, 18, 45]:
         seq = random_sequence(rng, length)
-        row = normalize_windows(reshape_and_count(seq)[None], "mean")[0]
+        row = normalize_windows(build_cluster_dataset([seq]), "mean")[0]
         assert row.sum() == pytest.approx(length / 9)
 
 
@@ -232,7 +232,7 @@ def test_corpus_scale_shapes():
     assert windows.shape == (300, 9, 20)
     assert windows.dtype == np.int64
     for k in (0, 150, 299):
-        np.testing.assert_array_equal(windows[k], reshape_and_count(seqs[k]))
+        np.testing.assert_array_equal(windows[k], build_cluster_dataset([seqs[k]])[0])
     matrix = normalize_windows(windows)
     assert matrix.shape == (300, 20)
 
@@ -249,6 +249,6 @@ def test_bicluster_matrix_is_row_stack_of_normalized_windows():
     seqs = [random_sequence(rng, 20 + 3 * i, seq_id=f"s{i}") for i in range(5)]
     matrix = normalize_windows(build_cluster_dataset(seqs), "range")
     for k, seq in enumerate(seqs):
-        row = normalize_windows(reshape_and_count(seq)[None], "range")[0]
+        row = normalize_windows(build_cluster_dataset([seq]), "range")[0]
         np.testing.assert_array_equal(matrix[k], row)
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
+from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import _pairwise_l1, as_item_arrays, kmeans_run
-from motifswarm.metrics import intra_cluster_fitness
+from motifswarm.seqio import Sequence
 
-from helpers import cityblock_oracle, make_blobs, partitions_match
+from helpers import cityblock_oracle, intra_cluster_fitness, make_blobs, partitions_match
 
 
 def test_identical_pairs_split_any_seed():
@@ -105,11 +106,7 @@ def test_fitness_equals_intra_cluster_fitness_exactly(n, d, k, seed, max_iter, w
 
 
 def test_accepts_frequency_windows():
-    from motifswarm.featurize import reshape_and_count
-    from motifswarm.seqio import Sequence
-
-    windows = [reshape_and_count(Sequence("a", "A" * 9)),
-               reshape_and_count(Sequence("b", "V" * 9))]
+    windows = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("b", "V" * 9)])
     cs = kmeans_run(windows, k=2, seed=0)
     assert cs.centroids.shape == (2, 9, 20)
     assert cs.final_fitness == 0.0

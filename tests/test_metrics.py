@@ -3,74 +3,57 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm.errors import ContractError
+from motifswarm.kmeans import kmeans_run
 from motifswarm.metrics import (
     HOMOLOGY_IDENTICAL,
     HOMOLOGY_NONE,
     HOMOLOGY_WEAK,
     StructureProfile,
     build_profile,
-    cityblock,
     homology_class,
-    intra_cluster_fitness,
     msr,
     structure_similarity,
 )
+from motifswarm.pso import PsoConfig
+from motifswarm.psokmeans import assignment_fitness, pso_kmeans
 
-from helpers import cityblock_oracle, msr_oracle, profile_oracle
-
-
-class TestCityblock:
-    def test_identity(self):
-        m = np.arange(12.0).reshape(3, 4)
-        assert cityblock(m, m) == 0.0
-
-    def test_hand_sum(self):
-        assert cityblock([[1, 2], [3, 4]], [[0, 0], [0, 0]]) == 10.0
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.normal(size=(9, 20))
-            b = rng.normal(size=(9, 20))
-            assert cityblock(a, b) == pytest.approx(cityblock_oracle(a, b), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            cityblock(np.zeros((2, 3)), np.zeros((3, 2)))
-
-    def test_metric_laws(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b, c = rng.normal(size=(3, 5, 4))
-            assert cityblock(a, b) >= 0.0
-            assert cityblock(a, b) == cityblock(b, a)
-            assert cityblock(a, c) <= cityblock(a, b) + cityblock(b, c) + 1e-12
+from helpers import msr_oracle, profile_oracle
 
 
 class TestIntraClusterFitness:
+    """The clustering fitness that both k-means engines score: nearest-centroid
+    city-block distances summed, over the number of clusters."""
+
+    @staticmethod
+    def assign(data, centroids):
+        labels, fitness = assignment_fitness(np.array(data), np.array(centroids))
+        return list(labels), fitness
+
     def test_zero_when_items_sit_on_centroids(self):
         data = [np.array([1.0, 2.0]), np.array([5.0, 5.0])]
         cents = [np.array([1.0, 2.0]), np.array([5.0, 5.0])]
-        assert intra_cluster_fitness(data, [0, 1], cents) == 0.0
+        assert self.assign(data, cents) == ([0, 1], 0.0)
 
     def test_sum_divided_by_cluster_count(self):
         # cluster 0 distances 2+4=6, cluster 1 distances 1+3=4 -> (6+4)/2
         data = [np.array([2.0]), np.array([-4.0]), np.array([11.0]), np.array([13.0])]
         cents = [np.array([0.0]), np.array([10.0])]
-        assert intra_cluster_fitness(data, [0, 0, 1, 1], cents) == 5.0
+        assert self.assign(data, cents) == ([0, 0, 1, 1], 5.0)
 
     def test_single_cluster_scalars(self):
         data = [np.array([1.0]), np.array([3.0])]
-        assert intra_cluster_fitness(data, [0, 0], [np.array([2.0])]) == 2.0
+        assert self.assign(data, [np.array([2.0])]) == ([0, 0], 2.0)
 
     def test_empty_cluster_contributes_zero(self):
         data = [np.array([1.0])]
         cents = [np.array([1.0]), np.array([99.0])]
-        assert intra_cluster_fitness(data, [0], cents) == 0.0
+        assert self.assign(data, cents) == ([0], 0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
-            intra_cluster_fitness([], [], [np.array([0.0])])
+            kmeans_run([], k=1)
+        with pytest.raises(ContractError):
+            pso_kmeans([], 1, PsoConfig(n_particles=2, max_iter=1))
 
 
 class TestMsr:

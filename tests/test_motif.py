@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motifswarm.errors import ContractError
-from motifswarm.featurize import build_cluster_dataset, reshape_and_count
+from motifswarm.featurize import build_cluster_dataset
 from motifswarm.motif import (
     MAX_BITS,
     RELATION_DISJOINT,
@@ -40,14 +40,13 @@ def freqs_for_saa(letter_sets):
 
 class TestPositionFrequencies:
     def test_single_pure_window(self):
-        w = reshape_and_count(Sequence("s", "A" * 9))
+        w = build_cluster_dataset([Sequence("s", "A" * 9)])[0]
         freqs = position_frequencies([w])
         assert np.all(freqs[:, AMINO_ACIDS.index("A")] == 1.0)
         assert freqs.sum() == pytest.approx(9.0)
 
     def test_two_disjoint_letters_split_evenly(self):
-        wa = reshape_and_count(Sequence("a", "A" * 9))
-        wv = reshape_and_count(Sequence("v", "V" * 9))
+        wa, wv = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("v", "V" * 9)])
         freqs = position_frequencies([wa, wv])
         assert np.all(freqs[:, AMINO_ACIDS.index("A")] == 0.5)
         assert np.all(freqs[:, AMINO_ACIDS.index("V")] == 0.5)
@@ -206,17 +205,19 @@ TABLE3_SAA = ["AGL", "DL", "LV", "EILV", "AV", "AL", "GLV", "GL", "ALV"]
 
 class TestBuildMotifReport:
     def test_subset_rule_on_reference_rows(self):
-        report = build_motif_report(
-            "t2", freqs_for_saa(TABLE2_SAA),
-            [frozenset(m) for m in TABLE2_MOTIFS], n_segments=300,
-        )
-        assert [r.saa for r in report.per_position] == [frozenset(s) for s in TABLE2_SAA]
-        assert [r.relation for r in report.per_position] == [
+        # Table 2 pairs each position with one of two motifs; a report holds
+        # one, so each position is read off the report built on its motif.
+        freqs = freqs_for_saa(TABLE2_SAA)
+        reports = {m: build_motif_report("t2", freqs, frozenset(m), n_segments=300)
+                   for m in set(TABLE2_MOTIFS)}
+        records = [reports[m].per_position[i] for i, m in enumerate(TABLE2_MOTIFS)]
+        assert [r.saa for r in records] == [frozenset(s) for s in TABLE2_SAA]
+        assert [r.relation for r in records] == [
             RELATION_FULL, RELATION_PARTIAL, RELATION_FULL, RELATION_PARTIAL,
             RELATION_PARTIAL, RELATION_PARTIAL, RELATION_PARTIAL,
             RELATION_FULL, RELATION_FULL,
         ]
-        assert not report.degenerate
+        assert not any(r.degenerate for r in reports.values())
 
     def test_all_full_reference_rows(self):
         report = build_motif_report(
@@ -229,19 +230,10 @@ class TestBuildMotifReport:
         assert report.degenerate
         assert all(r.relation == RELATION_DISJOINT for r in report.per_position)
 
-    def test_cluster_without_motif(self):
-        report = build_motif_report("c", freqs_for_saa(TABLE3_SAA), None, 10)
-        assert all(r.motif is None and r.relation is None
-                   for r in report.per_position)
-
-    def test_per_position_motif_length_check(self):
-        with pytest.raises(ContractError):
-            build_motif_report("x", np.zeros((9, 20)), [frozenset("A")] * 5, 10)
-
     @pytest.mark.parametrize("window_size", [1, 5, 7, 12])
     def test_window_size_from_frequencies(self, window_size):
-        windows = [reshape_and_count(Sequence("s", "AVL" * 8), window_size),
-                   reshape_and_count(Sequence("t", "GAV" * 8), window_size)]
+        windows = build_cluster_dataset(
+            [Sequence("s", "AVL" * 8), Sequence("t", "GAV" * 8)], window_size)
         freqs = position_frequencies(windows)
         assert freqs.shape == (window_size, 20)
         report = build_motif_report("w", freqs, frozenset("AV"), n_segments=4)
@@ -250,14 +242,11 @@ class TestBuildMotifReport:
         assert len(report.logo) == window_size
         assert all(r.saa and r.relation is not None for r in report.per_position)
         with pytest.raises(ContractError):
-            build_motif_report("w", freqs, [frozenset("A")] * (window_size + 1), 4)
-        with pytest.raises(ContractError):
             significant_amino_acids(freqs[:, :19])
 
     def test_json_round_trip(self):
         report = build_motif_report(
-            "rt", freqs_for_saa(TABLE2_SAA),
-            [frozenset(m) for m in TABLE2_MOTIFS], n_segments=42,
+            "rt", freqs_for_saa(TABLE2_SAA), frozenset(TABLE2_MOTIFS[0]), n_segments=42,
         )
         data = report_to_dict(report)
         assert json.loads(json.dumps(data, sort_keys=True)) == data
@@ -266,7 +255,7 @@ class TestBuildMotifReport:
         for pos, rec, col in zip(data["positions"], report.per_position, report.logo):
             assert pos["position"] == rec.position == col.position
             assert pos["saa"] == "".join(sorted(rec.saa))
-            assert pos["motif"] == "".join(sorted(rec.motif))
+            assert pos["motif"] == "".join(sorted(report.motif))
             assert pos["relation"] == rec.relation
             assert pos["logo"]["total_bits"] == col.total_bits
             assert [tuple(pair) for pair in pos["logo"]["letters"]] == list(col.letters)

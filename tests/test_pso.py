@@ -21,6 +21,37 @@ def init_box(seed, n=10, dim=4, half_width=5.0):
     return rng.uniform(-half_width, half_width, size=(n, dim))
 
 
+class Recorder:
+    """A fitness that keeps a copy of every position array it scores and of
+    the values it returns, and the last array itself: the engine reuses it."""
+
+    def __init__(self, fitness):
+        self.fitness, self.scored, self.values, self.live = fitness, [], [], None
+
+    def __call__(self, positions):
+        self.live = positions
+        self.scored.append(positions.copy())
+        self.values.append(np.array(self.fitness(positions), dtype=float))
+        return self.values[-1]
+
+    def best(self):
+        """Each particle's first lowest-scoring position, and its score."""
+        values = np.array(self.values)
+        first = values.argmin(axis=0), np.arange(values.shape[1])
+        return np.array(self.scored)[first], values[first]
+
+
+def velocity_recorder(move):
+    """move, plus a list that gets a copy of the velocities of every step."""
+    seen = []
+
+    def recording_move(positions, velocities, rng):
+        seen.append(velocities.copy())
+        return move(positions, velocities, rng)
+
+    return recording_move, seen
+
+
 def run(fitness, init, cfg, velocities=None, v_max=np.inf, **kwargs):
     """pso_optimize from rest (unless velocities are given), drawing from a
     generator seeded with cfg.seed, unclamped unless v_max is given."""
@@ -58,8 +89,8 @@ class TestSphere:
         for seed in range(5):
             cfg = PsoConfig(n_particles=10, max_iter=200, seed=seed)
             swarm, best = run(sphere, init_box(seed), cfg)
-            assert swarm.gbest_fitness < 1e-3
-            assert sphere(best) == pytest.approx(swarm.gbest_fitness)
+            assert swarm.history[-1] < 1e-3
+            assert sphere(best) == pytest.approx(swarm.history[-1])
 
     def test_seeded_at_optimum_never_worsens(self):
         init = init_box(3)
@@ -88,24 +119,34 @@ class TestLoopMechanics:
 
     def test_gbest_is_min_of_pbests(self):
         cfg = PsoConfig(n_particles=6, max_iter=20, seed=7)
-        swarm, _ = run(sphere, init_box(7, n=6), cfg)
-        assert swarm.pbest_fitness.shape == (6,)
-        assert swarm.gbest_fitness == swarm.pbest_fitness.min()
-        assert np.all(swarm.pbest_fitness <= swarm.current_fitness + 1e-12)
+        fitness = Recorder(sphere)
+        swarm, _ = run(fitness, init_box(7, n=6), cfg)
+        pbest_positions, pbest_fitness = fitness.best()
+        assert np.array_equal(swarm.pbest_positions, pbest_positions)
+        assert pbest_fitness.shape == (6,)
+        assert swarm.history[-1] == pbest_fitness.min()
+        assert np.all(pbest_fitness <= fitness.values[-1])
 
     def test_zero_coefficients_freeze_positions(self):
         init = init_box(1, n=4)
         vels = np.full((4, 4), 2.5)
         cfg = PsoConfig(n_particles=4, max_iter=10, seed=1, w=0.0, c1=0.0, c2=0.0)
-        swarm, _ = run(sphere, init, cfg, vels)
-        assert np.array_equal(swarm.positions, init)
-        assert np.all(swarm.velocities == 0.0)
+        fitness = Recorder(sphere)
+        move, steps = velocity_recorder(real_move)
+        run(fitness, init, cfg, vels, move=move)
+        assert len(fitness.scored) == 10
+        assert all(np.array_equal(x, init) for x in fitness.scored)
+        assert all(np.all(v == 0.0) for v in steps)
 
     def test_velocity_clamp(self):
+        # The move receives the clamped velocities; x + v - x is v only up
+        # to rounding, so they are read there, at every step.
         cfg = PsoConfig(n_particles=6, max_iter=25, seed=2)
-        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5)
-        assert swarm.velocities.shape == (6, 4)
-        assert np.all(np.abs(swarm.velocities) <= 0.5)
+        move, steps = velocity_recorder(real_move)
+        run(sphere, init_box(2, n=6), cfg, v_max=0.5, move=move)
+        assert len(steps) == 25
+        assert all(v.shape == (6, 4) for v in steps)
+        assert all(np.all(np.abs(v) <= 0.5) for v in steps)
 
     def test_callback_sees_every_iteration(self):
         seen = []
@@ -187,13 +228,16 @@ class TestBinaryEngine:
     def test_history_length_and_monotone(self, problem):
         m, bits, cfg = problem
         seen = []
-        swarm, best = run(msr_fitness(m), bits, cfg, v_max=4.0, move=bit_move(m.shape[0]),
+        fitness = Recorder(msr_fitness(m))
+        swarm, best = run(fitness, bits, cfg, v_max=4.0, move=bit_move(m.shape[0]),
                           callback=lambda i, f: seen.append(i))
         hist = swarm.history
         assert swarm.iteration == cfg.max_iter == len(hist)
         assert seen == list(range(1, cfg.max_iter + 1))
         assert all(b <= a for a, b in zip(hist, hist[1:]))
-        assert swarm.gbest_fitness == swarm.pbest_fitness.min() == hist[-1]
+        pbest_positions, pbest_fitness = fitness.best()
+        assert np.array_equal(swarm.pbest_positions, pbest_positions)
+        assert pbest_fitness.min() == hist[-1]
         assert np.array_equal(best, swarm.gbest_position)
 
     @settings(max_examples=40, deadline=None)
@@ -201,12 +245,14 @@ class TestBinaryEngine:
     def test_moves_keep_bits_and_both_halves(self, problem):
         m, bits, cfg = problem
         n_rows = m.shape[0]
-        swarm, _ = run(msr_fitness(m), bits, cfg, v_max=4.0, move=bit_move(n_rows))
-        for arr in (swarm.positions, swarm.pbest_positions):
+        fitness = Recorder(msr_fitness(m))
+        move, steps = velocity_recorder(bit_move(n_rows))
+        swarm, _ = run(fitness, bits, cfg, v_max=4.0, move=move)
+        for arr in (*fitness.scored, swarm.pbest_positions):
             assert set(np.unique(arr)) <= {0.0, 1.0}
             assert np.all(arr[:, :n_rows].any(axis=1))
             assert np.all(arr[:, n_rows:].any(axis=1))
-        assert np.all(np.abs(swarm.velocities) <= 4.0)
+        assert all(np.all(np.abs(v) <= 4.0) for v in steps)
 
 
 @st.composite
@@ -239,21 +285,24 @@ def engine_runs(draw):
 @settings(max_examples=80, deadline=None)
 @given(engine_runs())
 def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
-    """The in-place engine gives the same arrays as the allocating loop, and
-    what it returns shares no memory with the positions it reuses."""
+    """The in-place engine scores the same arrays as the allocating loop, at
+    every iteration, and what it returns shares no memory with the positions
+    it reuses."""
     fitness, move, init, velocities, cfg, v_max, n_rows = problem
     init_before, velocities_before = init.copy(), velocities.copy()
-    swarm, best = pso_optimize(fitness, init, velocities, cfg,
+    recorder = Recorder(fitness)
+    swarm, best = pso_optimize(recorder, init, velocities, cfg,
                                np.random.default_rng(cfg.seed), v_max, move=move)
     want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
                       v_max, n_rows)
-    for name in ("positions", "velocities", "pbest_positions", "pbest_fitness",
-                 "gbest_position"):
+    assert len(recorder.scored) == len(want["scored"]) == cfg.max_iter
+    for t, (got, expected) in enumerate(zip(recorder.scored, want["scored"])):
+        assert np.array_equal(got, expected), t
+    for name in ("pbest_positions", "gbest_position"):
         assert np.array_equal(getattr(swarm, name), want[name]), name
-    assert swarm.gbest_fitness == want["gbest_fitness"]
     assert swarm.history == want["history"]
     assert best is swarm.gbest_position
-    assert not np.shares_memory(swarm.pbest_positions, swarm.positions)
-    assert not np.shares_memory(swarm.gbest_position, swarm.positions)
+    assert not np.shares_memory(swarm.pbest_positions, recorder.live)
+    assert not np.shares_memory(swarm.gbest_position, recorder.live)
     assert np.array_equal(init, init_before)
     assert np.array_equal(velocities, velocities_before)

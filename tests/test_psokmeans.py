@@ -8,7 +8,6 @@ from motifswarm import psokmeans
 from motifswarm.errors import ContractError
 from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import as_item_arrays
-from motifswarm.metrics import cityblock, intra_cluster_fitness
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import (
     Lattice,
@@ -18,9 +17,9 @@ from motifswarm.psokmeans import (
     swarm_fitness,
 )
 from motifswarm.report import Settings
-from motifswarm.seqio import load_sample_corpus
+from motifswarm.seqio import Sequence, load_sample_corpus
 
-from helpers import cityblock_oracle, make_blobs, partitions_match
+from helpers import cityblock_oracle, intra_cluster_fitness, make_blobs, partitions_match
 
 
 class TestAssignmentFitness:
@@ -94,12 +93,8 @@ class TestPsoKmeans:
         assert len(cs.trace) == 100
 
     def test_window_items_supported(self):
-        from motifswarm.featurize import reshape_and_count
-        from motifswarm.seqio import Sequence
-
-        windows = [reshape_and_count(Sequence("a", "A" * 9)),
-                   reshape_and_count(Sequence("b", "V" * 9)),
-                   reshape_and_count(Sequence("c", "VAV" * 3))]
+        windows = build_cluster_dataset(
+            [Sequence("a", "A" * 9), Sequence("b", "V" * 9), Sequence("c", "VAV" * 3)])
         cs = pso_kmeans(windows, k=2, cfg=PsoConfig(n_particles=6, max_iter=25, seed=0))
         assert cs.centroids.shape == (2, 9, 20)
 
@@ -125,7 +120,7 @@ def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penal
     assert got.shape == (n_particles,)
     for p in range(n_particles):
         cents = positions[p].reshape(k, d)
-        labels = [int(np.argmin([cityblock(item, c) for c in cents])) for item in flat]
+        labels = [int(np.argmin([np.abs(item - c).sum() for c in cents])) for item in flat]
         expected = intra_cluster_fitness(flat, labels, cents)
         if penalty:
             expected += penalty * (k - len(set(labels)))

@@ -51,28 +51,29 @@ reports = []
 for idx, bic in enumerate(results[:6]):
     report, n_segments = report_for(bic, f"group-{idx}")
     reports.append((report, bic, n_segments))
-    relations = [r.relation for r in report.per_position]
+    relations = [pos["relation"] for pos in report["positions"]]
     motif = "".join(sorted(motif_set(bic)))
     print(f"  group-{idx}: {len(bic.rows):2d} seqs, motif {motif:<17s} "
           + " ".join(r[0] for r in relations))
 
 # feature the group whose SAA actually overlaps its motif
 report, bic, n_segments = max(
-    reports, key=lambda t: sum(r.relation != "Disjoint" for r in t[0].per_position))
-print(f"\n{report.group_id}: {len(bic.rows)} sequences, {n_segments} segments, "
+    reports,
+    key=lambda t: sum(pos["relation"] != "Disjoint" for pos in t[0]["positions"]))
+print(f"\n{report['group_id']}: {len(bic.rows)} sequences, {n_segments} segments, "
       f"motif {''.join(sorted(motif_set(bic)))}")
 print(f"\n{'pos':>3s}  {'SAA':<10s} relation")
-for rec in report.per_position:
-    print(f"{rec.position:3d}  {''.join(sorted(rec.saa)):<10s} {rec.relation}")
+for pos in report["positions"]:
+    print(f"{pos['position']:3d}  {pos['saa']:<10s} {pos['relation']}")
 
 print("\nlogo column heights (bits):")
-for col in report.logo:
-    bar = "#" * round(col.total_bits * 8)
-    print(f"{col.position:3d}  {col.total_bits:5.2f}  {bar}")
+for pos in report["positions"]:
+    bits = pos["logo"]["total_bits"]
+    print(f"{pos['position']:3d}  {bits:5.2f}  {'#' * round(bits * 8)}")
 
 out = Path("demo-output")
 out.mkdir(exist_ok=True)
-svg = out / f"{report.group_id}.svg"
+svg = out / f"{report['group_id']}.svg"
 svg.write_text(render_logo_svg(report), encoding="utf-8")
 print(f"\nwrote {svg}")
 print("the CLI equivalent: motifswarm motifs --sample-corpus "

@@ -17,11 +17,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__, featurize
 from .errors import ContractError, InputError, ValidationError
-from .motif import build_motif_report, position_frequencies, render_logo_svg, report_to_dict
+from .motif import build_motif_report, position_frequencies, render_logo_svg
 from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
                      compare_pipelines, corpus_windows, json_text, tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus, read_text
@@ -205,6 +206,10 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
         if not entry["rows"]:
             raise ValidationError(f"{path}: bicluster entry {n} ({entry['id']!r}) "
                                   "has no rows")
+        repeated = [r for r, count in Counter(entry["rows"]).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"{path}: bicluster entry {n} ({entry['id']!r}) "
+                                  f"lists row {repeated[0]!r} more than once")
         unknown = [r for r in entry["rows"] if r not in known]
         if unknown:
             raise ValidationError(
@@ -244,7 +249,7 @@ def cmd_motifs(cfg: Settings) -> None:
             "config": cfg.echo(),
             "version": VERSION,
             "seed": cfg.seed,
-            "report": report_to_dict(report),
+            "report": report,
         }))
         blurb = f"<!-- {VERSION} seed={cfg.seed} group={entry['id']} -->\n"
         _write_text(out / f"{entry['id']}.svg", blurb + render_logo_svg(report))

@@ -8,7 +8,6 @@ kmeans._pairwise_l1 and psokmeans.Lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq
 
 import numpy as np
@@ -47,30 +46,23 @@ def msr(matrix: np.ndarray, rows: Seq[int], cols: Seq[int]) -> float:
     return float(np.mean(residue**2))
 
 
-@dataclass
-class StructureProfile:
-    """Per-position H/E/C frequencies over a group's structure segments."""
-
-    freqs: np.ndarray  # ws x 3, rows sum to 1, columns ordered H, E, C
-    n_segments: int
-
-
-def build_profile(structures: Iterable[str]) -> StructureProfile:
-    """Tally per-position class frequencies over the complete 9-label
-    segments of the members' H/E/C strings; each string's incomplete tail is
-    dropped, so a string of length L gives floor(L / 9) segments."""
+def build_profile(structures: Iterable[str]) -> np.ndarray:
+    """The ws x 3 per-position H, E, C frequencies (rows sum to 1) over the
+    complete 9-label segments of the members' H/E/C strings; each string's
+    incomplete tail is dropped, so a string of length L gives floor(L / 9)
+    segments."""
     joined = "".join(s[: len(s) - len(s) % WINDOW_SIZE] for s in structures)
     n_segments = len(joined) // WINDOW_SIZE
     if not n_segments:
         raise ContractError("cannot build a profile from zero segments")
     counts = _count_windows(encode(joined, SS3_CLASSES), [len(joined)], WINDOW_SIZE,
                             len(SS3_CLASSES))[0]
-    return StructureProfile(freqs=counts / n_segments, n_segments=n_segments)
+    return counts / n_segments
 
 
-def structure_similarity(profile: StructureProfile) -> float:
-    """Average, over positions, of the dominant class frequency."""
-    return float(profile.freqs.max(axis=1).mean())
+def structure_similarity(profile: np.ndarray) -> float:
+    """Average, over positions, of a build_profile's dominant class frequency."""
+    return float(profile.max(axis=1).mean())
 
 
 def homology_class(sim: float) -> str:

@@ -4,13 +4,13 @@ Full/Partial/Disjoint superset classification, and sequence-logo columns in
 bits with an optional small-sample correction.
 
 A group's positional frequencies are read off its members' rows of the
-corpus's (n, ws, 20) window array.
+corpus's (n, ws, 20) window array. A report is the plain dict that the
+`motifs` artifact writes under "report"; its logo is drawn from that dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +31,6 @@ RELATION_PARTIAL = "Partial"
 RELATION_DISJOINT = "Disjoint"
 
 
-@dataclass(frozen=True)
-class PositionSaa:
-    position: int
-    saa: frozenset
-
-
-@dataclass(frozen=True)
-class LogoColumn:
-    position: int
-    total_bits: float
-    letters: tuple  # ((letter, height), ...) descending height
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    position: int
-    saa: frozenset
-    relation: str  # of saa to the report's motif
-
-
-@dataclass(frozen=True)
-class MotifReport:
-    group_id: str
-    motif: frozenset  # the letters the group retained, one set for all positions
-    per_position: tuple
-    logo: tuple
-    degenerate: bool  # every position's saa came out empty
-
-
 def position_frequencies(members) -> np.ndarray:
     """Sum an (m, ws, 20) stack of member windows and normalize each window
     row to 1.
@@ -74,31 +45,24 @@ def position_frequencies(members) -> np.ndarray:
 
 
 def significant_amino_acids(freqs, threshold: float = SAA_THRESHOLD):
-    """Letters strictly above the frequency threshold, one set per position of
-    a ws x 20 frequency matrix."""
+    """Letters strictly above the frequency threshold, one frozenset per
+    position of a ws x 20 frequency matrix."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 2 or freqs.shape[1] != len(AMINO_ACIDS):
         raise ContractError(f"expected ws x {len(AMINO_ACIDS)} frequencies, "
                             f"got shape {freqs.shape}")
-    out = []
-    for i in range(freqs.shape[0]):
-        letters = frozenset(
-            AMINO_ACIDS[j] for j in range(len(AMINO_ACIDS)) if freqs[i, j] > threshold
-        )
-        out.append(PositionSaa(position=i + 1, saa=letters))
-    return out
+    return [frozenset(letter for letter, f in zip(AMINO_ACIDS, row) if f > threshold)
+            for row in freqs]
 
 
 def classify_superset(saa, motif) -> str:
-    """Relation of a position's significant letters to a motif letter set.
+    """Relation of a position's significant letter set to a motif letter set.
 
     Full iff saa is non-empty and a subset of motif; Partial iff saa overlaps
     motif without being contained in it; Disjoint otherwise, including an
     empty saa. The label depends only on saa - motif and on whether the
     overlap is empty, so growing the motif never demotes a Full.
     """
-    saa = frozenset(saa)
-    motif = frozenset(motif)
     if saa and saa <= motif:
         return RELATION_FULL
     if saa & motif:
@@ -109,79 +73,52 @@ def classify_superset(saa, motif) -> str:
 def logo_columns(freqs, n_segments: int, correction: bool = True):
     """Information content per position: log2(20) minus the row's entropy,
     minus the small-sample term 19/(2*ln2*n) when correction is on, clamped
-    at 0. Letter heights split the column total by frequency."""
+    at 0. Letter heights split the column total by frequency. One
+    {"total_bits": bits, "letters": [[letter, height], ...]} per position,
+    tallest letter first; a column of 0 bits has no letters."""
     freqs = np.asarray(freqs, dtype=float)
     if n_segments < 1:
         raise ContractError("n_segments must be >= 1")
     e_n = (len(AMINO_ACIDS) - 1) / (2 * math.log(2) * n_segments) if correction else 0.0
     columns = []
-    for i in range(freqs.shape[0]):
-        row = freqs[i]
-        if row.sum() <= 0:
-            columns.append(LogoColumn(position=i + 1, total_bits=0.0, letters=()))
-            continue
+    for row in freqs:
         nz = row[row > 0]
         entropy = float(-(nz * np.log2(nz)).sum())
-        bits = max(0.0, MAX_BITS - entropy - e_n)
-        if bits == 0.0:
-            columns.append(LogoColumn(position=i + 1, total_bits=0.0, letters=()))
-            continue
-        letters = sorted(
-            ((AMINO_ACIDS[j], float(row[j] * bits)) for j in range(row.size) if row[j] > 0),
-            key=lambda t: (-t[1], t[0]),
-        )
-        columns.append(LogoColumn(position=i + 1, total_bits=bits, letters=tuple(letters)))
+        bits = max(0.0, MAX_BITS - entropy - e_n) if row.sum() > 0 else 0.0
+        letters = [[letter, float(f * bits)] for letter, f in zip(AMINO_ACIDS, row) if f > 0]
+        letters.sort(key=lambda t: (-t[1], t[0]))
+        columns.append({"total_bits": bits, "letters": letters if bits else []})
     return columns
 
 
 def build_motif_report(group, freqs, motif, n_segments,
                        threshold: float = SAA_THRESHOLD,
-                       correction: bool = True) -> MotifReport:
-    """Assemble the per-position table plus logo for one group.
-
-    freqs is ws x 20; motif is the group's retained letter set, against which
-    every position's SAA is classified.
-    """
+                       correction: bool = True) -> dict:
+    """One group's report, in the form its JSON artifact holds. freqs is
+    ws x 20; every position's SAA is classified against motif, the group's
+    retained letter set. The report is degenerate when every SAA is empty."""
     motif = frozenset(motif)
-    records = tuple(
-        PositionRecord(position=ps.position, saa=ps.saa,
-                       relation=classify_superset(ps.saa, motif))
-        for ps in significant_amino_acids(freqs, threshold=threshold))
-    return MotifReport(
-        group_id=str(group),
-        motif=motif,
-        per_position=records,
-        logo=tuple(logo_columns(freqs, n_segments, correction=correction)),
-        degenerate=all(not r.saa for r in records),
-    )
-
-
-def report_to_dict(report: MotifReport) -> dict:
-    motif = "".join(sorted(report.motif))
-    positions = []
-    for rec, logo in zip(report.per_position, report.logo):
-        positions.append({
-            "position": rec.position,
-            "saa": "".join(sorted(rec.saa)),
-            "motif": motif,
-            "relation": rec.relation,
-            "logo": {
-                "total_bits": logo.total_bits,
-                "letters": [[letter, height] for letter, height in logo.letters],
-            },
-        })
+    motif_letters = "".join(sorted(motif))
+    saas = significant_amino_acids(freqs, threshold=threshold)
+    logo = logo_columns(freqs, n_segments, correction=correction)
+    positions = [
+        {"position": position, "saa": "".join(sorted(saa)), "motif": motif_letters,
+         "relation": classify_superset(saa, motif), "logo": column}
+        for position, (saa, column) in enumerate(zip(saas, logo), start=1)
+    ]
     return {
-        "group_id": report.group_id,
-        "degenerate": report.degenerate,
+        "group_id": str(group),
+        "degenerate": not any(saas),
         "positions": positions,
     }
 
 
-def render_logo_svg(report: MotifReport) -> str:
-    """Standalone SVG: positions 1..ws across, bits 0..log2(20) up, letters
-    stacked tallest-on-top and scaled to their share of the column."""
+def render_logo_svg(report: dict) -> str:
+    """Standalone SVG of a build_motif_report dict: positions 1..ws across,
+    bits 0..log2(20) up, letters stacked tallest-on-top and scaled to their
+    share of the column."""
     left, bottom, top = 46, 34, 14
-    n = len(report.logo)
+    n = len(report["positions"])
     width = left + n * LOGO_COL_WIDTH + 10
     height = top + LOGO_PLOT_HEIGHT + bottom
     y_per_bit = LOGO_PLOT_HEIGHT / MAX_BITS
@@ -190,7 +127,7 @@ def render_logo_svg(report: MotifReport) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<title>{report.group_id}</title>',
+        f'<title>{report["group_id"]}</title>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{baseline}" stroke="black"/>',
         f'<line x1="{left}" y1="{baseline}" x2="{left + n * LOGO_COL_WIDTH}" '
@@ -207,14 +144,14 @@ def render_logo_svg(report: MotifReport) -> str:
                  f'font-family="monospace" transform="rotate(-90 {left - 34} '
                  f'{mid:.1f})" text-anchor="middle">bits</text>')
 
-    for i, col in enumerate(report.logo):
+    for i, pos in enumerate(report["positions"]):
         x0 = left + i * LOGO_COL_WIDTH
         cx = x0 + LOGO_COL_WIDTH / 2
         parts.append(f'<text x="{cx:.1f}" y="{baseline + 16}" font-size="12" '
-                     f'text-anchor="middle" font-family="monospace">{col.position}</text>')
+                     f'text-anchor="middle" font-family="monospace">{pos["position"]}</text>')
         y = baseline
         # stack ascending so the tallest letter ends up on top
-        for letter, bits in sorted(col.letters, key=lambda t: (t[1], t[0])):
+        for letter, bits in sorted(pos["logo"]["letters"], key=lambda t: (t[1], t[0])):
             h = bits * y_per_bit
             if h <= 0:
                 continue

@@ -224,8 +224,12 @@ def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
 
 
 def tally_to_csv(tally: dict) -> str:
-    """Threshold/clusters/biclusters rows, mirroring the comparison table."""
+    """Threshold/clusters/biclusters rows, mirroring the comparison table.
+    A threshold is written with two decimals when they read back as its
+    value, else in full, so distinct thresholds never share a label."""
     rows = zip(tally["thresholds"], tally["clusters"], tally["biclusters"])
     lines = ["threshold,clusters,biclusters"]
-    lines.extend(f"{t:.2f},{c},{b}" for t, c, b in rows)
+    for t, c, b in rows:
+        label = f"{t:.2f}"
+        lines.append(f"{label if float(label) == t else t},{c},{b}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ import pytest
 from motifswarm import cli, metrics
 from motifswarm.featurize import build_cluster_dataset, normalize_windows
 from motifswarm.kmeans import _pairwise_l1, kmeans_run
-from motifswarm.metrics import StructureProfile
 from motifswarm.motif import RELATION_PARTIAL, classify_superset, logo_columns
 from motifswarm.pso import PsoConfig
 from motifswarm.psobiclust import pso_bicluster, seed_biclusters
@@ -118,10 +117,10 @@ def test_c03_cityblock_metric_laws():
 
 @criterion(4, "structure similarity values and homology boundaries")
 def test_c04_similarity_and_homology_thresholds():
-    all_helix = StructureProfile(freqs=np.tile([1.0, 0.0, 0.0], (9, 1)), n_segments=5)
+    all_helix = np.tile([1.0, 0.0, 0.0], (9, 1))
     assert metrics.structure_similarity(all_helix) == 1.0
 
-    uniform = StructureProfile(freqs=np.full((9, 3), 1.0 / 3.0), n_segments=5)
+    uniform = np.full((9, 3), 1.0 / 3.0)
     assert metrics.structure_similarity(uniform) == pytest.approx(1 / 3, abs=1e-12)
 
     assert metrics.homology_class(np.nextafter(0.70, 1.0)) == "Identical"
@@ -279,7 +278,7 @@ def test_c11_logo_information_content():
         cols = logo_columns(np.tile(row, (9, 1)), n_segments=100,
                             correction=False)
         for col in cols:
-            assert col.total_bits == pytest.approx(expected, abs=1e-9)
+            assert col["total_bits"] == pytest.approx(expected, abs=1e-9)
 
 
 @criterion(12, "two identically configured compare runs emit identical bytes")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifswarm import cli, report
+from motifswarm.motif import render_logo_svg
 from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS, sample_corpus_paths
 
@@ -241,7 +242,10 @@ class TestMotifs:
         ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
           {"id": "h", "rows": [], "cols": "AG"}],
          "bicluster entry 1 ('h') has no rows"),
-    ], ids=["repeated-id", "empty-rows"])
+        ([{"id": "g", "rows": ["hel01", "hel02"], "cols": "AG"},
+          {"id": "h", "rows": ["hel02", "hel01", "hel02"], "cols": "AG"}],
+         "bicluster entry 1 ('h') lists row 'hel02' more than once"),
+    ], ids=["repeated-id", "empty-rows", "repeated-row"])
     def test_repeated_group_id_or_empty_rows_exits_3(self, tmp_path, capsys, entries,
                                                       message):
         path = tmp_path / "b.json"
@@ -251,6 +255,17 @@ class TestMotifs:
         err = assert_fails_cleanly(capsys, code, 3)
         assert f"{path}: {message}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_logo_rebuilds_from_the_report_json(self, tmp_path):
+        # The report a group's JSON holds is all its logo is drawn from.
+        assert run_cli("motifs", "--sample-corpus", "--out", tmp_path) == 0
+        out = tmp_path / "motifs"
+        groups = json.loads((out / "motifs.json").read_text())["groups"]
+        assert groups
+        for gid in groups:
+            payload = json.loads((out / f"{gid}.json").read_text())
+            svg = (out / f"{gid}.svg").read_text().split("\n", 1)[1]
+            assert render_logo_svg(payload["report"]) == svg
 
     @pytest.mark.parametrize("flags,reports_sha,logos_sha", [
         ([], "487d44e2b6d097e8ca0625e725672a44ec715795e4406a042e70803deb2e7c69",

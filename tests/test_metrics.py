@@ -8,7 +8,6 @@ from motifswarm.metrics import (
     HOMOLOGY_IDENTICAL,
     HOMOLOGY_NONE,
     HOMOLOGY_WEAK,
-    StructureProfile,
     build_profile,
     homology_class,
     msr,
@@ -104,7 +103,7 @@ class TestMsr:
 
 
 def profile_from_rows(rows):
-    return StructureProfile(freqs=np.array(rows, dtype=float), n_segments=4)
+    return np.array(rows, dtype=float)
 
 
 class TestStructureSimilarity:
@@ -148,21 +147,20 @@ class TestHomologyClass:
 class TestBuildProfile:
     def test_all_helix_segments(self):
         prof = build_profile(["H" * 9, "H" * 9])
-        np.testing.assert_allclose(prof.freqs, [[1, 0, 0]] * 9)
-        assert prof.n_segments == 2
+        np.testing.assert_allclose(prof, [[1, 0, 0]] * 9)
 
     def test_half_helix_half_sheet(self):
         prof = build_profile(["H" * 9 + "E" * 9])
-        np.testing.assert_allclose(prof.freqs, [[0.5, 0.5, 0]] * 9)
+        np.testing.assert_allclose(prof, [[0.5, 0.5, 0]] * 9)
 
     def test_mixed_hand_tally(self):
         segs = ["HHHHEEEEC", "HHEEEECCC", "HHHHHHHHH", "CCCCCCCCC"]
         prof = build_profile(["".join(segs)])
         # position 1: H,H,H,C -> (0.75, 0, 0.25)
-        np.testing.assert_allclose(prof.freqs[0], [0.75, 0.0, 0.25])
+        np.testing.assert_allclose(prof[0], [0.75, 0.0, 0.25])
         # position 5: E,E,H,C -> (0.25, 0.5, 0.25)
-        np.testing.assert_allclose(prof.freqs[4], [0.25, 0.5, 0.25])
-        assert prof.freqs.sum(axis=1) == pytest.approx(np.ones(9))
+        np.testing.assert_allclose(prof[4], [0.25, 0.5, 0.25])
+        assert prof.sum(axis=1) == pytest.approx(np.ones(9))
 
     def test_zero_segments_rejected(self):
         with pytest.raises(ContractError):
@@ -173,21 +171,21 @@ class TestBuildProfile:
     def test_chunks_each_structure_into_blocks(self):
         mixed = "HHHEEECCC" + "EEEEEEEEE" + "CHCHCHCHC"
         np.testing.assert_array_equal(
-            build_profile([mixed]).freqs,
+            build_profile([mixed]),
             profile_oracle(["HHHEEECCC", "EEEEEEEEE", "CHCHCHCHC"]))
-        assert build_profile(["H" * 18]).n_segments == 2
-        assert build_profile(["H" * 17]).n_segments == 1
 
     def test_each_tail_is_dropped_on_its_own(self):
         # The tails "EEEE" and "CCCCC" together would fill a block; neither
         # may join the other member's labels.
         prof = build_profile(["H" * 9 + "EEEE", "C" * 9 + "CCCCC"])
-        assert prof.n_segments == 2
-        np.testing.assert_array_equal(prof.freqs, profile_oracle(["H" * 9, "C" * 9]))
+        np.testing.assert_array_equal(prof, profile_oracle(["H" * 9, "C" * 9]))
 
     def test_segment_count_is_floor(self):
+        # one helix block, then sheet labels: the helix share of position 1
+        # is one over the segment count
         for n in [9, 10, 17, 18, 26, 27, 35]:
-            assert build_profile(["C" * n]).n_segments == n // 9
+            prof = build_profile(["H" * 9 + "E" * (n - 9)])
+            assert prof[0, 0] == 1 / (n // 9)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -197,5 +195,4 @@ class TestBuildProfile:
                 lambda ss: any(len(s) >= 9 for s in ss)))
         prof = build_profile(structures)
         segments = [s[t : t + 9] for s in structures for t in range(0, len(s) - 8, 9)]
-        np.testing.assert_array_equal(prof.freqs, profile_oracle(segments))
-        assert prof.n_segments == len(segments)
+        np.testing.assert_array_equal(prof, profile_oracle(segments))

@@ -17,7 +17,6 @@ from motifswarm.motif import (
     logo_columns,
     position_frequencies,
     render_logo_svg,
-    report_to_dict,
     significant_amino_acids,
 )
 from motifswarm.seqio import AMINO_ACIDS, Sequence
@@ -83,18 +82,16 @@ class TestSignificantAminoAcids:
         m = np.full((9, 20), spread)
         m[:, AMINO_ACIDS.index("A")] = 0.08
         saas = significant_amino_acids(m)
-        assert all(ps.saa == frozenset("A") for ps in saas)
+        assert saas == [frozenset("A")] * 9
 
     def test_exactly_at_threshold_excluded(self):
         m = np.tile(row(A=0.07, V=0.93), (9, 1))
         saas = significant_amino_acids(m)
-        assert all(ps.saa == frozenset("V") for ps in saas)
+        assert saas == [frozenset("V")] * 9
 
     def test_uniform_row_empty(self):
         m = np.full((9, 20), 0.05)
-        saas = significant_amino_acids(m)
-        assert all(ps.saa == frozenset() for ps in saas)
-        assert [ps.position for ps in saas] == list(range(1, 10))
+        assert significant_amino_acids(m) == [frozenset()] * 9
 
     def test_shrinks_as_threshold_grows(self):
         rng = np.random.default_rng(0)
@@ -103,7 +100,7 @@ class TestSignificantAminoAcids:
         mid = significant_amino_acids(m, threshold=0.07)
         narrow = significant_amino_acids(m, threshold=0.10)
         for w, mi, na in zip(wide, mid, narrow):
-            assert na.saa <= mi.saa <= w.saa
+            assert na <= mi <= w
 
 
 class TestClassifySuperset:
@@ -154,46 +151,45 @@ class TestLogoColumns:
         m = np.tile(row(A=1.0), (9, 1))
         cols = logo_columns(m, n_segments=100, correction=False)
         for c in cols:
-            assert c.total_bits == pytest.approx(MAX_BITS, abs=1e-9)
-            assert c.letters == (("A", pytest.approx(MAX_BITS, abs=1e-9)),)
+            assert c["total_bits"] == pytest.approx(MAX_BITS, abs=1e-9)
+            assert c["letters"] == [["A", pytest.approx(MAX_BITS, abs=1e-9)]]
 
     def test_uniform_no_correction_zero_bits(self):
         m = np.full((9, 20), 0.05)
         cols = logo_columns(m, n_segments=100, correction=False)
-        assert all(c.total_bits == pytest.approx(0.0, abs=1e-9) for c in cols)
+        assert all(c["total_bits"] == pytest.approx(0.0, abs=1e-9) for c in cols)
 
     def test_half_half_closed_form(self):
         m = np.tile(row(A=0.5, V=0.5), (9, 1))
         cols = logo_columns(m, n_segments=100, correction=False)
         expected = MAX_BITS - 1.0
         for c in cols:
-            assert c.total_bits == pytest.approx(expected, abs=1e-9)
-            assert dict(c.letters)["A"] == pytest.approx(expected / 2, abs=1e-9)
-            assert dict(c.letters)["V"] == pytest.approx(expected / 2, abs=1e-9)
+            assert c["total_bits"] == pytest.approx(expected, abs=1e-9)
+            assert dict(c["letters"])["A"] == pytest.approx(expected / 2, abs=1e-9)
+            assert dict(c["letters"])["V"] == pytest.approx(expected / 2, abs=1e-9)
 
     def test_correction_value_and_clamp(self):
         m = np.tile(row(A=1.0), (9, 1))
         cols = logo_columns(m, n_segments=19)
         e_n = 19 / (2 * math.log(2) * 19)
-        assert cols[0].total_bits == pytest.approx(MAX_BITS - e_n, abs=1e-9)
+        assert cols[0]["total_bits"] == pytest.approx(MAX_BITS - e_n, abs=1e-9)
         uniform = np.full((9, 20), 0.05)
-        assert all(c.total_bits == 0.0 for c in logo_columns(uniform, n_segments=1))
+        assert all(c["total_bits"] == 0.0 for c in logo_columns(uniform, n_segments=1))
 
     def test_heights_partition_total_descending(self):
         rng = np.random.default_rng(2)
         m = rng.dirichlet(np.ones(20), size=9)
         for c in logo_columns(m, n_segments=30):
-            heights = [h for _, h in c.letters]
-            assert sum(heights) == pytest.approx(c.total_bits, abs=1e-9)
+            heights = [h for _, h in c["letters"]]
+            assert sum(heights) == pytest.approx(c["total_bits"], abs=1e-9)
             assert heights == sorted(heights, reverse=True)
-            assert 0.0 <= c.total_bits <= MAX_BITS
+            assert 0.0 <= c["total_bits"] <= MAX_BITS
 
     def test_zero_row_and_bad_segments(self):
         m = np.zeros((9, 20))
         m[:3, 0] = 1.0
         cols = logo_columns(m, n_segments=50)
-        assert cols[8].total_bits == 0.0
-        assert cols[8].letters == ()
+        assert cols[8] == {"total_bits": 0.0, "letters": []}
         with pytest.raises(ContractError):
             logo_columns(m, n_segments=0)
 
@@ -210,25 +206,27 @@ class TestBuildMotifReport:
         freqs = freqs_for_saa(TABLE2_SAA)
         reports = {m: build_motif_report("t2", freqs, frozenset(m), n_segments=300)
                    for m in set(TABLE2_MOTIFS)}
-        records = [reports[m].per_position[i] for i, m in enumerate(TABLE2_MOTIFS)]
-        assert [r.saa for r in records] == [frozenset(s) for s in TABLE2_SAA]
-        assert [r.relation for r in records] == [
+        records = [reports[m]["positions"][i] for i, m in enumerate(TABLE2_MOTIFS)]
+        assert [r["saa"] for r in records] == ["".join(sorted(s)) for s in TABLE2_SAA]
+        assert [r["relation"] for r in records] == [
             RELATION_FULL, RELATION_PARTIAL, RELATION_FULL, RELATION_PARTIAL,
             RELATION_PARTIAL, RELATION_PARTIAL, RELATION_PARTIAL,
             RELATION_FULL, RELATION_FULL,
         ]
-        assert not any(r.degenerate for r in reports.values())
+        assert not any(r["degenerate"] for r in reports.values())
 
     def test_all_full_reference_rows(self):
         report = build_motif_report(
             "t3", freqs_for_saa(TABLE3_SAA), frozenset("ADEGILKTV"), n_segments=300,
         )
-        assert all(r.relation == RELATION_FULL for r in report.per_position)
+        assert all(r["relation"] == RELATION_FULL for r in report["positions"])
+        assert all(r["motif"] == "ADEGIKLTV" for r in report["positions"])
+        assert json.loads(json.dumps(report)) == report
 
     def test_degenerate_flag(self):
         report = build_motif_report("d", np.zeros((9, 20)), frozenset("AV"), 10)
-        assert report.degenerate
-        assert all(r.relation == RELATION_DISJOINT for r in report.per_position)
+        assert report["degenerate"]
+        assert all(r["relation"] == RELATION_DISJOINT for r in report["positions"])
 
     @pytest.mark.parametrize("window_size", [1, 5, 7, 12])
     def test_window_size_from_frequencies(self, window_size):
@@ -237,28 +235,11 @@ class TestBuildMotifReport:
         freqs = position_frequencies(windows)
         assert freqs.shape == (window_size, 20)
         report = build_motif_report("w", freqs, frozenset("AV"), n_segments=4)
-        assert [r.position for r in report.per_position] == \
+        assert [r["position"] for r in report["positions"]] == \
             list(range(1, window_size + 1))
-        assert len(report.logo) == window_size
-        assert all(r.saa and r.relation is not None for r in report.per_position)
+        assert all(r["saa"] and r["relation"] is not None for r in report["positions"])
         with pytest.raises(ContractError):
             significant_amino_acids(freqs[:, :19])
-
-    def test_json_round_trip(self):
-        report = build_motif_report(
-            "rt", freqs_for_saa(TABLE2_SAA), frozenset(TABLE2_MOTIFS[0]), n_segments=42,
-        )
-        data = report_to_dict(report)
-        assert json.loads(json.dumps(data, sort_keys=True)) == data
-        assert data["group_id"] == "rt"
-        assert data["degenerate"] == report.degenerate
-        for pos, rec, col in zip(data["positions"], report.per_position, report.logo):
-            assert pos["position"] == rec.position == col.position
-            assert pos["saa"] == "".join(sorted(rec.saa))
-            assert pos["motif"] == "".join(sorted(report.motif))
-            assert pos["relation"] == rec.relation
-            assert pos["logo"]["total_bits"] == col.total_bits
-            assert [tuple(pair) for pair in pos["logo"]["letters"]] == list(col.letters)
 
 
 class TestRenderLogoSvg:
@@ -271,6 +252,6 @@ class TestRenderLogoSvg:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         texts = [el for el in root.iter() if el.tag.endswith("text")]
-        n_letters = sum(len(c.letters) for c in report.logo)
+        n_letters = sum(len(r["logo"]["letters"]) for r in report["positions"])
         assert len(texts) >= n_letters
         assert root.find("{http://www.w3.org/2000/svg}title").text == "svg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motifswarm.errors import ContractError, ValidationError
-from motifswarm.metrics import StructureProfile, structure_similarity
+from motifswarm.metrics import structure_similarity
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
     Settings,
@@ -21,7 +21,7 @@ def similarity_of_profile(s):
     """The structure similarity of a 9-position profile whose dominant class
     has frequency s at every position."""
     freqs = np.tile([s, (1 - s) / 2, (1 - s) / 2], (9, 1))
-    return structure_similarity(StructureProfile(freqs=freqs, n_segments=4))
+    return structure_similarity(freqs)
 
 
 class TestTallyHomology:
@@ -59,7 +59,7 @@ def test_profile_for_members_pure_helix():
     corpus = Corpus(sequences=seqs,
                     structures={"a": SecondaryStructure("a", "H" * 18)})
     profile = profile_for_members(corpus, ["a"])
-    assert profile.n_segments == 2
+    np.testing.assert_array_equal(profile, [[1.0, 0.0, 0.0]] * 9)
     assert structure_similarity(profile) == 1.0
 
 
@@ -131,6 +131,16 @@ class TestEmitters:
     def test_csv_accepts_dict_form(self):
         tally = {"thresholds": [0.7], "clusters": [2], "biclusters": [3]}
         assert tally_to_csv(tally) == "threshold,clusters,biclusters\n0.70,2,3\n"
+
+    def test_csv_labels_of_distinct_thresholds_stay_distinct(self):
+        # 0.651 and 0.65 share two decimals; each label must read back as
+        # its own threshold.
+        tally = {"thresholds": [0.8, 0.651, 0.65, 0.6], "clusters": [1, 2, 3, 4],
+                 "biclusters": [5, 6, 7, 8]}
+        assert tally_to_csv(tally) == (
+            "threshold,clusters,biclusters\n"
+            "0.80,1,5\n0.651,2,6\n0.65,3,7\n0.60,4,8\n"
+        )
 
     def test_json_newline_terminated_and_sorted(self):
         text = json_text({"b": 1, "a": {"d": [1], "c": 2}})

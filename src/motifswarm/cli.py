@@ -17,12 +17,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
 from . import __version__, featurize
 from .errors import ContractError, InputError, ValidationError
-from .motif import build_motif_report, position_frequencies, render_logo_svg
+from .motif import (SAA_THRESHOLD, build_motif_report, position_frequencies,
+                    render_logo_svg)
 from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
                      compare_pipelines, corpus_windows, json_text, tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus, read_text
@@ -82,6 +84,19 @@ def _write_text(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _artifact(cfg: Settings, fields: dict) -> str:
+    """JSON text of an artifact: the settings' echo, version and seed, then fields."""
+    return json_text({"config": cfg.echo(), "version": VERSION, "seed": cfg.seed, **fields})
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, CR or LF (RFC 4180); otherwise as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv(header: list, rows) -> str:
     """CSV text of an iterable of tuples of str, int and float cells. Each
     row goes through one "%s" template, and "%s" % x == str(x) for these
@@ -102,21 +117,17 @@ def cmd_prepare(cfg: Settings) -> None:
 
     # .tolist() gives Python int and float cells, which _csv writes directly.
     letters = list(AMINO_ACIDS)
+    ids = [_csv_field(seq.id) for seq in corpus.sequences]
     window_rows = (
-        (seq.id, i, *row)
-        for seq, window in zip(corpus.sequences, windows.tolist())
+        (sid, i, *row)
+        for sid, window in zip(ids, windows.tolist())
         for i, row in enumerate(window, start=1)
     )
     _write_text(out / "windows.csv",
                 _csv(["sequence_id", "position", *letters], window_rows))
-    matrix_rows = (
-        (seq.id, *row) for seq, row in zip(corpus.sequences, matrix.tolist())
-    )
+    matrix_rows = ((sid, *row) for sid, row in zip(ids, matrix.tolist()))
     _write_text(out / "matrix.csv", _csv(["sequence_id", *letters], matrix_rows))
-    _write_text(out / "manifest.json", json_text({
-        "config": cfg.echo(),
-        "version": VERSION,
-        "seed": cfg.seed,
+    _write_text(out / "manifest.json", _artifact(cfg, {
         "n_sequences": len(corpus.sequences),
         "n_windows": len(windows),
         "window_shape": list(windows.shape[1:]),
@@ -131,10 +142,7 @@ def cmd_cluster(cfg: Settings) -> None:
     corpus = _load_corpus(cfg)
     cs = cluster_corpus(corpus_windows(corpus, cfg), cfg)
     out = Path(cfg.out)
-    _write_text(out / "clusters.json", json_text({
-        "config": cfg.echo(),
-        "version": VERSION,
-        "seed": cfg.seed,
+    _write_text(out / "clusters.json", _artifact(cfg, {
         "engine": cfg.engine,
         "fitness": float(cs.final_fitness),
         "iterations_run": cs.iterations_run,
@@ -169,10 +177,7 @@ def cmd_bicluster(cfg: Settings) -> None:
     """Bicluster the normalized matrix and write the group report."""
     corpus = _load_corpus(cfg)
     entries, lam = _bicluster_entries(cfg, corpus, corpus_windows(corpus, cfg))
-    _write_text(Path(cfg.out) / "biclusters.json", json_text({
-        "config": cfg.echo(),
-        "version": VERSION,
-        "seed": cfg.seed,
+    _write_text(Path(cfg.out) / "biclusters.json", _artifact(cfg, {
         "lambda": lam,
         "biclusters": entries,
     }))
@@ -195,31 +200,42 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
                 and isinstance(entry.get("cols"), str)):
             raise InputError(f"{path}: bicluster entry {n} needs a string 'id', "
                              "a list of sequence ids 'rows' and a letter string 'cols'")
-        # The id names the group's files, so it must stay inside motifs/.
-        if entry["id"] in ("", ".", "..") or set(entry["id"]) & set("/\\\0"):
-            raise InputError(f"{path}: bicluster entry {n} has id {entry['id']!r}, "
+        # The id names the group's files, so it must stay inside motifs/, and
+        # sits in the logo's XML comment, which "--" would end and where XML
+        # allows no control character; a lone surrogate encodes in no file.
+        gid = entry["id"]
+        if gid in ("", ".", "..") or set(gid) & set("/\\\0"):
+            raise InputError(f"{path}: bicluster entry {n} has id {gid!r}, "
                              "which is not a plain file name")
-        if entry["id"] in seen:
+        if "--" in gid or any(unicodedata.category(c) in ("Cc", "Cs") for c in gid):
+            raise InputError(f"{path}: bicluster entry {n} has id {gid!r}, which "
+                             "holds '--', a control character or a lone surrogate")
+        if gid in seen:
             raise ValidationError(f"{path}: bicluster entry {n} repeats the group id "
-                                  f"{entry['id']!r}, which names its output files")
-        seen.add(entry["id"])
+                                  f"{gid!r}, which names its output files")
+        seen.add(gid)
         if not entry["rows"]:
-            raise ValidationError(f"{path}: bicluster entry {n} ({entry['id']!r}) "
-                                  "has no rows")
+            raise ValidationError(f"{path}: bicluster entry {n} ({gid!r}) has no rows")
         repeated = [r for r, count in Counter(entry["rows"]).items() if count > 1]
         if repeated:
-            raise ValidationError(f"{path}: bicluster entry {n} ({entry['id']!r}) "
+            raise ValidationError(f"{path}: bicluster entry {n} ({gid!r}) "
                                   f"lists row {repeated[0]!r} more than once")
         unknown = [r for r in entry["rows"] if r not in known]
         if unknown:
             raise ValidationError(
-                f"bicluster {entry['id']} references unknown sequence ids: "
+                f"bicluster {gid} references unknown sequence ids: "
                 f"{', '.join(unknown[:5])}")
         letters = set(entry["cols"]) - set(AMINO_ACIDS)
         if letters:
             raise ValidationError(
-                f"bicluster {entry['id']} has motif letters outside the 20 amino "
+                f"bicluster {gid} has motif letters outside the 20 amino "
                 f"acids: {''.join(sorted(letters))!r}")
+        if not entry["cols"]:
+            raise ValidationError(f"{path}: bicluster entry {n} ({gid!r}) has no 'cols'")
+        repeated = [c for c, count in Counter(entry["cols"]).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"{path}: bicluster entry {n} ({gid!r}) "
+                                  f"lists motif letter {repeated[0]!r} more than once")
     return entries
 
 
@@ -245,21 +261,11 @@ def cmd_motifs(cfg: Settings) -> None:
         report = build_motif_report(
             entry["id"], freqs, frozenset(entry["cols"]), n_segments,
             threshold=cfg.saa_threshold, correction=cfg.logo_correction)
-        _write_text(out / f"{entry['id']}.json", json_text({
-            "config": cfg.echo(),
-            "version": VERSION,
-            "seed": cfg.seed,
-            "report": report,
-        }))
+        _write_text(out / f"{entry['id']}.json", _artifact(cfg, {"report": report}))
         blurb = f"<!-- {VERSION} seed={cfg.seed} group={entry['id']} -->\n"
         _write_text(out / f"{entry['id']}.svg", blurb + render_logo_svg(report))
         group_ids.append(entry["id"])
-    _write_text(out / "motifs.json", json_text({
-        "config": cfg.echo(),
-        "version": VERSION,
-        "seed": cfg.seed,
-        "groups": group_ids,
-    }))
+    _write_text(out / "motifs.json", _artifact(cfg, {"groups": group_ids}))
 
 
 def cmd_compare(cfg: Settings) -> None:
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biclusters", metavar="JSON",
                    help="reuse an existing bicluster report instead of rerunning")
     p.add_argument("--saa-threshold", type=float,
-                   help="positional frequency cutoff (default: 0.07)")
+                   help=f"positional frequency cutoff (default: {SAA_THRESHOLD})")
     p.add_argument("--no-logo-correction", dest="logo_correction",
                    action="store_const", const=False, default=None,
                    help="skip the small-sample information correction")

@@ -11,6 +11,7 @@ corpus's (n, ws, 20) window array. A report is the plain dict that the
 from __future__ import annotations
 
 import math
+from html import escape
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def render_logo_svg(report: dict) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<title>{report["group_id"]}</title>',
+        f'<title>{escape(report["group_id"], quote=False)}</title>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{baseline}" stroke="black"/>',
         f'<line x1="{left}" y1="{baseline}" x2="{left + n * LOGO_COL_WIDTH}" '

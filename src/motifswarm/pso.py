@@ -63,7 +63,7 @@ def real_move(positions, velocities, rng):
 
 
 def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
-                 move=real_move, callback=None):
+                 move=real_move):
     """Minimize fitness from the given start state; returns (Swarm, best).
 
     positions and velocities are (n_particles, dim) arrays; the engine works
@@ -71,14 +71,14 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
     (n_particles,) vector. Velocities are clipped to [-v_max, v_max] after
     each update; v_max is a positive scalar or a (dim,) array, np.inf for no
     clamp. rng gives the r1, r2 draws. move(positions, velocities, rng)
-    returns the next positions. callback, when set, is called as
-    callback(iteration, gbest_fitness) once per iteration.
+    returns the next positions. The returned Swarm's history holds the gbest
+    fitness of every iteration.
 
     The swarm's arrays are reused from one iteration to the next: velocities
     are updated in place, and move may overwrite positions (both moves here
-    do). So neither fitness nor callback may keep a reference to the
-    positions array after it returns; copy what must outlive the call. The
-    returned pbest and gbest positions are copies, never views of positions.
+    do). So fitness may not keep a reference to the positions array after it
+    returns; copy what must outlive the call. The returned pbest and gbest
+    positions are copies, never views of positions.
     """
     positions = np.array(positions, dtype=float)
     velocities = np.array(velocities, dtype=float)
@@ -116,8 +116,6 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
             gbest_fit = float(pbest_fit[best])
             gbest_pos[:] = pbest_pos[best]
         history.append(gbest_fit)
-        if callback is not None:
-            callback(iteration, gbest_fit)
 
         # w*v + (c1*r1)*(pbest - x) + (c2*r2)*(gbest - x), in place and in
         # that order, so the values match the allocating expression bit for

@@ -138,15 +138,13 @@ def msr_ranker(matrix):
     return ranks
 
 
-def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
-                  callback=None, rng=None):
+def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None, rng=None):
     """Refine seed biclusters by binary PSO; minimizes msr - lam*volume_share.
 
     Returns the best bicluster found followed by every distinct personal
-    best, ordered by fitness ascending. callback(iteration, gbest_fitness)
-    fires once per iteration; rng overrides the cfg.seed generator. lam
-    times the matrix's cell count must be finite. The matrix is centred and
-    squared once for the whole search (msr_ranker).
+    best, ordered by fitness ascending. rng overrides the cfg.seed
+    generator. lam times the matrix's cell count must be finite. The matrix
+    is centred and squared once for the whole search (msr_ranker).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -190,7 +188,7 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None,
         return msr_of(rows, cols) - lam * volume / total
 
     swarm, _ = pso_optimize(fitness, bits, velocities, replace(cfg, n_particles=n), rng,
-                            VELOCITY_CLAMP, move=bit_move(n_rows), callback=callback)
+                            VELOCITY_CLAMP, move=bit_move(n_rows))
 
     def to_bicluster(position):
         return make_bicluster(m, np.flatnonzero(position[:n_rows]),

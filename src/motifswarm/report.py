@@ -17,6 +17,7 @@ from .errors import ContractError, InputError, ValidationError
 from . import metrics
 from .featurize import WINDOW_SIZE, build_cluster_dataset, normalize_windows
 from .kmeans import ClusterSet, kmeans_run
+from .motif import SAA_THRESHOLD
 from .pso import PsoConfig
 from .psokmeans import pso_kmeans
 from .psobiclust import default_lambda, pso_bicluster, seed_biclusters
@@ -64,7 +65,7 @@ class Settings:
     c1: float = PsoConfig.c1
     c2: float = PsoConfig.c2
     lam: float | None = None
-    saa_threshold: float = 0.07
+    saa_threshold: float = SAA_THRESHOLD
     thresholds: tuple = DEFAULT_THRESHOLDS
     logo_correction: bool = True
     seed: int = 0
@@ -134,7 +135,9 @@ def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
 
 
 def profile_for_members(corpus: Corpus, member_ids):
-    return metrics.build_profile(corpus.structure_for(mid).classes3 for mid in member_ids)
+    if corpus.structures is None:
+        raise ValidationError("corpus carries no structure annotations")
+    return metrics.build_profile(corpus.structures[mid] for mid in member_ids)
 
 
 def _group_entry(corpus: Corpus, gid: str, member_ids: list) -> dict:

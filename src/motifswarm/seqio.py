@@ -20,8 +20,6 @@ from .errors import ContractError, InputError, LinkError, ParseError, Validation
 #: columns of every frequency matrix produced by the package.
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
 
-AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
-
 #: Three-class secondary structure alphabet: helix, sheet, coil.
 SS3_CLASSES = "HEC"
 
@@ -39,17 +37,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return len(self.residues)
-
-
-@dataclass(frozen=True)
-class SecondaryStructure:
-    """Per-residue 3-class structure labels (H/E/C) for one sequence."""
-
-    id: str
-    classes3: str
-
-    def __len__(self) -> int:
-        return len(self.classes3)
 
 
 def map_ss8_to_ss3(code: str) -> str:
@@ -168,18 +155,16 @@ def parse_sequences(text: str) -> list[Sequence]:
     return sequences
 
 
-def parse_structures(
-    text: str, sequences: list[Sequence]
-) -> list[SecondaryStructure]:
-    """Parse id + 8-class structure-string records and collapse them to H/E/C.
+def parse_structures(text: str, sequences: list[Sequence]) -> dict[str, str]:
+    """Parse id + 8-class structure-string records into a dict from each id
+    to its H/E/C string, in record order.
 
     Every structure id must match a parsed sequence (LinkError otherwise),
     occur once (ValidationError naming it), and the string length must equal
     the sequence length (ValidationError naming the id and both lengths).
     """
     by_id = {s.id: s for s in sequences}
-    seen: set[str] = set()
-    structures: list[SecondaryStructure] = []
+    structures: dict[str, str] = {}
     current_id: str | None = None
     header_line = 0
 
@@ -188,18 +173,16 @@ def parse_structures(
             raise LinkError(
                 f"structure '{struct_id}' (line {lineno}) has no matching sequence"
             )
-        if struct_id in seen:
+        if struct_id in structures:
             raise ValidationError(
                 f"structure '{struct_id}' (line {lineno}) is a repeated id")
-        seen.add(struct_id)
         seq = by_id[struct_id]
         if len(ss8) != len(seq):
             raise ValidationError(
                 f"structure '{struct_id}': length {len(ss8)} does not match "
                 f"sequence length {len(seq)}"
             )
-        classes3 = ss8.translate(_SS8_TO_SS3)
-        structures.append(SecondaryStructure(id=struct_id, classes3=classes3))
+        structures[struct_id] = ss8.translate(_SS8_TO_SS3)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\r")
@@ -241,15 +224,10 @@ def read_text(path: str | Path) -> str:
 
 @dataclass
 class Corpus:
-    """Parsed sequences plus (optionally) their paired structure annotations."""
+    """Parsed sequences plus (optionally) the H/E/C string of each, by id."""
 
     sequences: list[Sequence]
-    structures: dict[str, SecondaryStructure] | None = None
-
-    def structure_for(self, seq_id: str) -> SecondaryStructure:
-        if self.structures is None:
-            raise ValidationError("corpus carries no structure annotations")
-        return self.structures[seq_id]
+    structures: dict[str, str] | None = None
 
 
 def load_corpus(
@@ -278,9 +256,7 @@ def load_corpus(
             )
     structures = None
     if structure_path is not None:
-        struct_text = read_text(structure_path)
-        parsed = parse_structures(struct_text, sequences)
-        structures = {ss.id: ss for ss in parsed}
+        structures = parse_structures(read_text(structure_path), sequences)
         missing = [s.id for s in sequences if s.id not in structures]
         if missing:
             raise ValidationError(

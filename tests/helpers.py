@@ -6,16 +6,13 @@ code path with the library implementations they check.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from motifswarm import psobiclust
 from motifswarm.psobiclust import _repair
-from motifswarm.seqio import (
-    AMINO_ACIDS,
-    SS3_CLASSES,
-    SecondaryStructure,
-    Sequence,
-    map_ss8_to_ss3,
-)
+from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence, map_ss8_to_ss3
 
 
 def cityblock_oracle(a, b) -> float:
@@ -222,9 +219,10 @@ def structure_string(rng, length, probs):
 def planted_structure_corpus(rng, n_per_class, length=27):
     """Sequences in classes with biased residue usage and structure purity.
 
-    Returns (sequences, structures) where each class draws most residues from
-    its own small alphabet and most structure labels from its own class; the
-    last class is structurally mixed, which dilutes any cluster it lands in.
+    Returns (sequences, structures), structures mapping each id to its H/E/C
+    string. Each class draws most residues from its own small alphabet and
+    most structure labels from its own class; the last class is structurally
+    mixed, which dilutes any cluster it lands in.
     """
     classes = [
         {"alphabet": "AELK", "probs": {"H": 0.85, "E": 0.05, "C": 0.10}},
@@ -232,7 +230,7 @@ def planted_structure_corpus(rng, n_per_class, length=27):
         {"alphabet": "GPSN", "probs": {"H": 0.34, "E": 0.33, "C": 0.33}},
     ]
     sequences = []
-    structures = []
+    structures = {}
     for c, spec_c in enumerate(classes):
         for r in range(n_per_class):
             seq_id = f"c{c}_{r}"
@@ -247,5 +245,24 @@ def planted_structure_corpus(rng, n_per_class, length=27):
             ss3 = "".join(
                 "H" if ch in "HGI" else "E" if ch in "BE" else "C" for ch in ss8
             )
-            structures.append(SecondaryStructure(id=seq_id, classes3=ss3))
+            structures[seq_id] = ss3
     return sequences, structures
+
+
+@contextlib.contextmanager
+def bicluster_histories():
+    """Within the block, every swarm the binary-PSO search runs appends its
+    per-iteration gbest history to the yielded list."""
+    histories = []
+    engine = psobiclust.pso_optimize
+
+    def recording(*args, **kwargs):
+        swarm, best = engine(*args, **kwargs)
+        histories.append(swarm.history)
+        return swarm, best
+
+    psobiclust.pso_optimize = recording
+    try:
+        yield histories
+    finally:
+        psobiclust.pso_optimize = engine

@@ -24,6 +24,7 @@ from motifswarm.report import Settings, compare_pipelines
 from motifswarm.seqio import Corpus, load_sample_corpus
 
 from helpers import (
+    bicluster_histories,
     cityblock_oracle,
     make_blobs,
     msr_oracle,
@@ -152,11 +153,12 @@ def test_c06_pso_monotonicity():
     for s in range(20):
         seeds = seed_biclusters(matrix, 3, 2,
                                 PsoConfig(n_particles=10, max_iter=30, seed=s))
-        history = []
-        pso_bicluster(matrix,
-                      PsoConfig(n_particles=max(len(seeds), 10), max_iter=30,
-                                seed=s + 2),
-                      seeds, callback=lambda i, g: history.append(g))
+        with bicluster_histories() as histories:
+            pso_bicluster(matrix,
+                          PsoConfig(n_particles=max(len(seeds), 10), max_iter=30,
+                                    seed=s + 2),
+                          seeds)
+        [history] = histories
         assert all(b <= a for a, b in zip(history, history[1:])), f"seed {s}"
 
 
@@ -205,7 +207,7 @@ def test_c08_planted_bicluster_recovery():
 def test_c09_bicluster_homology_direction():
     seqs, structs = planted_structure_corpus(np.random.default_rng(2024),
                                              n_per_class=10, length=27)
-    corpus = Corpus(sequences=seqs, structures={s.id: s for s in structs})
+    corpus = Corpus(sequences=seqs, structures=structs)
     with budget(120.0):
         wins = 0
         for s in range(10):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -72,6 +73,16 @@ class TestPrepare:
         fasta.write_text(">a\nAAAAAAAAA\u00df\u0131\n", encoding="utf-8")
         assert run_cli("prepare", "--sequences", fasta, "--out", tmp_path) == 3
         assert "illegal residue '\u00df' at position 10" in capsys.readouterr().err
+
+    def test_ids_with_a_comma_or_quote_read_back_whole(self, tmp_path):
+        fasta = tmp_path / "seqs.fasta"
+        fasta.write_text('>a,b\nACDEFGHIKLMNPQRSTV\n>q"x\nACDEFGHIKLMNPQRSTV\n')
+        assert run_cli("prepare", "--sequences", fasta, "--out", tmp_path) == 0
+        for name, width, per_id in (("windows.csv", 22, 9), ("matrix.csv", 21, 1)):
+            with open(tmp_path / name, newline="") as f:
+                rows = list(csv.reader(f))
+            assert {len(row) for row in rows} == {width}
+            assert [row[0] for row in rows[1:]] == ["a,b"] * per_id + ['q"x'] * per_id
 
     def test_rerun_is_byte_identical(self, tmp_path):
         names = ("windows.csv", "matrix.csv", "manifest.json")
@@ -245,7 +256,12 @@ class TestMotifs:
         ([{"id": "g", "rows": ["hel01", "hel02"], "cols": "AG"},
           {"id": "h", "rows": ["hel02", "hel01", "hel02"], "cols": "AG"}],
          "bicluster entry 1 ('h') lists row 'hel02' more than once"),
-    ], ids=["repeated-id", "empty-rows", "repeated-row"])
+        ([{"id": "g", "rows": ["hel01"], "cols": ""}],
+         "bicluster entry 0 ('g') has no 'cols'"),
+        ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
+          {"id": "h", "rows": ["hel02"], "cols": "AAD"}],
+         "bicluster entry 1 ('h') lists motif letter 'A' more than once"),
+    ], ids=["repeated-id", "empty-rows", "repeated-row", "empty-cols", "repeated-col"])
     def test_repeated_group_id_or_empty_rows_exits_3(self, tmp_path, capsys, entries,
                                                       message):
         path = tmp_path / "b.json"
@@ -289,8 +305,9 @@ class TestMotifs:
             logos.update((out / f"{gid}.svg").read_bytes().split(b"\n", 1)[1])
         assert [reports.hexdigest(), logos.hexdigest()] == [reports_sha, logos_sha]
 
+    # The last three are file names, but the logo cannot hold them.
     @pytest.mark.parametrize("gid", ["../escaped", "a/b", "a\\b", "", ".", "..",
-                                     "nul\0"])
+                                     "nul\0", "a--b", "a\x01b", "a\ud800b"])
     def test_group_id_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, gid):
         path = tmp_path / "b.json"
         path.write_text(json.dumps({"biclusters": [{"id": gid, "rows": ["hel01"],
@@ -299,6 +316,16 @@ class TestMotifs:
                        "--out", tmp_path / "out")
         assert_fails_cleanly(capsys, code, 2)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("gid", ["a&b", "x<y"])
+    def test_group_id_is_escaped_in_the_logo(self, tmp_path, gid):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"biclusters": [{"id": gid, "rows": ["hel01", "hel02"],
+                                                    "cols": "AG"}]}))
+        assert run_cli("motifs", "--sample-corpus", "--biclusters", path,
+                       "--out", tmp_path) == 0
+        svg = ET.parse(tmp_path / "motifs" / f"{gid}.svg").getroot()
+        assert svg.find("{http://www.w3.org/2000/svg}title").text == gid
 
     @pytest.mark.parametrize("threshold", ["-1", "1.5", "nan"])
     def test_saa_threshold_outside_unit_interval_exits_1(self, tmp_path, capsys,

@@ -12,7 +12,7 @@ from motifswarm.featurize import (
     build_cluster_dataset,
     normalize_windows,
 )
-from motifswarm.seqio import AA_INDEX, AMINO_ACIDS, Sequence
+from motifswarm.seqio import AMINO_ACIDS, Sequence
 
 from helpers import (
     normalize_oracle,
@@ -22,13 +22,13 @@ from helpers import (
 
 
 def col(window, aa):
-    return window[:, AA_INDEX[aa]]
+    return window[:, AMINO_ACIDS.index(aa)]
 
 
 def test_single_block_single_residue():
     w = build_cluster_dataset([Sequence("s", "A" * 9)])[0]
     assert (col(w, "A") == 1).all()
-    other = np.delete(w, AA_INDEX["A"], axis=1)
+    other = np.delete(w, AMINO_ACIDS.index("A"), axis=1)
     assert (other == 0).all()
 
 
@@ -188,26 +188,26 @@ def test_normalize_windows_of_nothing_is_empty_matrix():
 def make_window(column_values, aa="A"):
     """A one-window (1, 9, 20) stack with column aa set to column_values."""
     counts = np.zeros((1, 9, 20), dtype=int)
-    counts[0, :, AA_INDEX[aa]] = column_values
+    counts[0, :, AMINO_ACIDS.index(aa)] = column_values
     return counts
 
 
 def test_normalize_mean_constant_column():
     row = normalize_windows(make_window([1] * 9), "mean")[0]
-    assert row[AA_INDEX["A"]] == pytest.approx(1.0)
+    assert row[AMINO_ACIDS.index("A")] == pytest.approx(1.0)
 
 
 def test_normalize_range():
     row = normalize_windows(make_window([0, 0, 0, 0, 0, 0, 0, 0, 3]), "range")[0]
-    assert row[AA_INDEX["A"]] == 3
+    assert row[AMINO_ACIDS.index("A")] == 3
 
 
 def test_normalize_mode_majority_and_tie():
     row = normalize_windows(make_window([2, 2, 2, 0, 0, 0, 0, 0, 0]), "mode")[0]
-    assert row[AA_INDEX["A"]] == 0  # 0 occurs 6 times, 2 occurs 3 times
+    assert row[AMINO_ACIDS.index("A")] == 0  # 0 occurs 6 times, 2 occurs 3 times
     # Exact tie between count values 0 and 2: smallest wins.
     tie = normalize_windows(make_window([2, 2, 2, 2, 0, 0, 0, 0, 1]), "mode")[0]
-    assert tie[AA_INDEX["A"]] == 0
+    assert tie[AMINO_ACIDS.index("A")] == 0
 
 
 def test_normalize_mean_mass_preserving():
@@ -240,7 +240,7 @@ def test_corpus_scale_shapes():
 def test_bicluster_row_of_pure_sequence():
     matrix = normalize_windows(build_cluster_dataset([Sequence("s", "L" * 9)]), "mean")
     expected = np.zeros(20)
-    expected[AA_INDEX["L"]] = 1.0
+    expected[AMINO_ACIDS.index("L")] = 1.0
     np.testing.assert_allclose(matrix[0], expected)
 
 

@@ -149,11 +149,14 @@ class TestLoopMechanics:
         assert all(np.all(np.abs(v) <= 0.5) for v in steps)
 
     def test_callback_sees_every_iteration(self):
-        seen = []
+        # history[t] is the lowest fitness scored in iterations 1..t + 1.
         cfg = PsoConfig(n_particles=5, max_iter=15, seed=4)
-        run(sphere, init_box(4, n=5), cfg, callback=lambda i, f: seen.append((i, f)))
-        assert [i for i, _ in seen] == list(range(1, 16))
-        fits = [f for _, f in seen]
+        fitness = Recorder(sphere)
+        swarm, _ = run(fitness, init_box(4, n=5), cfg)
+        assert swarm.iteration == len(swarm.history) == len(fitness.values) == 15
+        assert swarm.history == list(np.minimum.accumulate(
+            [v.min() for v in fitness.values]))
+        fits = swarm.history
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
@@ -227,13 +230,10 @@ class TestBinaryEngine:
     @given(binary_problems())
     def test_history_length_and_monotone(self, problem):
         m, bits, cfg = problem
-        seen = []
         fitness = Recorder(msr_fitness(m))
-        swarm, best = run(fitness, bits, cfg, v_max=4.0, move=bit_move(m.shape[0]),
-                          callback=lambda i, f: seen.append(i))
+        swarm, best = run(fitness, bits, cfg, v_max=4.0, move=bit_move(m.shape[0]))
         hist = swarm.history
-        assert swarm.iteration == cfg.max_iter == len(hist)
-        assert seen == list(range(1, cfg.max_iter + 1))
+        assert swarm.iteration == cfg.max_iter == len(hist) == len(fitness.values)
         assert all(b <= a for a, b in zip(hist, hist[1:]))
         pbest_positions, pbest_fitness = fitness.best()
         assert np.array_equal(swarm.pbest_positions, pbest_positions)

@@ -19,7 +19,7 @@ from motifswarm.psobiclust import (
 )
 from motifswarm.psokmeans import pso_kmeans
 
-from helpers import msr_oracle
+from helpers import bicluster_histories, msr_oracle
 
 
 def planted_matrix(seed=0):
@@ -147,9 +147,9 @@ class TestPsoBicluster:
     def test_gbest_monotone_via_callback(self):
         m, _, _ = planted_matrix(seed=5)
         seed = make_bicluster(m, range(0, 9), range(0, 7))
-        fits = []
-        pso_bicluster(m, PsoConfig(n_particles=8, max_iter=50, seed=2), [seed],
-                      callback=lambda i, f: fits.append(f))
+        with bicluster_histories() as histories:
+            pso_bicluster(m, PsoConfig(n_particles=8, max_iter=50, seed=2), [seed])
+        [fits] = histories
         assert len(fits) == 50
         assert all(b <= a for a, b in zip(fits, fits[1:]))
 

@@ -12,7 +12,7 @@ from motifswarm.report import (
     tally_homology,
     tally_to_csv,
 )
-from motifswarm.seqio import Corpus, SecondaryStructure, Sequence, load_sample_corpus
+from motifswarm.seqio import Corpus, Sequence, load_sample_corpus
 
 from helpers import planted_structure_corpus
 
@@ -56,8 +56,7 @@ class TestTallyHomology:
 
 def test_profile_for_members_pure_helix():
     seqs = [Sequence("a", "A" * 18)]
-    corpus = Corpus(sequences=seqs,
-                    structures={"a": SecondaryStructure("a", "H" * 18)})
+    corpus = Corpus(sequences=seqs, structures={"a": "H" * 18})
     profile = profile_for_members(corpus, ["a"])
     np.testing.assert_array_equal(profile, [[1.0, 0.0, 0.0]] * 9)
     assert structure_similarity(profile) == 1.0
@@ -66,7 +65,7 @@ def test_profile_for_members_pure_helix():
 def planted_corpus(seed=2024, n_per_class=10):
     rng = np.random.default_rng(seed)
     seqs, structs = planted_structure_corpus(rng, n_per_class=n_per_class)
-    return Corpus(sequences=seqs, structures={s.id: s for s in structs})
+    return Corpus(sequences=seqs, structures=structs)
 
 
 class TestComparePipelines:

@@ -123,13 +123,13 @@ def test_ss3_mapping_idempotent_on_own_output():
 def test_parse_structures_characterwise_mapping():
     seqs = parse_sequences(">s1\nACDEF\n")
     structs = parse_structures(">s1\nHGIBE\n", seqs)
-    assert structs[0].classes3 == "HHHEE"
+    assert structs == {"s1": "HHHEE"}
 
 
 def test_parse_structures_blank_is_coil():
     seqs = parse_sequences(">s1\nACDEF\n")
     structs = parse_structures(">s1\nTTSS \n", seqs)
-    assert structs[0].classes3 == "CCCCC"
+    assert structs == {"s1": "CCCCC"}
 
 
 def test_structure_table_matches_mapping_on_every_code_point():
@@ -145,7 +145,7 @@ def test_structure_table_matches_mapping_on_every_code_point():
 def test_parse_structures_matches_oracle(ss8):
     seqs = [Sequence("s1", "A" * len(ss8))]
     structs = parse_structures(f">s1\n{ss8}\n", seqs)
-    assert structs[0].classes3 == ss3_oracle(ss8)
+    assert structs == {"s1": ss3_oracle(ss8)}
 
 
 def test_structure_length_mismatch_names_both_lengths():
@@ -207,4 +207,4 @@ def test_sample_corpus_loads_and_pairs():
     for seq in corpus.sequences:
         assert len(seq) >= 9
         assert set(seq.residues) <= set(AMINO_ACIDS)
-        assert len(corpus.structure_for(seq.id)) == len(seq)
+        assert len(corpus.structures[seq.id]) == len(seq)

@@ -59,14 +59,20 @@ def _pairwise_l1(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign(distances: np.ndarray):
-    """Nearest-centroid labels of an (n, k) distance matrix (ties to the
-    lowest index) and the intra-cluster fitness of that assignment."""
-    labels = distances.argmin(axis=1)
+def assignment_fitness(flat, centroids, k: int, empty_penalty: float = 0.0):
+    """Score P sets of k centroids, given as one (P * k, d) array, on the
+    (n, d) items flat. Returns the (n, P) nearest-centroid labels (ties to
+    the lowest index) and the (P,) intra-cluster fitness: the nearest
+    distances summed, over k, plus empty_penalty per cluster no label uses."""
+    dist = _pairwise_l1(flat, centroids).reshape(flat.shape[0], -1, k)
+    labels = dist.argmin(axis=2)
     # cumsum adds the nearest distances one at a time in item order, so the
     # fitness equals a plain loop over the items bit for bit (the
     # intra_cluster_fitness oracle in tests/helpers.py).
-    fitness = float(np.cumsum(distances.min(axis=1))[-1]) / distances.shape[1]
+    fitness = np.cumsum(dist.min(axis=2), axis=0)[-1] / k
+    if empty_penalty:
+        used = (labels[:, :, None] == np.arange(k)).any(axis=0)
+        fitness += empty_penalty * (k - used.sum(axis=1))
     return labels, fitness
 
 
@@ -116,7 +122,8 @@ def kmeans_run(data, k: int, max_iter: int = 100, seed: int = 0) -> ClusterSet:
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        labels, fitness = _assign(_pairwise_l1(flat, centroids))
+        labels, fitness = assignment_fitness(flat, centroids, k)
+        labels, fitness = labels[:, 0], float(fitness[0])
         trace.append(fitness)
         if fitness < best_fitness:
             best_fitness = fitness

@@ -16,28 +16,12 @@ import functools
 import numpy as np
 
 from .errors import ContractError
-from .kmeans import ClusterSet, as_item_arrays, _assign, _pairwise_l1
+from .kmeans import ClusterSet, as_item_arrays, assignment_fitness
 from .pso import PsoConfig, pso_optimize
 
 # The lattice product runs in blocks of gaps: ~BLOCK_CELLS float cells each,
 # but never under BLOCK_GAPS gaps, below which the matmuls run slowly.
 BLOCK_CELLS, BLOCK_GAPS = 2**13, 64
-
-
-def assignment_fitness(flat, centroids, empty_penalty=0.0):
-    """Nearest-centroid labels (ties to the lowest index) and the
-    intra-cluster fitness, plus empty_penalty per member-less cluster."""
-    labels, fitness = _assign(_pairwise_l1(flat, centroids))
-    if empty_penalty:
-        n_empty = centroids.shape[0] - np.unique(labels).size
-        fitness += empty_penalty * n_empty
-    return labels, fitness
-
-
-def swarm_fitness(flat, positions, k: int, empty_penalty: float) -> np.ndarray:
-    """assignment_fitness of each row of an (n_particles, k * d) swarm."""
-    return np.array([assignment_fitness(flat, p.reshape(k, -1), empty_penalty)[1]
-                     for p in positions])
 
 
 class Lattice:
@@ -79,29 +63,27 @@ class Lattice:
 
 def lattice_pays(n: int, d: int, width: int, n_centroids: int) -> bool:
     """Whether a width-gap lattice of an (n, d) matrix scores n_centroids
-    centroids faster than swarm_fitness, by nanoseconds per evaluation fitted
-    with one BLAS thread on a 2-core x86-64 host (tools/fit_lattice_rule.py)."""
+    centroids faster than assignment_fitness, by nanoseconds per evaluation
+    fitted with one BLAS thread on a 2-core x86-64 host (see tools/)."""
     lattice = n_centroids * width * (6.1 + 0.065 * n) + 1.6 * n * width
     return lattice < n_centroids * (2.3 * n * d + 15400)
 
 
-def lattice_fitness(lattice, positions, k: int, empty_penalty: float):
-    """swarm_fitness from lattice distances, accurate to rounding (a cluster
-    tied for an item's nearest counts as used), and its penalty-free part."""
-    n_particles = positions.shape[0]
-    dist = lattice.distances(positions.reshape(n_particles * k, -1))
-    dist = dist.reshape(-1, n_particles, k)
+def lattice_fitness(lattice, positions, k: int):
+    """The penalty-free fitness of each particle of an (n_particles, k * d)
+    swarm from lattice distances, accurate to rounding."""
+    dist = lattice.distances(positions.reshape(positions.shape[0] * k, -1))
+    dist = dist.reshape(-1, positions.shape[0], k)
     # k - 1 elementwise minimums beat a reduction along the short last axis.
     nearest = functools.reduce(np.minimum, (dist[:, :, c] for c in range(k)))
-    used = (dist == nearest[:, :, None]).any(axis=0)
-    bare = nearest.sum(axis=0) / k
-    return bare + empty_penalty * (k - used.sum(axis=1)), bare
+    return nearest.sum(axis=0) / k
 
 
 def screened_fitness(flat, ordered, k: int, empty_penalty: float):
     """Swarm fitness for pso_optimize that ranks by lattice_fitness and
-    rescores with swarm_fitness every particle that may beat its personal
-    best, so pbests, gbest and history match swarm_fitness exactly."""
+    rescores with assignment_fitness every particle that may beat its
+    personal best. Any other keeps its lattice value, above that best, so
+    pbests, gbest and history match assignment_fitness exactly."""
     lattice = Lattice(flat, ordered)
     # Rounding moves a lattice value by a few ulps x (gaps + 2d) x (n * data
     # spread + value); tol leaves a margin of over a thousandfold.
@@ -111,9 +93,10 @@ def screened_fitness(flat, ordered, k: int, empty_penalty: float):
 
     def fitness(positions):
         nonlocal best
-        value, bare = lattice_fitness(lattice, positions, k, empty_penalty)
-        redo = bare <= best + tol * (scale + bare)
-        value[redo] = swarm_fitness(flat, positions[redo], k, empty_penalty)
+        value = lattice_fitness(lattice, positions, k)
+        redo = value <= best + tol * (scale + value)
+        value[redo] = assignment_fitness(flat, positions[redo].reshape(-1, flat.shape[1]),
+                                         k, empty_penalty)[1]
         best = np.minimum(best, value)
         return value
 
@@ -149,19 +132,20 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
     if lattice_pays(n, flat.shape[1], width, cfg.n_particles * k):
         fitness = screened_fitness(flat, ordered, k, spread)
     else:
-        fitness = lambda positions: swarm_fitness(flat, positions, k, spread)
+        fitness = lambda positions: assignment_fitness(
+            flat, positions.reshape(-1, flat.shape[1]), k, spread)[1]
     swarm, best_position = pso_optimize(fitness, init_positions, init_velocities,
                                         cfg, rng, v_max)
 
     centroids = best_position.reshape(k, -1)
-    labels, final = assignment_fitness(flat, centroids)
+    labels, final = assignment_fitness(flat, centroids, k)
 
     return ClusterSet(
         k=k,
         centroids=centroids.reshape((k,) + item_shape),
-        assignment=labels,
+        assignment=labels[:, 0],
         iterations_run=swarm.iteration,
-        final_fitness=final,
+        final_fitness=float(final[0]),
         converged=False,
         trace=swarm.history,
     )

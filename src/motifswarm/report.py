@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ContractError, InputError, ValidationError
 from . import metrics
-from .featurize import WINDOW_SIZE, build_cluster_dataset, normalize_windows
+from .featurize import (NORMALIZATION_METHODS, WINDOW_SCHEMES, WINDOW_SIZE,
+                        build_cluster_dataset, normalize_windows)
 from .kmeans import ClusterSet, kmeans_run
 from .motif import SAA_THRESHOLD
 from .pso import PsoConfig
@@ -42,7 +44,8 @@ def _fits(value, kind: str) -> bool:
 class Settings:
     """Every setting of one run, checked once on construction.
 
-    A value of the wrong type raises InputError; a value out of range raises
+    A value of the wrong type, or a path the file system cannot encode, raises
+    InputError; a value out of range or not among its choices raises
     ContractError. Ranges that need the data (k against the number of
     sequences, the window size against their lengths) are checked by the
     stages. swarm is the PsoConfig that the swarm stages run on.
@@ -91,8 +94,17 @@ class Settings:
                     object.__setattr__(self, f.name, tuple(map(float, value)))
             except OverflowError:  # a JSON integer beyond the float range
                 raise ContractError(f"{f.name} must be finite, got {value!r}") from None
-        if self.engine not in ENGINES:
-            raise ContractError(f"unknown engine {self.engine!r}")
+        for name, allowed in (("engine", ENGINES), ("normalization", NORMALIZATION_METHODS),
+                              ("window_scheme", WINDOW_SCHEMES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ContractError(f"unknown {name.replace('_', ' ')} {value!r}")
+        for name in ("sequences", "structures", "out", "trace", "biclusters"):
+            try:
+                os.fsencode(getattr(self, name) or "")
+            except UnicodeEncodeError:
+                raise InputError(f"setting {name!r} is not a file-system path: "
+                                 f"{getattr(self, name)!r}") from None
         if not 0.0 <= self.saa_threshold <= 1.0:
             raise ContractError(f"saa threshold {self.saa_threshold} is outside [0, 1]")
         if not all(map(math.isfinite, self.thresholds)):

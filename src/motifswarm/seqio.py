@@ -1,15 +1,16 @@
 """Parsing of protein sequences and secondary-structure annotations.
 
-Sequence files are FASTA-style: a header line starting with ``>`` (the id is
-the first whitespace-delimited token), followed by residue lines that are
-concatenated. Structure files pair each id with an 8-class structure string
-of the same length as the sequence; the 8 classes are collapsed to the
-3-class H/E/C alphabet on load.
+Both files hold '>' records: a header line whose first non-blank character
+is ``>`` (the id is the first whitespace-delimited token), then body lines.
+A sequence record's body lines are concatenated. A structure record's body
+is one 8-class structure string of the same length as the sequence; the 8
+classes are collapsed to the 3-class H/E/C alphabet on load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,22 +66,27 @@ class _CoilByDefault(dict):
 _SS8_TO_SS3 = _CoilByDefault(
     {ord(c): map_ss8_to_ss3(c) for c in "BEGHIbeghi\u0131"})
 
-_DELETE_RESIDUES = dict.fromkeys(map(ord, AMINO_ACIDS))
+_RESIDUE_BYTES = AMINO_ACIDS.encode("ascii")
 
 
-def _validate_residues(seq_id: str, body: str) -> str:
-    """Uppercase body and check it against the 20-letter alphabet."""
+def _sequence(seq_id: str, header_line: int, body: list[str]) -> Sequence:
+    """The Sequence of one record: its body lines joined with all whitespace
+    removed, uppercased and checked against the 20-letter alphabet."""
+    body = "".join("".join(body).split())
+    if not body:
+        raise ValidationError(
+            f"sequence '{seq_id}' (header at line {header_line}) has no residues")
     # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
-    # 'ı' -> 'I'), so they become '?' first, which keeps every position.
-    residues = body.encode("ascii", "replace").decode("ascii").upper()
-    illegal = residues.translate(_DELETE_RESIDUES)
+    # 'ı' -> 'I'), so they become '?' first, which keeps every position; the
+    # check then deletes the 20 letters from the bytes in one C pass.
+    residues = body.encode("ascii", "replace").upper()
+    illegal = residues.translate(None, _RESIDUE_BYTES)
     if illegal:
         pos = residues.index(illegal[0])
-        c = illegal[0] if body[pos].isascii() else body[pos]
+        c = chr(illegal[0]) if body[pos].isascii() else body[pos]
         raise ValidationError(
-            f"sequence '{seq_id}': illegal residue {c!r} at position {pos + 1}"
-        )
-    return residues
+            f"sequence '{seq_id}': illegal residue {c!r} at position {pos + 1}")
+    return Sequence(id=seq_id, residues=residues.decode("ascii"))
 
 
 def _byte_codes(alphabet: str) -> np.ndarray:
@@ -110,106 +116,69 @@ def encode(text: str, alphabet: str = AMINO_ACIDS) -> np.ndarray:
     return codes
 
 
-def parse_sequences(text: str) -> list[Sequence]:
-    """Parse FASTA-style record text into a list of Sequence objects.
+def _records(text: str, stray: str):
+    """Yield (id, header line number, body lines) for each '>' record of text.
 
-    Residues are whitespace-stripped and uppercased; the first character
-    outside the 20 letters (in either case) is a ValidationError naming it
-    and its 1-based position. Record order is preserved.
+    A header is a line whose first non-blank character is '>', and its first
+    token is the id. The body is the raw lines up to the next header. A
+    header without an id is a ParseError, and so is a non-blank line before
+    the first header, with stray.format(its first 20 characters) as message.
     """
-    sequences: list[Sequence] = []
-    current_id: str | None = None
-    current_body: list[str] = []
-    header_line = 0
+    lines = text.splitlines()
+    starts = list(compress(count(), map(str.startswith, map(str.lstrip, lines), repeat(">"))))
+    lead = lines[:starts[0]] if starts else lines
+    bad = next(filter(str.strip, lead), None)
+    if bad is not None:
+        raise ParseError(stray.format(bad.strip()[:20]), line=lead.index(bad) + 1)
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        tokens = lines[start].lstrip()[1:].split(None, 1)
+        if not tokens:
+            raise ParseError("record header '>' carries no id", line=start + 1)
+        yield tokens[0], start + 1, lines[start + 1:end]
 
-    def flush() -> None:
-        if current_id is None:
-            return
-        body = "".join(current_body)
-        if not body:
-            raise ValidationError(
-                f"sequence '{current_id}' (header at line {header_line}) has no residues"
-            )
-        residues = _validate_residues(current_id, body)
-        sequences.append(Sequence(id=current_id, residues=residues))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            tokens = line[1:].split()
-            if not tokens:
-                raise ParseError("record header '>' carries no id", line=lineno)
-            current_id = tokens[0]
-            current_body = []
-            header_line = lineno
-        else:
-            if current_id is None:
-                raise ParseError(
-                    f"residue data {line[:20]!r} before any record header", line=lineno
-                )
-            current_body.append("".join(line.split()))
-    flush()
-    return sequences
+def parse_sequences(text: str) -> list[Sequence]:
+    """Parse FASTA-style record text into Sequence objects, in record order.
+
+    The first character outside the 20 letters (in either case) is a
+    ValidationError naming it and its 1-based position.
+    """
+    stray = "residue data {!r} before any record header"
+    return [_sequence(*record) for record in _records(text, stray)]
 
 
 def parse_structures(text: str, sequences: list[Sequence]) -> dict[str, str]:
     """Parse id + 8-class structure-string records into a dict from each id
     to its H/E/C string, in record order.
 
-    Every structure id must match a parsed sequence (LinkError otherwise),
-    occur once (ValidationError naming it), and the string length must equal
-    the sequence length (ValidationError naming the id and both lengths).
+    A record's structure string is its first non-empty body line, taken raw
+    (blank is a legal 8-class code); a record without one, or with a further
+    non-blank line, is a ParseError. Each id must match a parsed sequence
+    (LinkError) and occur once, and the string must have the sequence's
+    length (ValidationError naming the id, and both lengths).
     """
-    by_id = {s.id: s for s in sequences}
+    stray = "structure string before any record header"
+    length = {s.id: len(s.residues) for s in sequences}
     structures: dict[str, str] = {}
-    current_id: str | None = None
-    header_line = 0
-
-    def add(struct_id: str, ss8: str, lineno: int) -> None:
-        if struct_id not in by_id:
-            raise LinkError(
-                f"structure '{struct_id}' (line {lineno}) has no matching sequence"
-            )
-        if struct_id in structures:
-            raise ValidationError(
-                f"structure '{struct_id}' (line {lineno}) is a repeated id")
-        seq = by_id[struct_id]
-        if len(ss8) != len(seq):
-            raise ValidationError(
-                f"structure '{struct_id}': length {len(ss8)} does not match "
-                f"sequence length {len(seq)}"
-            )
+    for struct_id, header_line, body in _records(text, stray):
+        strings = list(filter(None, body))
+        if not strings:
+            raise ParseError(f"structure record '{struct_id}' has no structure string",
+                             line=header_line)
+        ss8 = strings[0]
+        if struct_id not in length or struct_id in structures:
+            at = f"structure '{struct_id}' (line {header_line + 1 + body.index(ss8)})"
+            if struct_id in structures:
+                raise ValidationError(f"{at} is a repeated id")
+            raise LinkError(f"{at} has no matching sequence")
+        if len(ss8) != length[struct_id]:
+            raise ValidationError(f"structure '{struct_id}': length {len(ss8)} does not "
+                                  f"match sequence length {length[struct_id]}")
         structures[struct_id] = ss8.translate(_SS8_TO_SS3)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if current_id is None:
-            if not line.strip():
-                continue
-            if not line.lstrip().startswith(">"):
-                raise ParseError(
-                    "structure string before any record header", line=lineno
-                )
-            tokens = line.lstrip()[1:].split()
-            if not tokens:
-                raise ParseError("record header '>' carries no id", line=lineno)
-            current_id = tokens[0]
-            header_line = lineno
-        else:
-            # Blank (space) is a legal 8-class code, so the structure string
-            # is taken raw; only fully empty lines are skipped.
-            if not line:
-                continue
-            add(current_id, line, lineno)
-            current_id = None
-    if current_id is not None:
-        raise ParseError(
-            f"structure record '{current_id}' has no structure string",
-            line=header_line,
-        )
+        extra = next(filter(str.strip, strings[1:]), None)
+        if extra is not None:
+            after = body.index(ss8) + 1
+            raise ParseError(stray, line=header_line + 1 + body.index(extra, after))
     return structures
 
 
@@ -240,8 +209,7 @@ def load_corpus(
     window. When structures are supplied, the set of structure ids must equal
     the set of sequence ids.
     """
-    seq_text = read_text(sequence_path)
-    sequences = parse_sequences(seq_text)
+    sequences = parse_sequences(read_text(sequence_path))
     if not sequences:
         raise ValidationError(f"{sequence_path} holds no sequence records")
     seen: set[str] = set()

@@ -154,6 +154,25 @@ class TestCluster:
         assert run_cli("cluster", "--sample-corpus", "--k", "999",
                        "--out", tmp_path, *FAST) == 1
 
+    @pytest.mark.parametrize("engine,clusters_sha,trace_sha", [
+        ("pso-kmeans", "f3ec5d515e907e2f969c2edff31f45ebac7bf20ea2b97a0a8ac6bf93c1ea25ef",
+         "4d7724602f1b2580779cfeb2522a8babe73303bcdabf7556913d4af4db0a0394"),
+        ("kmeans", "f816b05a1c784fb8dc5caaee1c51c3af350014a3225d2f92c6209bd801f63819",
+         "72cf972753c38c2ef7bd3d9fcefd1b562122bd5f201f690eb39781f6d478b118"),
+    ])
+    def test_report_and_trace_bytes_are_pinned(self, tmp_path, monkeypatch, engine,
+                                               clusters_sha, trace_sha):
+        # Digests at seed 0 (the version string included), written from one
+        # working directory so that the echoed trace path is "trace.csv": a
+        # change to the scorer, the engines or the assignment that moves a
+        # byte fails.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("cluster", "--sample-corpus", "--engine", engine, "--seed", "0",
+                       "--trace", "trace.csv", "--out", "o") == 0
+        digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("o/clusters.json", "trace.csv")]
+        assert digests == [clusters_sha, trace_sha]
+
 
 class TestBicluster:
     def test_lambda_overflowing_the_volume_reward_exits_1(self, tmp_path):
@@ -374,6 +393,16 @@ class TestCompare:
         assert (tmp_path / "a" / "tally.csv").read_bytes() == \
             (tmp_path / "b" / "tally.csv").read_bytes()
 
+    def test_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # Digests at seed 0, the version string included.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("compare", "--sample-corpus", "--seed", "0", "--out", "o") == 0
+        digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("o/compare.json", "o/tally.csv")]
+        assert digests == [
+            "7b945003a30bbbd7c9b4c9d7b33ee37040e9595dfd8906c1b5f9f5f91b1055dd",
+            "6b5646b61afed41e01280d6e11fd0b3eac2793bd30054b92d3199a4358b26b09"]
+
     @pytest.mark.parametrize("flags", [["--w", "0.1"], ["--c1", "3"], ["--c2", "0.2"]])
     def test_swarm_coefficients_drive_the_run(self, tmp_path, flags):
         base = ["compare", "--sample-corpus", "--k", "3", "--k-rows", "3",
@@ -513,6 +542,31 @@ class TestConfigLayering:
         code = run_cli(command, "--config", cfg, "--out", tmp_path / "o")
         assert_fails_cleanly(capsys, code, 2)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["normalization", "window_scheme"])
+    def test_unknown_choice_in_file_exits_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_corpus": True, key: "bogus"}))
+        code = run_cli("cluster", "--config", cfg, "--out", tmp_path / "o")
+        assert "'bogus'" in assert_fails_cleanly(capsys, code, 1)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("values", [{"sample_corpus": True, "out": "o\ud800"},
+                                        {"sequences": "s\ud800.fasta"}])
+    def test_path_the_file_system_cannot_encode_exits_2(self, tmp_path, monkeypatch,
+                                                        capsys, values):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(values))
+        code = run_cli("prepare", "--config", "cfg.json")
+        assert "is not a file-system path" in assert_fails_cleanly(capsys, code, 2)
+        assert os.listdir() == ["cfg.json"]
+
+    def test_undecodable_argv_path_still_works(self, tmp_path):
+        # An argv byte that is not UTF-8 arrives as a surrogate escape, which
+        # encodes back to the same bytes.
+        out = tmp_path / os.fsdecode(b"\xed\xa0\x80")
+        assert run_cli("prepare", "--sample-corpus", "--out", out) == 0
+        assert (out / "manifest.json").exists()
 
     def test_int_file_value_passes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -739,7 +793,8 @@ JSON_VALUES = st.one_of(
 KIND_VALUES = {"int": st.integers(-3, 40), "float": st.floats(), "bool": st.booleans(),
                "tuple": st.lists(st.floats(), max_size=3),
                "str": st.sampled_from(["chunked", "sliding", "mode", "kmeans", "x"])}
-PATH_VALUES = st.sampled_from([None, 7, "{root}/missing", "{root}/latin1.fasta"])
+PATH_VALUES = st.sampled_from([None, 7, "{root}/missing", "{root}/latin1.fasta",
+                               "{root}/s\ud800"])
 CONFIG_VALUES = {
     f.name: PATH_VALUES if f.name in ("sequences", "structures", "biclusters", "trace",
                                       "out")

@@ -25,8 +25,9 @@ class TestIntraClusterFitness:
 
     @staticmethod
     def assign(data, centroids):
-        labels, fitness = assignment_fitness(np.array(data), np.array(centroids))
-        return list(labels), fitness
+        labels, fitness = assignment_fitness(np.array(data), np.array(centroids),
+                                             len(centroids))
+        return labels[:, 0].tolist(), float(fitness[0])
 
     def test_zero_when_items_sit_on_centroids(self):
         data = [np.array([1.0, 2.0]), np.array([5.0, 5.0])]

@@ -9,13 +9,7 @@ from motifswarm.errors import ContractError
 from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import as_item_arrays
 from motifswarm.pso import PsoConfig
-from motifswarm.psokmeans import (
-    Lattice,
-    assignment_fitness,
-    lattice_fitness,
-    pso_kmeans,
-    swarm_fitness,
-)
+from motifswarm.psokmeans import Lattice, assignment_fitness, lattice_fitness, pso_kmeans
 from motifswarm.report import Settings
 from motifswarm.seqio import Sequence, load_sample_corpus
 
@@ -26,15 +20,15 @@ class TestAssignmentFitness:
     def test_ties_go_to_lowest_index(self):
         flat = np.array([[5.0]])
         cents = np.array([[4.0], [6.0]])
-        labels, _ = assignment_fitness(flat, cents)
-        assert labels[0] == 0
+        labels, _ = assignment_fitness(flat, cents, 2)
+        assert labels[0, 0] == 0
 
     def test_empty_cluster_penalty(self):
         flat = np.array([[0.0], [1.0]])
         cents = np.array([[0.0], [1.0], [50.0]])
-        _, plain = assignment_fitness(flat, cents)
-        _, penalized = assignment_fitness(flat, cents, empty_penalty=7.0)
-        assert penalized == pytest.approx(plain + 7.0)
+        _, plain = assignment_fitness(flat, cents, 3)
+        _, penalized = assignment_fitness(flat, cents, 3, empty_penalty=7.0)
+        assert penalized[0] == pytest.approx(plain[0] + 7.0)
 
 
 class TestPsoKmeans:
@@ -116,11 +110,13 @@ def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penal
     # Few distinct values, so ties and empty clusters both occur.
     flat = rng.integers(0, 3, size=(n, d)).astype(float) / 9
     positions = rng.integers(0, 3, size=(n_particles, k * d)).astype(float) / 9
-    got = swarm_fitness(flat, positions, k, penalty)
+    got_labels, got = assignment_fitness(flat, positions.reshape(-1, d), k, penalty)
+    assert got_labels.shape == (n, n_particles)
     assert got.shape == (n_particles,)
     for p in range(n_particles):
         cents = positions[p].reshape(k, d)
         labels = [int(np.argmin([np.abs(item - c).sum() for c in cents])) for item in flat]
+        assert got_labels[:, p].tolist() == labels
         expected = intra_cluster_fitness(flat, labels, cents)
         if penalty:
             expected += penalty * (k - len(set(labels)))
@@ -145,28 +141,22 @@ def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_const
     with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_GAPS=block_gaps):
         lattice = Lattice(flat, np.sort(flat, axis=0))
         dist = lattice.distances(centroids)
-        fits = {penalty: lattice_fitness(lattice, positions, k, penalty)
-                for penalty in (0.0, 7.5)}
+        bare = lattice_fitness(lattice, positions, k)
 
     oracle = np.array([[cityblock_oracle(x, c) for c in centroids] for x in flat])
     # 1e-12 relative to the larger of the distance and the terms it cancels.
     assert np.all(np.abs(dist - oracle) <= 1e-12 * np.maximum(oracle, spread + 1.0))
-    for penalty, (value, bare) in fits.items():
-        for p in range(n_particles):
-            block = oracle[:, p * k:(p + 1) * k]
-            expected = block.min(axis=1).sum() / k
-            assert bare[p] == pytest.approx(expected, rel=1e-12, abs=1e-12 * spread)
-            n_empty = k - np.unique(block.argmin(axis=1)).size
-            assert value[p] == pytest.approx(expected + penalty * n_empty,
-                                             rel=1e-12, abs=1e-12 * spread)
+    for p in range(n_particles):
+        expected = oracle[:, p * k:(p + 1) * k].min(axis=1).sum() / k
+        assert bare[p] == pytest.approx(expected, rel=1e-12, abs=1e-12 * spread)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
     """Over a swarm that drifts toward data items in large and in tiny steps
     and is kicked away now and then, every value that improves its
-    particle's best is swarm_fitness's, and every other value leaves that
-    best unchanged under swarm_fitness too."""
+    particle's best is assignment_fitness's, and every other value leaves
+    that best unchanged under assignment_fitness too."""
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 12, size=(40, 30)) / 9.0
     k, penalty = 3, 4.0
@@ -176,7 +166,7 @@ def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
     best = np.full(12, np.inf)
     for step in range(18):
         value = fitness(positions)
-        exact = swarm_fitness(flat, positions, k, penalty)
+        exact = assignment_fitness(flat, positions.reshape(-1, flat.shape[1]), k, penalty)[1]
         improved = exact < best
         assert np.array_equal(value < best, improved)
         assert np.array_equal(value[improved], exact[improved])
@@ -194,7 +184,8 @@ def sample_windows():
 @pytest.mark.parametrize("seed", range(5))
 def test_lattice_ranking_matches_exact_ranking(monkeypatch, seed):
     """On the sample-corpus windows, a swarm ranked by the lattice and one
-    ranked by swarm_fitness end on the same gbest and the same assignment."""
+    ranked by assignment_fitness end on the same gbest and the same
+    assignment."""
     flat = sample_windows()
     cfg = PsoConfig(n_particles=20, max_iter=30, seed=seed)
     with mock.patch.object(psokmeans, "screened_fitness",

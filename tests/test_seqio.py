@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifswarm import seqio
+from motifswarm import cli, seqio
 from motifswarm.errors import LinkError, ParseError, ValidationError
 from motifswarm.seqio import (
     AMINO_ACIDS,
@@ -208,3 +208,39 @@ def test_sample_corpus_loads_and_pairs():
         assert len(seq) >= 9
         assert set(seq.residues) <= set(AMINO_ACIDS)
         assert len(corpus.structures[seq.id]) == len(seq)
+
+
+def test_header_directly_after_a_header_exits_2(tmp_path, capsys):
+    """A header is never read as a structure string."""
+    fasta, ss = tmp_path / "seqs.fasta", tmp_path / "ss.txt"
+    fasta.write_text(">a\nACDEFGHIK\n")
+    ss.write_text(">a\n>bbbbbbbb\n")
+    with pytest.raises(ParseError) as err:
+        load_corpus(fasta, ss)
+    assert err.value.line == 1
+    code = cli.main(["prepare", "--sequences", str(fasta), "--structures", str(ss),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == ("motifswarm: line 1: structure record 'a' "
+                                       "has no structure string\n")
+
+
+def test_further_structure_line_is_parse_error_at_its_line():
+    seqs = parse_sequences(">a\nACDEFGHIK\n")
+    with pytest.raises(ParseError, match="structure string before any") as err:
+        parse_structures(">a\n\nHHHHHHHHH\n  \nHHHHHHHHH\n", seqs)
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("text,line", [
+    ("\n>\nACDEFGHIK\n", 2),  # a header without an id
+    (">a\nACDEFGHIK\n>  \t\nACDEFGHIK\n", 3),
+    ("\n \nACDEFGHIK\n>a\nACDEFGHIK\n", 3),  # data before the first header
+    ("\t  ACD\n>a\nACDEFGHIK\n", 1),
+])
+def test_both_parsers_report_a_bad_header_or_stray_data_at_one_line(text, line):
+    seqs = [Sequence("a", "ACDEFGHIK")]
+    for parse in (parse_sequences, lambda t: parse_structures(t, seqs)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line

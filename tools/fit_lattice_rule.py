@@ -4,9 +4,10 @@ with one BLAS thread (takes a few minutes):
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_lattice_rule.py
 
 For a grid of (n, d, distinct values, particles, k) it times one swarm
-evaluation by psokmeans.lattice_fitness and by psokmeans.swarm_fitness on
-random count/9 data, fits nanoseconds per evaluation by relative least
-squares, and reports how often the fitted rule picks the slower kernel.
+evaluation by psokmeans.lattice_fitness and by the batched
+kmeans.assignment_fitness on random count/9 data, fits nanoseconds per
+evaluation by relative least squares, and reports how often the fitted rule
+picks the slower kernel.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import timeit
 
 import numpy as np
 
-from motifswarm.psokmeans import Lattice, lattice_fitness, lattice_pays, swarm_fitness
+from motifswarm.kmeans import assignment_fitness
+from motifswarm.psokmeans import Lattice, lattice_fitness, lattice_pays
 
 NS = [20, 60, 150, 400, 1000, 3000]
 DS = [20, 60, 180, 400]
@@ -40,8 +42,9 @@ def measure():
         pos = flat[rng.integers(0, n, size=(p, k))].reshape(p, -1)
         pos += rng.normal(scale=0.3 * flat.std(), size=pos.shape)
         cells = p * k * n * (d + width)
-        direct = best_time(lambda: swarm_fitness(flat, pos, k, 1.0), cells)
-        by_lattice = best_time(lambda: lattice_fitness(lattice, pos, k, 1.0), cells)
+        centroids = pos.reshape(-1, d)
+        direct = best_time(lambda: assignment_fitness(flat, centroids, k, 1.0), cells)
+        by_lattice = best_time(lambda: lattice_fitness(lattice, pos, k), cells)
         rows.append((n, d, width, p * k, direct, by_lattice))
     return rows
 

@@ -32,11 +32,6 @@ WINDOW_SCHEMES = ("chunked", "sliding")
 CHUNK_RESIDUES = 2**14
 
 
-def _check_window_size(window_size: int) -> None:
-    if window_size < 1:
-        raise ContractError(f"window size must be >= 1, got {window_size}")
-
-
 def _count_windows(codes: np.ndarray, lengths: np.ndarray, window_size: int,
                    n_symbols: int, scheme: str = "chunked") -> np.ndarray:
     """(len(lengths), window_size, n_symbols) counts of the sequences whose
@@ -110,34 +105,25 @@ def build_cluster_dataset(
     """The (len(seqs), window_size, 20) windows of seqs, in input order.
 
     A sequence shorter than window_size is a ValidationError naming the first
-    one; a residue outside the alphabet is a ContractError giving its
-    position within its sequence. Whichever comes first in seqs is raised.
+    one, raised before the window array is allocated.
     """
-    _check_window_size(window_size)
+    if window_size < 1:
+        raise ContractError(f"window size must be >= 1, got {window_size}")
     if scheme not in WINDOW_SCHEMES:
         raise ContractError(f"unknown window scheme {scheme!r}")
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     short = np.flatnonzero(lengths < window_size)
-    n_ok = short[0] if short.size else len(seqs)
-    windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
-    # Chunk c holds the sequences that start in residues [c, c + 1) x CHUNK_RESIDUES.
-    starts = np.cumsum(lengths[:n_ok]) - lengths[:n_ok]
-    bounds = np.flatnonzero(np.diff(starts // CHUNK_RESIDUES, prepend=-1, append=-1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        text = "".join([s.residues for s in seqs[lo:hi]])
-        try:
-            codes = encode(text)
-        except ContractError:
-            # Encode alone the sequence that holds the first bad residue, so
-            # the error gives the position within that sequence.
-            bad = starts[lo] + len(text) - len(text.lstrip(AMINO_ACIDS))
-            encode(seqs[np.searchsorted(starts, bad, "right") - 1].residues)
-            raise
-        windows[lo:hi] = _count_windows(codes, lengths[lo:hi], window_size,
-                                        len(AMINO_ACIDS), scheme)
     if short.size:
-        seq = seqs[n_ok]
+        seq = seqs[short[0]]
         raise ValidationError(
             f"sequence '{seq.id}' has length {len(seq)} < window size {window_size}"
         )
+    windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
+    # Chunk c holds the sequences that start in residues [c, c + 1) x CHUNK_RESIDUES.
+    starts = np.cumsum(lengths) - lengths
+    bounds = np.flatnonzero(np.diff(starts // CHUNK_RESIDUES, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        codes = encode("".join([s.residues for s in seqs[lo:hi]]))
+        windows[lo:hi] = _count_windows(codes, lengths[lo:hi], window_size,
+                                        len(AMINO_ACIDS), scheme)
     return windows

@@ -45,10 +45,11 @@ class Settings:
     """Every setting of one run, checked once on construction.
 
     A value of the wrong type, or a path the file system cannot encode, raises
-    InputError; a value out of range or not among its choices raises
-    ContractError. Ranges that need the data (k against the number of
-    sequences, the window size against their lengths) are checked by the
-    stages. swarm is the PsoConfig that the swarm stages run on.
+    InputError; a value out of range or not among its choices, or an input
+    path next to sample_corpus, raises ContractError. Ranges that need the
+    data (k against the number of sequences, the window size against their
+    lengths) are checked by the stages. swarm is the PsoConfig that the swarm
+    stages run on.
     """
 
     sequences: str | None = None
@@ -99,6 +100,10 @@ class Settings:
             value = getattr(self, name)
             if value not in allowed:
                 raise ContractError(f"unknown {name.replace('_', ' ')} {value!r}")
+        for name in ("sequences", "structures"):
+            if self.sample_corpus and getattr(self, name) is not None:
+                raise ContractError(f"sample_corpus and {name} both name an input; "
+                                    "give one or the other")
         for name in ("sequences", "structures", "out", "trace", "biclusters"):
             try:
                 os.fsencode(getattr(self, name) or "")

@@ -20,6 +20,7 @@ from .errors import ContractError, InputError, LinkError, ParseError, Validation
 #: Canonical one-letter amino-acid alphabet. This ordering is used for the
 #: columns of every frequency matrix produced by the package.
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
+_RESIDUE_BYTES = AMINO_ACIDS.encode("ascii")
 
 #: Three-class secondary structure alphabet: helix, sheet, coil.
 SS3_CLASSES = "HEC"
@@ -31,10 +32,24 @@ MIN_SEQUENCE_LENGTH = 9
 
 @dataclass(frozen=True)
 class Sequence:
-    """A validated protein sequence: id plus residues over the 20-letter alphabet."""
+    """A protein sequence: id plus residues over the 20-letter alphabet,
+    uppercased on construction; any other character is a ValidationError."""
 
     id: str
     residues: str
+
+    def __post_init__(self):
+        # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
+        # 'ı' -> 'I'), so they become '?' first, which keeps every position; the
+        # check then deletes the 20 letters from the bytes in one C pass.
+        residues = self.residues.encode("ascii", "replace").upper()
+        illegal = residues.translate(None, _RESIDUE_BYTES)
+        if illegal:
+            pos = residues.index(illegal[0])
+            c = chr(illegal[0]) if self.residues[pos].isascii() else self.residues[pos]
+            raise ValidationError(
+                f"sequence '{self.id}': illegal residue {c!r} at position {pos + 1}")
+        object.__setattr__(self, "residues", residues.decode("ascii"))
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -66,27 +81,15 @@ class _CoilByDefault(dict):
 _SS8_TO_SS3 = _CoilByDefault(
     {ord(c): map_ss8_to_ss3(c) for c in "BEGHIbeghi\u0131"})
 
-_RESIDUE_BYTES = AMINO_ACIDS.encode("ascii")
-
 
 def _sequence(seq_id: str, header_line: int, body: list[str]) -> Sequence:
     """The Sequence of one record: its body lines joined with all whitespace
-    removed, uppercased and checked against the 20-letter alphabet."""
+    removed; an empty body is a ValidationError naming the header line."""
     body = "".join("".join(body).split())
     if not body:
         raise ValidationError(
             f"sequence '{seq_id}' (header at line {header_line}) has no residues")
-    # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
-    # 'ı' -> 'I'), so they become '?' first, which keeps every position; the
-    # check then deletes the 20 letters from the bytes in one C pass.
-    residues = body.encode("ascii", "replace").upper()
-    illegal = residues.translate(None, _RESIDUE_BYTES)
-    if illegal:
-        pos = residues.index(illegal[0])
-        c = chr(illegal[0]) if body[pos].isascii() else body[pos]
-        raise ValidationError(
-            f"sequence '{seq_id}': illegal residue {c!r} at position {pos + 1}")
-    return Sequence(id=seq_id, residues=residues.decode("ascii"))
+    return Sequence(seq_id, body)
 
 
 def _byte_codes(alphabet: str) -> np.ndarray:

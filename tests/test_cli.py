@@ -615,6 +615,38 @@ def test_window_size_below_one_exits_1(tmp_path, capsys, command, window_size):
 
 
 @pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("window_size", [10**12, 10**30])
+@pytest.mark.parametrize("command", ["prepare", "cluster", "bicluster", "motifs",
+                                     "compare"])
+def test_window_longer_than_a_sequence_exits_3_before_allocating(
+        tmp_path, capsys, command, window_size, source):
+    size = ["--window-size", str(window_size)]
+    if source == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_size": window_size}))
+        size = ["--config", cfg]
+    code = run_cli(command, "--sample-corpus", *size, "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 3)
+    assert f"sequence 'hel01' has length 18 < window size {window_size}" in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("name", ["sequences", "structures"])
+def test_sample_corpus_with_an_input_path_exits_1(tmp_path, capsys, name, source):
+    path = str(sample_corpus_paths()[name == "structures"])
+    given = ["--sample-corpus", f"--{name}", path]
+    if source == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_corpus": True, name: path}))
+        given = ["--config", cfg]
+    code = run_cli("prepare", *given, "--out", tmp_path / "out")
+    err = assert_fails_cleanly(capsys, code, 1)
+    assert f"sample_corpus and {name}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("command", [["prepare"], ["cluster"],
                                      ["cluster", "--engine", "kmeans"],
                                      ["bicluster"], ["motifs"], ["compare"]])
@@ -762,7 +794,7 @@ SOURCES = [["--sample-corpus"], ["--sequences", "{sample}/sequences.fasta",
            ["--sequences", "{root}"], ["--sequences", "{root}/latin1.fasta"], []]
 IO_FLAGS = {
     "--seed": ["0", "3", "-1", "x"],
-    "--window-size": ["1", "5", "0", "-3", "1000"],
+    "--window-size": ["1", "5", "0", "-3", "1000", "1000000000000"],
     "--window-scheme": ["chunked", "sliding", "diagonal"],
     "--normalization": ["mean", "range", "mode", "median"],
 }

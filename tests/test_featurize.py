@@ -92,11 +92,6 @@ def test_window_size_below_one_is_contract_error(window_size):
         build_cluster_dataset([], window_size)
 
 
-def test_residue_outside_alphabet_is_contract_error():
-    with pytest.raises(ContractError, match=r"'J' at position 3"):
-        build_cluster_dataset([Sequence("s", "ACJDEFGHIK")])
-
-
 @settings(max_examples=150, deadline=None)
 @given(window_size=st.integers(1, 12), n=st.integers(1, 6), top=st.integers(1, 6),
        seed=st.integers(0, 2**16), method=st.sampled_from(NORMALIZATION_METHODS))
@@ -157,27 +152,14 @@ def test_first_short_sequence_is_named(chunk, scheme):
     assert str(err.value) == "sequence 'c' has length 7 < window size 9"
 
 
-@pytest.mark.parametrize("chunk", [1, 16, 2**14])
-def test_illegal_residue_position_is_within_its_sequence(chunk):
-    seqs = [Sequence("a", "A" * 20), Sequence("b", "CCJCCCCCCC"),
-            Sequence("c", "DDDDDDDDDDBD")]
-    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk), \
-            pytest.raises(ContractError) as err:
-        build_cluster_dataset(seqs, 9)
-    assert str(err.value) == f"character 'J' at position 3 is not in {AMINO_ACIDS!r}"
-
-
-@pytest.mark.parametrize("chunk", [1, 2**14])
-def test_first_bad_sequence_decides_the_error(chunk):
-    # As one sequence at a time: a short sequence ahead of a bad residue is
-    # a ValidationError, and a bad residue ahead of a short sequence is a
-    # ContractError.
-    short, bad = Sequence("s", "AAAA"), Sequence("b", "AAAAAAAAAAXA")
-    with mock.patch.object(featurize, "CHUNK_RESIDUES", chunk):
-        with pytest.raises(ValidationError, match="sequence 's' has length 4"):
-            build_cluster_dataset([Sequence("a", "A" * 9), short, bad])
-        with pytest.raises(ContractError, match="'X' at position 11"):
-            build_cluster_dataset([Sequence("a", "A" * 9), bad, short])
+@pytest.mark.parametrize("window_size", [2**62, 10**30])
+def test_oversized_window_is_refused_before_allocation(window_size):
+    seqs = [Sequence("a", "A" * 20), Sequence("b", "C" * 12)]
+    with mock.patch.object(featurize.np, "empty") as empty, \
+            pytest.raises(ValidationError) as err:
+        build_cluster_dataset(seqs, window_size)
+    assert str(err.value) == f"sequence 'a' has length 20 < window size {window_size}"
+    empty.assert_not_called()
 
 
 def test_normalize_windows_of_nothing_is_empty_matrix():

@@ -68,6 +68,24 @@ def test_non_ascii_rejected_before_uppercasing(body, bad, pos):
         parse_sequences(f">s1\n{body}\n")
 
 
+def test_sequence_refuses_a_letter_outside_the_alphabet():
+    with pytest.raises(ValidationError) as err:
+        Sequence("b", "CCJCCCCCCC")
+    assert str(err.value) == "sequence 'b': illegal residue 'J' at position 3"
+
+
+def test_sequence_names_a_non_ascii_residue_as_it_is():
+    with pytest.raises(ValidationError) as err:
+        Sequence("s", "AAAAAAAAA\u00dfA")
+    assert str(err.value) == "sequence 's': illegal residue '\u00df' at position 10"
+
+
+def test_sequence_uppercases_and_equals_the_parsed_record():
+    seq = Sequence("x", "acDEf")
+    assert seq.residues == "ACDEF"
+    assert parse_sequences(">x\nac DE\nf\n") == [seq]
+
+
 # Characters that parse_sequences keeps inside one record line: no line
 # breaks, no whitespace.
 _BODY_CHARS = st.characters(
@@ -141,8 +159,9 @@ def test_structure_table_matches_mapping_on_every_code_point():
 @given(ss8=st.text(
     alphabet=st.one_of(st.sampled_from("HGIBETSC -?hgibetsc\u0131"),
                        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
-    min_size=1, max_size=60))
+    min_size=1, max_size=60).filter(lambda s: not s.lstrip().startswith(">")))
 def test_parse_structures_matches_oracle(ss8):
+    # A line whose first non-blank character is '>' is a record header.
     seqs = [Sequence("s1", "A" * len(ss8))]
     structs = parse_structures(f">s1\n{ss8}\n", seqs)
     assert structs == {"s1": ss3_oracle(ss8)}

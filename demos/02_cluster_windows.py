@@ -13,6 +13,8 @@ from motifswarm.report import profile_for_members
 
 K = 3
 SEED = 7
+# 180-dimensional centroids need a real budget before the swarm moves
+SWARM = PsoConfig(n_particles=30, max_iter=200, seed=SEED)
 
 corpus = load_sample_corpus()
 windows = build_cluster_dataset(corpus.sequences)  # (n, 9, 20), row i for ids[i]
@@ -22,8 +24,7 @@ km = kmeans_run(windows, K, seed=SEED)
 print(f"k-means:     fitness {km.final_fitness:8.2f}  "
       f"({km.iterations_run} iterations, converged: {km.converged})")
 
-# 180-dimensional centroids need a real budget before the swarm moves
-swarm = pso_kmeans(windows, K, PsoConfig(n_particles=30, max_iter=200, seed=SEED))
+swarm = pso_kmeans(windows, K, SWARM)
 print(f"pso-k-means: fitness {swarm.final_fitness:8.2f}  "
       f"(best fitness per iteration, every 25th):")
 print("  " + "  ".join(f"{f:.2f}" for f in swarm.trace[::25]))
@@ -38,5 +39,6 @@ for c in range(swarm.k):
     print(f"  cluster {c}: {len(members):2d} members, similarity {sim:.3f} "
           f"({homology_class(sim)})  e.g. {', '.join(members[:4])}")
 
-print("\nthe CLI equivalent: motifswarm cluster --sample-corpus "
-      f"--engine pso-kmeans --k {K} --seed {SEED} --out out/")
+print("\nthe CLI equivalent: motifswarm cluster --sample-corpus --engine pso-kmeans "
+      f"--k {K} --n-particles {SWARM.n_particles} --max-iter {SWARM.max_iter} "
+      f"--seed {SEED} --out out/")

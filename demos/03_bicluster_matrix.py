@@ -8,6 +8,8 @@ fitness rewards volume, so the search resists collapsing into the trivially
 coherent one-column submatrices.
 """
 
+from dataclasses import replace
+
 from motifswarm import (
     AMINO_ACIDS,
     PsoConfig,
@@ -19,6 +21,9 @@ from motifswarm import (
 from motifswarm.featurize import build_cluster_dataset, normalize_windows
 
 SEED = 7
+# One swarm setting, as the CLI's flags give it: the seeding swarms run on
+# it and the refining swarm on the same with the seed plus two.
+SWARM = PsoConfig(n_particles=15, max_iter=80, seed=SEED)
 
 corpus = load_sample_corpus()
 matrix = normalize_windows(build_cluster_dataset(corpus.sequences))
@@ -28,14 +33,12 @@ lam = default_lambda(matrix)
 print(f"matrix {matrix.shape}, volume reward weight {lam:.4f} "
       "(0.1 x full-matrix MSR)")
 
-seeds = seed_biclusters(matrix, 3, 2, PsoConfig(n_particles=12, max_iter=40,
-                                                seed=SEED))
+seeds = seed_biclusters(matrix, 3, 2, SWARM)
 print(f"\n{len(seeds)} seeds from crossing 3 row clusters with 2 column clusters:")
 for s in seeds:
     print(f"  {len(s.rows):2d} x {len(s.cols):2d}  MSR {s.msr:.4f}")
 
-results = pso_bicluster(matrix, PsoConfig(n_particles=15, max_iter=80, seed=SEED + 2),
-                        seeds, lam=lam)
+results = pso_bicluster(matrix, replace(SWARM, seed=SEED + 2), seeds, lam=lam)
 print(f"\n{len(results)} distinct biclusters after refinement (best first):")
 for bic in results[:5]:
     letters = "".join(AMINO_ACIDS[c] for c in bic.cols)
@@ -44,5 +47,6 @@ for bic in results[:5]:
     print(f"  {len(bic.rows):2d} seqs x {letters:<12s} MSR {bic.msr:.4f} "
           f"volume {bic.volume:3d}  [{rows}{more}]")
 
-print("\nthe CLI equivalent: motifswarm bicluster --sample-corpus "
-      f"--k-rows 3 --k-cols 2 --seed {SEED} --out out/")
+print("\nthe CLI equivalent: motifswarm bicluster --sample-corpus --k-rows 3 --k-cols 2 "
+      f"--n-particles {SWARM.n_particles} --max-iter {SWARM.max_iter} "
+      f"--seed {SEED} --out out/")

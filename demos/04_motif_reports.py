@@ -10,6 +10,7 @@ Mind the Disjoint rows: a group can cohere by consistently AVOIDING letters,
 in which case the retained columns are exactly the ones its SAA never touches.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from motifswarm import (
@@ -23,14 +24,15 @@ from motifswarm.featurize import build_cluster_dataset, normalize_windows
 from motifswarm.motif import build_motif_report, position_frequencies, render_logo_svg
 
 SEED = 7
+# One swarm setting for seeding and (with the seed plus two) refining, as
+# the CLI runs them.
+SWARM = PsoConfig(n_particles=15, max_iter=80, seed=SEED)
 
 corpus = load_sample_corpus()
 windows = build_cluster_dataset(corpus.sequences)
 matrix = normalize_windows(windows)
-seeds = seed_biclusters(matrix, 3, 2, PsoConfig(n_particles=12, max_iter=40,
-                                                seed=SEED))
-results = pso_bicluster(matrix, PsoConfig(n_particles=15, max_iter=80,
-                                          seed=SEED + 2), seeds)
+seeds = seed_biclusters(matrix, 3, 2, SWARM)
+results = pso_bicluster(matrix, replace(SWARM, seed=SEED + 2), seeds)
 
 
 def motif_set(bic):
@@ -76,5 +78,6 @@ out.mkdir(exist_ok=True)
 svg = out / f"{report['group_id']}.svg"
 svg.write_text(render_logo_svg(report), encoding="utf-8")
 print(f"\nwrote {svg}")
-print("the CLI equivalent: motifswarm motifs --sample-corpus "
-      f"--k-rows 3 --k-cols 2 --seed {SEED} --out out/")
+print("the CLI equivalent: motifswarm motifs --sample-corpus --k-rows 3 --k-cols 2 "
+      f"--n-particles {SWARM.n_particles} --max-iter {SWARM.max_iter} "
+      f"--seed {SEED} --out out/")

@@ -10,9 +10,10 @@ agree more on structure.
 from motifswarm import Settings, compare_pipelines, load_sample_corpus
 from motifswarm.report import tally_to_csv
 
+SETTINGS = Settings(k=4, k_rows=3, k_cols=2, n_particles=15, max_iter=60, seed=7)
+
 corpus = load_sample_corpus()
-report = compare_pipelines(corpus, Settings(k=4, k_rows=3, k_cols=2,
-                                            n_particles=15, max_iter=60, seed=7))
+report = compare_pipelines(corpus, SETTINGS)
 
 print(f"{len(report['clusters'])} clusters:")
 for entry in report["clusters"]:
@@ -26,4 +27,7 @@ for entry in report["biclusters"][:6]:
 
 print("\nhomology tally (groups at or above each cutoff):")
 print(tally_to_csv(report["tally"]))
-print("the CLI equivalent: motifswarm compare --sample-corpus --seed 7 --out out/")
+print("the CLI equivalent: motifswarm compare --sample-corpus "
+      f"--k {SETTINGS.k} --k-rows {SETTINGS.k_rows} --k-cols {SETTINGS.k_cols} "
+      f"--n-particles {SETTINGS.n_particles} --max-iter {SETTINGS.max_iter} "
+      f"--seed {SETTINGS.seed} --out out/")

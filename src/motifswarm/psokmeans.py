@@ -6,7 +6,8 @@ returned clustering. Empty clusters would shrink the fitness numerator for
 free, so each one incurs a penalty equal to the dataset's L1 spread.
 
 Where it is cheaper, a Lattice scores all the swarm's centroids with one
-blocked matmul, and screened_fitness rescores exactly what may improve.
+blocked matmul over a one-hot table of each column's distinct values, and
+screened_fitness rescores exactly what may improve.
 """
 
 from __future__ import annotations
@@ -19,53 +20,48 @@ from .errors import ContractError
 from .kmeans import ClusterSet, as_item_arrays, assignment_fitness
 from .pso import PsoConfig, pso_optimize
 
-# The lattice product runs in blocks of gaps: ~BLOCK_CELLS float cells each,
-# but never under BLOCK_GAPS gaps, below which the matmuls run slowly.
-BLOCK_CELLS, BLOCK_GAPS = 2**13, 64
+# The table product runs in blocks of values: ~BLOCK_CELLS float cells each,
+# but never under BLOCK_VALUES values, below which the matmuls run slowly.
+BLOCK_CELLS, BLOCK_VALUES = 2**13, 64
 
 
 class Lattice:
     """City-block distances to the rows of flat, given sorted down each
-    column as ordered, through a weighted unary code. Column j's distinct
-    values s_0 < ... < s_m leave gaps t of start s_t, width w_t = s_{t+1} - s_t.
-    With U[i,t] = [x_ij > s_t] and V[c,t] = clip(c_j - s_t, 0, w_t), the gaps
-    below x_ij add V up to clip(c_j - s_0, 0, x_ij - s_0), so for any c
+    column as ordered, through a one-hot table of each column's distinct
+    values. Table column t holds value s_t of data column j_t; with
+    E[i,t] = [x_ij_t == s_t] and W[c,t] = |s_t - c_j_t|, for any c
 
-        |x_i - c|_1 = sum_j (x_ij - s_0j) + sum_j |c_j - s_0j| - 2 (U V^T)[i,c]
+        |x_i - c|_1 = sum_t E[i,t] |s_t - c_j_t| = (E W^T)[i,c]
 
-    exactly in real arithmetic. A constant column adds no gap. U is kept as
-    bool blocks of gaps.
+    exactly in real arithmetic, and every term is >= 0. E is kept as bool
+    blocks of table columns.
     """
 
     def __init__(self, flat, ordered):
-        col, at = np.nonzero((ordered[1:] != ordered[:-1]).T)
-        self.col, self.start, self.low = col, ordered[at, col], ordered[0]
-        self.width = ordered[at + 1, col] - self.start
-        self.base = (flat - self.low).sum(axis=1)
-        step = max(BLOCK_GAPS, BLOCK_CELLS // flat.shape[0])
+        first = np.ones(ordered.shape, dtype=bool)  # a value's first sorted row
+        first[1:] = ordered[1:] != ordered[:-1]
+        col, at = np.nonzero(first.T)
+        self.col, self.value = col, ordered[at, col]
+        step = max(BLOCK_VALUES, BLOCK_CELLS // flat.shape[0])
         self.blocks = [slice(b, b + step) for b in range(0, col.size, step)]
-        self.above = [flat[:, col[t]] > self.start[t] for t in self.blocks]
+        self.equal = [flat[:, col[t]] == self.value[t] for t in self.blocks]
 
     def distances(self, centroids) -> np.ndarray:
         """(n, m) city-block distances to an (m, d) centroid array."""
-        inner = np.zeros((self.base.size, centroids.shape[0]))
+        dist = np.zeros((self.equal[0].shape[0], centroids.shape[0]))
         by_column = np.ascontiguousarray(centroids.T)
-        for t, above in zip(self.blocks, self.above):
-            v = by_column[self.col[t]] - self.start[t, None]  # V^T of block t
-            np.maximum(v, 0.0, out=v)
-            np.minimum(v, self.width[t, None], out=v)
-            inner += above.astype(float) @ v
-        inner *= -2.0
-        inner += self.base[:, None]
-        inner += np.abs(centroids - self.low).sum(axis=1)
-        return inner
+        for t, equal in zip(self.blocks, self.equal):
+            w = by_column[self.col[t]] - self.value[t, None]  # W^T of block t
+            dist += equal.astype(float) @ np.abs(w, out=w)
+        return dist
 
 
-def lattice_pays(n: int, d: int, width: int, n_centroids: int) -> bool:
-    """Whether a width-gap lattice of an (n, d) matrix scores n_centroids
-    centroids faster than assignment_fitness, by nanoseconds per evaluation
-    fitted with one BLAS thread on a 2-core x86-64 host (see tools/)."""
-    lattice = n_centroids * width * (6.1 + 0.065 * n) + 1.6 * n * width
+def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
+    """Whether the lattice of an (n, d) matrix with values distinct (column,
+    value) pairs scores n_centroids centroids faster than assignment_fitness,
+    by nanoseconds per evaluation fitted with one BLAS thread on a 2-core
+    x86-64 host (see tools/)."""
+    lattice = n_centroids * values * (6.1 + 0.065 * n) + 1.6 * n * values
     return lattice < n_centroids * (2.3 * n * d + 15400)
 
 
@@ -85,16 +81,16 @@ def screened_fitness(flat, ordered, k: int, empty_penalty: float):
     personal best. Any other keeps its lattice value, above that best, so
     pbests, gbest and history match assignment_fitness exactly."""
     lattice = Lattice(flat, ordered)
-    # Rounding moves a lattice value by a few ulps x (gaps + 2d) x (n * data
-    # spread + value); tol leaves a margin of over a thousandfold.
-    tol = 1e-12 * (lattice.col.size + flat.shape[1])
-    scale = flat.shape[0] * float((ordered[-1] - ordered[0]).sum())
+    # A lattice value sums n nearest distances of d non-negative terms each,
+    # so rounding moves it by at most a few ulps x (n + d) of itself; tol
+    # leaves a margin of over a thousandfold.
+    tol = 1e-12 * (flat.shape[0] + flat.shape[1])
     best = np.inf
 
     def fitness(positions):
         nonlocal best
         value = lattice_fitness(lattice, positions, k)
-        redo = value <= best + tol * (scale + value)
+        redo = value * (1.0 - tol) <= best
         value[redo] = assignment_fitness(flat, positions[redo].reshape(-1, flat.shape[1]),
                                          k, empty_penalty)[1]
         best = np.minimum(best, value)
@@ -128,8 +124,8 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
                                for _ in range(cfg.n_particles)])
     init_velocities = rng.uniform(-1.0, 1.0, size=init_positions.shape) * v_max
 
-    width = int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-    if lattice_pays(n, flat.shape[1], width, cfg.n_particles * k):
+    values = flat.shape[1] + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    if lattice_pays(n, flat.shape[1], values, cfg.n_particles * k):
         fitness = screened_fitness(flat, ordered, k, spread)
     else:
         fitness = lambda positions: assignment_fitness(

@@ -55,20 +55,6 @@ class Sequence:
         return len(self.residues)
 
 
-def map_ss8_to_ss3(code: str) -> str:
-    """Collapse an 8-class structure character to H, E or C.
-
-    H, G and I map to H (helices); B and E map to E (sheets); every other
-    character, including blanks and unknown codes, maps to C (coils).
-    """
-    c = code.upper()
-    if c in "HGI":
-        return "H"
-    if c in "BE":
-        return "E"
-    return "C"
-
-
 class _CoilByDefault(dict):
     """str.translate table: every code point it does not hold maps to C."""
 
@@ -76,10 +62,11 @@ class _CoilByDefault(dict):
         return "C"
 
 
-#: The code points map_ss8_to_ss3 sends to H or E: the five letters in both
-#: cases, plus dotless i, since 'ı'.upper() == 'I'.
-_SS8_TO_SS3 = _CoilByDefault(
-    {ord(c): map_ss8_to_ss3(c) for c in "BEGHIbeghi\u0131"})
+#: The 8-to-3 class collapse, in either case: H, G and I (helices) map to H,
+#: B and E (sheets) to E, and every other character (coils, blanks, unknown
+#: codes) to C. Dotless i maps to H too, since 'ı'.upper() == 'I'.
+_SS8_TO_SS3 = _CoilByDefault({ord(c): "H" for c in "GHIghi\u0131"}
+                             | {ord(c): "E" for c in "BEbe"})
 
 
 def _sequence(seq_id: str, header_line: int, body: list[str]) -> Sequence:

@@ -12,7 +12,7 @@ import numpy as np
 
 from motifswarm import psobiclust
 from motifswarm.psobiclust import _repair
-from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence, map_ss8_to_ss3
+from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence
 
 
 def cityblock_oracle(a, b) -> float:
@@ -143,8 +143,13 @@ def normalize_oracle(counts, method):
 
 
 def ss3_oracle(ss8):
-    """H/E/C collapse, one character at a time."""
-    return "".join(map_ss8_to_ss3(c) for c in ss8)
+    """H/E/C collapse, one character at a time: an uppercased H, G or I is a
+    helix, B or E a sheet, anything else a coil."""
+    out = []
+    for c in ss8:
+        upper = c.upper()
+        out.append("H" if upper in ("H", "G", "I") else "E" if upper in ("B", "E") else "C")
+    return "".join(out)
 
 
 def first_bad_residue_oracle(body):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifswarm import psokmeans
 from motifswarm.errors import ContractError
-from motifswarm.featurize import build_cluster_dataset
-from motifswarm.kmeans import as_item_arrays
+from motifswarm.featurize import WINDOW_SCHEMES, build_cluster_dataset, normalize_windows
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import Lattice, assignment_fitness, lattice_fitness, pso_kmeans
 from motifswarm.report import Settings
@@ -126,10 +125,10 @@ def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penal
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 8), k=st.integers(1, 4),
        n_particles=st.integers(1, 4), divisor=st.sampled_from([1.0, 9.0]),
-       n_constant=st.integers(0, 3), block_gaps=st.sampled_from([1, 3, 64]),
+       n_constant=st.integers(0, 3), block_values=st.sampled_from([1, 3, 64]),
        seed=st.integers(0, 2**16))
 def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_constant,
-                                          block_gaps, seed):
+                                          block_values, seed):
     rng = np.random.default_rng(seed)
     # Integer counts or count/9 values; the first columns may be constant.
     flat = rng.integers(0, 6, size=(n, d)) / divisor
@@ -137,18 +136,17 @@ def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_const
     # Centroids reach below each column's minimum and above its maximum.
     positions = rng.uniform(-3.0, 9.0, size=(n_particles, k * d)) / divisor
     centroids = positions.reshape(n_particles * k, d)
-    spread = float((flat.max(axis=0) - flat.min(axis=0)).sum())
-    with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_GAPS=block_gaps):
+    with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_VALUES=block_values):
         lattice = Lattice(flat, np.sort(flat, axis=0))
         dist = lattice.distances(centroids)
         bare = lattice_fitness(lattice, positions, k)
 
     oracle = np.array([[cityblock_oracle(x, c) for c in centroids] for x in flat])
-    # 1e-12 relative to the larger of the distance and the terms it cancels.
-    assert np.all(np.abs(dist - oracle) <= 1e-12 * np.maximum(oracle, spread + 1.0))
+    # Every term is >= 0, so rounding is relative to the distance itself.
+    assert np.all(np.abs(dist - oracle) <= 1e-12 * oracle)
     for p in range(n_particles):
         expected = oracle[:, p * k:(p + 1) * k].min(axis=1).sum() / k
-        assert bare[p] == pytest.approx(expected, rel=1e-12, abs=1e-12 * spread)
+        assert abs(bare[p] - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -176,33 +174,53 @@ def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
         positions = positions + pull * (target - positions) + kick
 
 
-def sample_windows():
-    items = as_item_arrays(build_cluster_dataset(load_sample_corpus().sequences))
-    return items.reshape(items.shape[0], -1)
+def command_input(name):
+    """The sample-corpus items and k that a command feeds pso_kmeans: the
+    cluster windows ("chunked", "sliding"), the normalized bicluster matrix
+    ("mean", "range", "mode") or its transpose ("mean T", ...)."""
+    scheme = "sliding" if name == "sliding" else "chunked"
+    windows = build_cluster_dataset(load_sample_corpus().sequences, scheme=scheme)
+    if name in WINDOW_SCHEMES:
+        return windows.reshape(windows.shape[0], -1), Settings.k
+    method, *transposed = name.split()
+    matrix = normalize_windows(windows, method)
+    return (matrix.T, Settings.k_cols) if transposed else (matrix, Settings.k_rows)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_lattice_ranking_matches_exact_ranking(monkeypatch, seed):
-    """On the sample-corpus windows, a swarm ranked by the lattice and one
-    ranked by assignment_fitness end on the same gbest and the same
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["chunked", "sliding", "mean", "range", "mode",
+                                  "mean T", "range T", "mode T"])
+def test_lattice_ranking_matches_exact_ranking(monkeypatch, name, seed):
+    """On every input the commands cluster, a swarm ranked by the lattice
+    and one ranked by assignment_fitness end on the same gbest, trace and
     assignment."""
-    flat = sample_windows()
+    flat, k = command_input(name)
     cfg = PsoConfig(n_particles=20, max_iter=30, seed=seed)
+    monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: True)
     with mock.patch.object(psokmeans, "screened_fitness",
                            wraps=psokmeans.screened_fitness) as spy:
-        by_lattice = pso_kmeans(flat, 5, cfg)
-    assert spy.called  # the sample windows take the lattice path
+        by_lattice = pso_kmeans(flat, k, cfg)
+    assert spy.called
     monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: False)
-    exact = pso_kmeans(flat, 5, cfg)
+    exact = pso_kmeans(flat, k, cfg)
     assert np.array_equal(by_lattice.centroids, exact.centroids)
     assert np.array_equal(by_lattice.assignment, exact.assignment)
     assert by_lattice.trace == exact.trace
     assert by_lattice.final_fitness == exact.final_fitness
 
 
+@pytest.mark.parametrize("name", ["chunked", "mean", "mean T"])
+def test_sample_corpus_inputs_take_the_table(name):
+    flat, k = command_input(name)
+    with mock.patch.object(psokmeans, "screened_fitness",
+                           wraps=psokmeans.screened_fitness) as spy:
+        pso_kmeans(flat, k, PsoConfig(n_particles=Settings.n_particles, max_iter=2))
+    assert spy.called
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_uniform_noise_keeps_the_direct_kernel(monkeypatch, transpose):
-    """Every value of uniform noise is distinct, so its lattice has ~n gaps
+    """Every value of uniform noise is distinct, so its table has n values
     per column and the direct kernel is cheaper."""
     noise = np.random.default_rng(0).uniform(size=(400, 20))
     data = noise.T if transpose else noise

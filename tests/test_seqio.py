@@ -7,10 +7,10 @@ from motifswarm import cli, seqio
 from motifswarm.errors import LinkError, ParseError, ValidationError
 from motifswarm.seqio import (
     AMINO_ACIDS,
+    SS3_CLASSES,
     Sequence,
     load_corpus,
     load_sample_corpus,
-    map_ss8_to_ss3,
     parse_sequences,
     parse_structures,
 )
@@ -130,12 +130,11 @@ def test_record_without_body_rejected():
      ("T", "C"), ("S", "C"), (" ", "C"), ("-", "C"), ("?", "C"), ("g", "H")],
 )
 def test_ss8_to_ss3_mapping(code, expected):
-    assert map_ss8_to_ss3(code) == expected
+    assert code.translate(seqio._SS8_TO_SS3) == expected
 
 
 def test_ss3_mapping_idempotent_on_own_output():
-    for c in "HEC":
-        assert map_ss8_to_ss3(c) == c
+    assert SS3_CLASSES.translate(seqio._SS8_TO_SS3) == SS3_CLASSES
 
 
 def test_parse_structures_characterwise_mapping():

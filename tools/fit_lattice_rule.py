@@ -6,8 +6,8 @@ with one BLAS thread (takes a few minutes):
 For a grid of (n, d, distinct values, particles, k) it times one swarm
 evaluation by psokmeans.lattice_fitness and by the batched
 kmeans.assignment_fitness on random count/9 data, fits nanoseconds per
-evaluation by relative least squares, and reports how often the fitted rule
-picks the slower kernel.
+evaluation by relative least squares, and reports how often the fitted
+constants and the constants in lattice_pays pick the slower kernel.
 """
 
 import itertools
@@ -38,14 +38,14 @@ def measure():
         flat = rng.integers(0, distinct, size=(n, d)) / 9.0
         ordered = np.sort(flat, axis=0)
         lattice = Lattice(flat, ordered)
-        width = lattice.col.size
+        values = lattice.col.size
         pos = flat[rng.integers(0, n, size=(p, k))].reshape(p, -1)
         pos += rng.normal(scale=0.3 * flat.std(), size=pos.shape)
-        cells = p * k * n * (d + width)
+        cells = p * k * n * (d + values)
         centroids = pos.reshape(-1, d)
         direct = best_time(lambda: assignment_fitness(flat, centroids, k, 1.0), cells)
         by_lattice = best_time(lambda: lattice_fitness(lattice, pos, k), cells)
-        rows.append((n, d, width, p * k, direct, by_lattice))
+        rows.append((n, d, values, p * k, direct, by_lattice))
     return rows
 
 
@@ -55,18 +55,29 @@ def fit(features, seconds):
     return coef * 1e9
 
 
+def picks_slower(pays, rows):
+    return [r for r in rows if pays(*r[:4]) != (r[5] < r[4])]
+
+
 def main():
     rows = measure()
-    direct = fit([[m * n * d, m] for n, d, w, m, *_ in rows], [r[4] for r in rows])
-    lattice = fit([[m * w, m * w * n, n * w] for n, d, w, m, *_ in rows],
+    direct = fit([[m * n * d, m] for n, d, v, m, *_ in rows], [r[4] for r in rows])
+    lattice = fit([[m * v, m * v * n, n * v] for n, d, v, m, *_ in rows],
                   [r[5] for r in rows])
     print("direct ns: per data cell and centroid %.3g, per centroid %.3g" % tuple(direct))
-    print("lattice ns: per gap and centroid %.3g, per multiply-add %.3g, "
+    print("lattice ns: per value and centroid %.3g, per multiply-add %.3g, "
           "per mask cell %.3g" % tuple(lattice))
-    wrong = [r for r in rows if lattice_pays(*r[:4]) != (r[5] < r[4])]
+
+    def fitted(n, d, values, m):
+        return (m * values * (lattice[0] + lattice[1] * n) + lattice[2] * n * values
+                < m * (direct[0] * n * d + direct[1]))
+
+    print(f"the fitted constants pick the slower kernel on "
+          f"{len(picks_slower(fitted, rows))} of {len(rows)} shapes")
+    wrong = picks_slower(lattice_pays, rows)
     print(f"lattice_pays picks the slower kernel on {len(wrong)} of {len(rows)} shapes")
-    for n, d, w, m, t_direct, t_lattice in wrong:
-        print(f"  n={n} d={d} gaps={w} centroids={m}: lattice/direct "
+    for n, d, v, m, t_direct, t_lattice in wrong:
+        print(f"  n={n} d={d} values={v} centroids={m}: lattice/direct "
               f"{t_lattice / t_direct:.2f}")
 
 

@@ -2,10 +2,11 @@
 
 Configuration comes from built-in defaults, then an optional JSON config
 file, then flags, each layer overriding the last, and is checked once as a
-report.Settings. Every artifact embeds the settings' echo (all of them but
-the output directory), the seed and the package version, and contains no
-timestamps, so reruns with identical inputs are byte-identical wherever they
-are written.
+report.Settings. report renders every artifact body (JSON and CSV text,
+group entries, tallies); this module writes the files and gives every JSON
+artifact one header: the settings' echo (all of them but the output
+directory), the version and the seed. No artifact holds a timestamp, so
+reruns with identical inputs are byte-identical wherever they are written.
 
 Exit codes: 1 contract violation, 2 unreadable/malformed input, 3 invalid
 content, 64 usage error.
@@ -25,8 +26,9 @@ from . import __version__, featurize
 from .errors import ContractError, InputError, ValidationError
 from .motif import (SAA_THRESHOLD, build_motif_report, position_frequencies,
                     render_logo_svg)
-from .report import (ENGINES, Settings, bicluster_corpus, cluster_corpus, cluster_entries,
-                     compare_pipelines, corpus_windows, json_text, tally_to_csv)
+from .report import (ENGINES, Settings, bicluster_entries, cluster_corpus, cluster_entries,
+                     compare_pipelines, corpus_windows, csv_field, csv_text, json_text,
+                     tally_to_csv)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus, read_text
 
 VERSION = f"motifswarm-v{__version__}"
@@ -89,25 +91,6 @@ def _artifact(cfg: Settings, fields: dict) -> str:
     return json_text({"config": cfg.echo(), "version": VERSION, "seed": cfg.seed, **fields})
 
 
-def _csv_field(text: str) -> str:
-    """text as one CSV field: quoted, with inner quotes doubled, when it
-    holds a comma, a quote, CR or LF (RFC 4180); otherwise as it is."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv(header: list, rows) -> str:
-    """CSV text of an iterable of tuples of str, int and float cells. Each
-    row goes through one "%s" template, and "%s" % x == str(x) for these
-    types; str(float) is its shortest round-trip repr, so numbers read back
-    exactly."""
-    template = ",".join(["%s"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(template % row for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_prepare(cfg: Settings) -> None:
     """Write the frequency windows, the normalized matrix and a manifest."""
     corpus = _load_corpus(cfg)
@@ -115,18 +98,18 @@ def cmd_prepare(cfg: Settings) -> None:
     matrix = featurize.normalize_windows(windows, cfg.normalization)
     out = Path(cfg.out)
 
-    # .tolist() gives Python int and float cells, which _csv writes directly.
+    # .tolist() gives Python int and float cells, which csv_text writes directly.
     letters = list(AMINO_ACIDS)
-    ids = [_csv_field(seq.id) for seq in corpus.sequences]
+    ids = [csv_field(seq.id) for seq in corpus.sequences]
     window_rows = (
         (sid, i, *row)
         for sid, window in zip(ids, windows.tolist())
         for i, row in enumerate(window, start=1)
     )
     _write_text(out / "windows.csv",
-                _csv(["sequence_id", "position", *letters], window_rows))
+                csv_text(["sequence_id", "position", *letters], window_rows))
     matrix_rows = ((sid, *row) for sid, row in zip(ids, matrix.tolist()))
-    _write_text(out / "matrix.csv", _csv(["sequence_id", *letters], matrix_rows))
+    _write_text(out / "matrix.csv", csv_text(["sequence_id", *letters], matrix_rows))
     _write_text(out / "manifest.json", _artifact(cfg, {
         "n_sequences": len(corpus.sequences),
         "n_windows": len(windows),
@@ -151,32 +134,13 @@ def cmd_cluster(cfg: Settings) -> None:
     }))
     if cfg.trace:
         rows = ((i, float(f)) for i, f in enumerate(cs.trace))
-        _write_text(Path(cfg.trace), _csv(["iteration", "fitness"], rows))
-
-
-def _bicluster_entries(cfg: Settings, corpus: Corpus, windows):
-    """Bicluster the corpus's windows; returns the biclusters.json entries,
-    letters in alphabet order, and the resolved lambda."""
-    bics, lam = bicluster_corpus(windows, cfg)
-    ids = [s.id for s in corpus.sequences]
-    entries = [
-        {
-            "id": f"bicluster-{b:02d}",
-            "rows": [ids[i] for i in bic.rows],
-            "cols": "".join(AMINO_ACIDS[c] for c in bic.cols),
-            "size": len(bic.rows),
-            "msr": bic.msr,
-            "volume": bic.volume,
-        }
-        for b, bic in enumerate(bics)
-    ]
-    return entries, lam
+        _write_text(Path(cfg.trace), csv_text(["iteration", "fitness"], rows))
 
 
 def cmd_bicluster(cfg: Settings) -> None:
     """Bicluster the normalized matrix and write the group report."""
     corpus = _load_corpus(cfg)
-    entries, lam = _bicluster_entries(cfg, corpus, corpus_windows(corpus, cfg))
+    entries, lam = bicluster_entries(corpus, corpus_windows(corpus, cfg), cfg)
     _write_text(Path(cfg.out) / "biclusters.json", _artifact(cfg, {
         "lambda": lam,
         "biclusters": entries,
@@ -249,7 +213,7 @@ def cmd_motifs(cfg: Settings) -> None:
     entries = _load_bicluster_groups(cfg.biclusters, corpus) if cfg.biclusters else None
     windows = corpus_windows(corpus, cfg)
     if entries is None:
-        entries, _ = _bicluster_entries(cfg, corpus, windows)
+        entries, _ = bicluster_entries(corpus, windows, cfg)
     row_of = {seq.id: i for i, seq in enumerate(corpus.sequences)}
     out = Path(cfg.out) / "motifs"
     group_ids = []
@@ -271,9 +235,8 @@ def cmd_motifs(cfg: Settings) -> None:
 def cmd_compare(cfg: Settings) -> None:
     """Run both pipelines and write the side-by-side homology tally."""
     report = compare_pipelines(_load_corpus(cfg), cfg)
-    report["version"] = VERSION
     out = Path(cfg.out)
-    _write_text(out / "compare.json", json_text(report))
+    _write_text(out / "compare.json", _artifact(cfg, report))
     _write_text(out / "tally.csv", tally_to_csv(report["tally"]))
 
 

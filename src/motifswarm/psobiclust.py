@@ -159,7 +159,8 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None, rng=N
     for s in seeds:
         if not s.rows or not s.cols:
             raise ContractError("seed with empty row or column set")
-        if max(s.rows) >= n_rows or max(s.cols) >= n_cols:
+        if (min(s.rows) < 0 or min(s.cols) < 0
+                or max(s.rows) >= n_rows or max(s.cols) >= n_cols):
             raise ContractError("seed indices outside matrix")
     if lam is None:
         lam = default_lambda(m)

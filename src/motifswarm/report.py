@@ -136,6 +136,25 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, CR or LF (RFC 4180); otherwise as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header: list, rows) -> str:
+    """The artifact form of an iterable of tuples of str, int and float
+    cells. Each row goes through one "%s" template, and "%s" % x == str(x)
+    for these types; str(float) is its shortest round-trip repr, so numbers
+    read back exactly."""
+    template = ",".join(["%s"] * len(header))
+    lines = [",".join(header)]
+    lines.extend(template % row for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _check_descending(thresholds) -> None:
     """Refuse homology cutoffs that are not sorted descending; Settings runs
     this before any work, and tally_homology again for direct callers."""
@@ -207,6 +226,25 @@ def bicluster_corpus(windows, settings: Settings):
     return bics, lam
 
 
+def bicluster_entries(corpus: Corpus, windows, settings: Settings):
+    """Bicluster a corpus's windows (bicluster_corpus); returns the
+    biclusters.json entries, letters in AMINO_ACIDS order, and the lambda."""
+    bics, lam = bicluster_corpus(windows, settings)
+    ids = [s.id for s in corpus.sequences]
+    entries = [
+        {
+            "id": f"bicluster-{b:02d}",
+            "rows": [ids[i] for i in bic.rows],
+            "cols": "".join(AMINO_ACIDS[c] for c in bic.cols),
+            "size": len(bic.rows),
+            "msr": bic.msr,
+            "volume": bic.volume,
+        }
+        for b, bic in enumerate(bics)
+    ]
+    return entries, lam
+
+
 def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
     """Run the clustering and the biclustering pipeline on one corpus and
     tally their structure homology side by side. Deterministic per seed.
@@ -219,19 +257,12 @@ def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
     windows = corpus_windows(corpus, settings)
     clusters = [e for e in cluster_entries(corpus, cluster_corpus(windows, settings))
                 if e["size"]]
-
-    bics, lam = bicluster_corpus(windows, settings)
-    ids = [s.id for s in corpus.sequences]
-    biclusters = []
-    for b, bic in enumerate(bics):
-        entry = _group_entry(corpus, f"bicluster-{b:02d}", [ids[i] for i in bic.rows])
-        entry["amino_acids"] = "".join(sorted(AMINO_ACIDS[c] for c in bic.cols))
-        entry["msr"] = bic.msr
-        entry["volume"] = bic.volume
-        biclusters.append(entry)
-
+    entries, lam = bicluster_entries(corpus, windows, settings)
+    biclusters = [{**_group_entry(corpus, e["id"], e["rows"]),
+                   "amino_acids": "".join(sorted(e["cols"])),
+                   "msr": e["msr"], "volume": e["volume"]}
+                  for e in entries]
     return {
-        "config": settings.echo(),
         "lambda": lam,
         "clusters": clusters,
         "biclusters": biclusters,
@@ -247,9 +278,6 @@ def tally_to_csv(tally: dict) -> str:
     """Threshold/clusters/biclusters rows, mirroring the comparison table.
     A threshold is written with two decimals when they read back as its
     value, else in full, so distinct thresholds never share a label."""
-    rows = zip(tally["thresholds"], tally["clusters"], tally["biclusters"])
-    lines = ["threshold,clusters,biclusters"]
-    for t, c, b in rows:
-        label = f"{t:.2f}"
-        lines.append(f"{label if float(label) == t else t},{c},{b}")
-    return "\n".join(lines) + "\n"
+    rows = ((f"{t:.2f}" if float(f"{t:.2f}") == t else t, c, b)
+            for t, c, b in zip(tally["thresholds"], tally["clusters"], tally["biclusters"]))
+    return csv_text(["threshold", "clusters", "biclusters"], rows)

@@ -173,10 +173,10 @@ def parse_structures(text: str, sequences: list[Sequence]) -> dict[str, str]:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; a file that does not decode is an
-    InputError naming it. OSError passes through."""
+    """The text of a UTF-8 file, less a leading byte-order mark; a file that
+    does not decode is an InputError naming it. OSError passes through."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 

@@ -117,8 +117,8 @@ def test_csv_cells_match_str():
     header = ["id", "n", "x", "y"]
     rows = [("100%", 2**70, -0.0, 1e16), ("a%sb", -3, 1e-7, 0.1),
             ("%d", 0, float(2**70), 1 / 3)]
-    assert cli._csv(header, iter(rows)) == csv_oracle(header, rows)
-    assert cli._csv(header, []) == csv_oracle(header, [])
+    assert report.csv_text(header, iter(rows)) == csv_oracle(header, rows)
+    assert report.csv_text(header, []) == csv_oracle(header, [])
 
 
 class TestCluster:
@@ -394,13 +394,13 @@ class TestCompare:
             (tmp_path / "b" / "tally.csv").read_bytes()
 
     def test_bytes_are_pinned(self, tmp_path, monkeypatch):
-        # Digests at seed 0, the version string included.
+        # Digests at seed 0, the header's version and seed included.
         monkeypatch.chdir(tmp_path)
         assert run_cli("compare", "--sample-corpus", "--seed", "0", "--out", "o") == 0
         digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
                    for name in ("o/compare.json", "o/tally.csv")]
         assert digests == [
-            "7b945003a30bbbd7c9b4c9d7b33ee37040e9595dfd8906c1b5f9f5f91b1055dd",
+            "8e807f3626e96db61051c775fd47e32faced7594cc00f4cee0ba5c53f0691c80",
             "6b5646b61afed41e01280d6e11fd0b3eac2793bd30054b92d3199a4358b26b09"]
 
     @pytest.mark.parametrize("flags", [["--w", "0.1"], ["--c1", "3"], ["--c2", "0.2"]])
@@ -499,6 +499,26 @@ class TestCommandsAgree:
         clusters = json.loads((tmp_path / "k" / "clusters.json").read_text())
         assert cmp["config"]["engine"] == clusters["engine"] == "kmeans"
         assert [c for c in clusters["clusters"] if c["size"]] == cmp["clusters"]
+
+
+def test_every_json_artifact_carries_one_header(tmp_path):
+    """The five commands head every JSON artifact alike: the settings'
+    echo, the version and the seed the settings hold."""
+    for command in ("prepare", "cluster", "bicluster", "motifs", "compare"):
+        assert run_cli(command, "--sample-corpus", "--seed", "3",
+                       "--out", tmp_path / command) == 0
+    artifacts = sorted(tmp_path.rglob("*.json"))
+    assert {p.relative_to(tmp_path).as_posix() for p in artifacts} >= {
+        "prepare/manifest.json", "cluster/clusters.json", "bicluster/biclusters.json",
+        "motifs/motifs/motifs.json", "motifs/motifs/bicluster-00.json",
+        "compare/compare.json"}
+    echo = Settings(sample_corpus=True, seed=3).echo()
+    assert echo["thresholds"] == list(report.DEFAULT_THRESHOLDS)
+    for path in artifacts:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["config"] == echo, path
+        assert data["version"] == cli.VERSION, path
+        assert data["seed"] == data["config"]["seed"] == 3, path
 
 
 class TestConfigLayering:
@@ -741,6 +761,28 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
     assert "can't decode byte 0xff" in err
     assert str(latin1) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_inputs_that_start_with_a_byte_order_mark_read_as_without(tmp_path):
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for path in sample_corpus_paths():
+        (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def csvs(root, out):
+        assert run_cli("prepare", "--sequences", root / "sequences.fasta",
+                       "--structures", root / "structures.txt", "--out", out) == 0
+        return [(out / name).read_bytes() for name in ("windows.csv", "matrix.csv")]
+
+    assert csvs(bom, tmp_path / "bom") == csvs(sample_corpus_paths()[0].parent,
+                                               tmp_path / "plain")
+
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + b'{"sample_corpus": true, "seed": 2}')
+    assert run_cli("prepare", "--config", config, "--out", tmp_path / "cfg") == 0
+    manifest = json.loads((tmp_path / "cfg" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["sample_corpus"] is True
+    assert manifest["seed"] == 2
 
 
 @pytest.mark.parametrize("sequences,structures,message", [

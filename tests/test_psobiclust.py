@@ -192,6 +192,16 @@ class TestPsoBicluster:
         with pytest.raises(ContractError):
             pso_bicluster(m, cfg, [bad])
 
+    def test_negative_seed_indices_are_refused(self):
+        # Python indexing would read row -1 as row 9, and column -2 as bit
+        # n_rows - 2, which is row 8.
+        m = np.arange(50.0).reshape(10, 5)
+        cfg = PsoConfig(n_particles=2, max_iter=5)
+        for rows, cols in (((-1, 0), (0, 1)), ((0, 1), (-2, 1))):
+            bad = Bicluster(rows=rows, cols=cols, msr=0.0, volume=4)
+            with pytest.raises(ContractError, match="seed indices outside matrix"):
+                pso_bicluster(m, cfg, [bad])
+
     def test_lambda_overflowing_the_volume_reward_is_refused(self):
         m = np.arange(24.0).reshape(6, 4)
         seed = make_bicluster(m, [0, 1], [0, 1])

@@ -77,8 +77,9 @@ class TestComparePipelines:
     def test_report_shape_on_sample_corpus(self):
         settings = Settings(k=3, k_rows=3, k_cols=2, n_particles=10, max_iter=30, seed=1)
         rep = compare_pipelines(load_sample_corpus(), settings)
-        assert rep["config"]["seed"] == 1
-        assert rep["config"]["thresholds"] == list(DEFAULT_THRESHOLDS)
+        # the settings' echo heads compare.json, written by the cli
+        assert sorted(rep) == ["biclusters", "clusters", "lambda", "tally"]
+        assert rep["tally"]["thresholds"] == list(DEFAULT_THRESHOLDS)
         assert 1 <= len(rep["clusters"]) <= 3
         for entry in rep["clusters"]:
             assert entry["size"] == len(entry["members"])

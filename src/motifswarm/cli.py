@@ -265,7 +265,9 @@ def _add_io_flags(p) -> None:
 
 def _add_swarm_flags(p) -> None:
     p.add_argument("--n-particles", type=int)
-    p.add_argument("--max-iter", type=int)
+    p.add_argument("--max-iter", type=int,
+                   help=f"at most this many iterations (default: {Settings.max_iter}); "
+                   "a swarm stops sooner once its best fitness stalls")
     p.add_argument("--w", type=float, help="inertia weight")
     p.add_argument("--c1", type=float, help="cognitive acceleration")
     p.add_argument("--c2", type=float, help="social acceleration")

@@ -105,7 +105,9 @@ def build_cluster_dataset(
     """The (len(seqs), window_size, 20) windows of seqs, in input order.
 
     A sequence shorter than window_size is a ValidationError naming the first
-    one, raised before the window array is allocated.
+    one, raised before the window array is allocated. A window size whose
+    (window_size, 20) int64 counts exceed what numpy can address is a
+    ContractError; only an empty seqs reaches it, as any sequence is shorter.
     """
     if window_size < 1:
         raise ContractError(f"window size must be >= 1, got {window_size}")
@@ -118,6 +120,9 @@ def build_cluster_dataset(
         raise ValidationError(
             f"sequence '{seq.id}' has length {len(seq)} < window size {window_size}"
         )
+    # numpy refuses a shape of more bytes than it can address, even an empty one.
+    if window_size * len(AMINO_ACIDS) * 8 > np.iinfo(np.intp).max:
+        raise ContractError(f"window size {window_size} is too large to allocate")
     windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
     # Chunk c holds the sequences that start in residues [c, c + 1) x CHUNK_RESIDUES.
     starts = np.cumsum(lengths) - lengths

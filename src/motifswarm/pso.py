@@ -10,6 +10,11 @@ where r1, r2 are fresh uniform[0,1] draws per dimension per step. The default
 move is x + v; psobiclust passes a sigmoid bit move. The engine updates its
 position and velocity arrays in place, so an iteration allocates no array of
 the swarm's size beyond the random draws.
+
+The search stops after max_iter iterations, or earlier when gbest stalls:
+after iteration t > STALL_ITERATIONS it ends if gbest has not strictly
+improved over the last STALL_ITERATIONS iterations. No iteration updates
+velocities or moves after its last scoring.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ import numpy as np
 from .errors import ContractError
 
 MAX_PARTICLES = 100
+
+#: Iterations without a strict gbest gain after which a search stops. On the
+#: benchmark's inputs, no swarm that may run longer than this improves after
+#: iteration 1 (see README).
+STALL_ITERATIONS = 20
 
 
 @dataclass
@@ -49,12 +59,15 @@ class PsoConfig:
 @dataclass
 class Swarm:
     """What a search leaves: row i of pbest_positions is particle i's best
-    position, and history[t] is the gbest fitness after iteration t + 1."""
+    position, history[t] is the gbest fitness after iteration t + 1,
+    iteration is the number of iterations run, and converged says whether
+    gbest had stalled for STALL_ITERATIONS iterations when the search ended."""
 
     pbest_positions: np.ndarray
     gbest_position: np.ndarray
     iteration: int
     history: list[float]
+    converged: bool
 
 
 def real_move(positions, velocities, rng):
@@ -72,7 +85,8 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
     each update; v_max is a positive scalar or a (dim,) array, np.inf for no
     clamp. rng gives the r1, r2 draws. move(positions, velocities, rng)
     returns the next positions. The returned Swarm's history holds the gbest
-    fitness of every iteration.
+    fitness of every iteration run: max_iter of them, or fewer when gbest
+    stalls (STALL_ITERATIONS).
 
     The swarm's arrays are reused from one iteration to the next: velocities
     are updated in place, and move may overwrite positions (both moves here
@@ -116,6 +130,10 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
             gbest_fit = float(pbest_fit[best])
             gbest_pos[:] = pbest_pos[best]
         history.append(gbest_fit)
+        converged = (iteration > STALL_ITERATIONS
+                     and history[-1 - STALL_ITERATIONS] <= gbest_fit)
+        if converged or iteration == cfg.max_iter:
+            break
 
         # w*v + (c1*r1)*(pbest - x) + (c2*r2)*(gbest - x), in place and in
         # that order, so the values match the allocating expression bit for
@@ -136,5 +154,5 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
         positions = move(positions, velocities, rng)
 
     swarm = Swarm(pbest_positions=pbest_pos, gbest_position=gbest_pos,
-                  iteration=cfg.max_iter, history=history)
+                  iteration=iteration, history=history, converged=converged)
     return swarm, gbest_pos

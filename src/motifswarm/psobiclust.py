@@ -195,9 +195,10 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None, rng=N
         return make_bicluster(m, np.flatnonzero(position[:n_rows]),
                               np.flatnonzero(position[n_rows:]))
 
-    best = to_bicluster(swarm.gbest_position)
-    rest = {(b.rows, b.cols): b for b in map(to_bicluster, swarm.pbest_positions)}
-    rest.pop((best.rows, best.cols), None)
+    # Equal bits are equal biclusters: the exact msr runs once per distinct one.
+    distinct = {p.tobytes(): p for p in swarm.pbest_positions}
+    distinct.pop(swarm.gbest_position.tobytes(), None)
+    rest = map(to_bicluster, distinct.values())
     # Sort by exact fitness (exact msr), not the identity's rounded values.
-    return [best] + sorted(rest.values(), key=lambda b: (
+    return [to_bicluster(swarm.gbest_position)] + sorted(rest, key=lambda b: (
         b.msr - lam * b.volume / total, b.rows, b.cols))

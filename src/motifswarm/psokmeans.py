@@ -142,6 +142,6 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
         assignment=labels[:, 0],
         iterations_run=swarm.iteration,
         final_fitness=float(final[0]),
-        converged=False,
+        converged=swarm.converged,
         trace=swarm.history,
     )

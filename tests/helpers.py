@@ -11,6 +11,7 @@ import contextlib
 import numpy as np
 
 from motifswarm import psobiclust
+from motifswarm.pso import STALL_ITERATIONS
 from motifswarm.psobiclust import _repair
 from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence
 
@@ -64,8 +65,10 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
     """The swarm engine as an allocating loop: every step builds fresh arrays,
     with the velocity update written as one expression and np.clip. n_rows
     selects the sigmoid bit move (then _repair) over the real move x + v.
-    Returns the position array scored at each iteration, the pbest and gbest
-    positions, and the history."""
+    The loop ends after max_iter iterations, or after the first iteration
+    past STALL_ITERATIONS none of whose last STALL_ITERATIONS iterations
+    lowered gbest. Returns the position array scored at each iteration, the
+    pbest and gbest positions, the history and whether gbest stalled."""
     positions = np.array(init_positions, dtype=float)
     velocities = np.array(init_velocities, dtype=float)
     n, dim = positions.shape
@@ -75,7 +78,8 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
     gbest_fit = np.inf
     history = []
     scored = []
-    for _ in range(cfg.max_iter):
+    converged = False
+    for t in range(1, cfg.max_iter + 1):
         scored.append(positions)
         current = fitness(positions)
         for i in range(n):
@@ -87,6 +91,13 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
             gbest_fit = pbest_fit[best]
             gbest_pos = pbest_pos[best].copy()
         history.append(gbest_fit)
+        if t > STALL_ITERATIONS:
+            converged = True
+            for u in range(t - STALL_ITERATIONS, t):
+                if history[u] < history[u - 1]:
+                    converged = False
+        if converged or t == cfg.max_iter:
+            break
         velocities = (cfg.w * velocities
                       + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
                       + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions))
@@ -98,7 +109,21 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
             _repair(bits, velocities, n_rows)
             positions = bits.astype(float)
     return {"scored": scored, "pbest_positions": pbest_pos, "gbest_position": gbest_pos,
-            "history": history}
+            "history": history, "converged": converged}
+
+
+def planted_matrix(seed=0):
+    """A 40 x 20 uniform [0, 1) matrix with an additive 8 x 6 block planted
+    in rows 5-12 and columns 3-8; returns it with the block's row and column
+    sets."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0, 1, size=(40, 20))
+    rows = np.arange(5, 13)
+    cols = np.arange(3, 9)
+    r = rng.uniform(1, 4, size=rows.size)
+    c = rng.uniform(1, 4, size=cols.size)
+    m[np.ix_(rows, cols)] = r[:, None] + c[None, :]
+    return m, set(rows.tolist()), set(cols.tolist())
 
 
 def window_counts_oracle(residues, window_size, scheme="chunked"):

@@ -150,13 +150,26 @@ class TestCluster:
         assert len(fits) == 20
         assert fits == sorted(fits, reverse=True)
 
+    def test_trace_has_one_row_per_iteration_run(self, tmp_path):
+        # At default settings the window swarm's gbest stalls long before
+        # --max-iter 100, and the report says so.
+        trace = tmp_path / "trace.csv"
+        assert run_cli("cluster", "--sample-corpus", "--out", tmp_path,
+                       "--trace", trace) == 0
+        data = json.loads((tmp_path / "clusters.json").read_text())
+        assert data["converged"] is True
+        assert data["iterations_run"] < 100
+        rows = trace.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(data["iterations_run"]))
+        assert float(rows[-1].split(",")[1]) == data["fitness"]
+
     def test_bad_k_exits_1(self, tmp_path):
         assert run_cli("cluster", "--sample-corpus", "--k", "999",
                        "--out", tmp_path, *FAST) == 1
 
     @pytest.mark.parametrize("engine,clusters_sha,trace_sha", [
-        ("pso-kmeans", "f3ec5d515e907e2f969c2edff31f45ebac7bf20ea2b97a0a8ac6bf93c1ea25ef",
-         "4d7724602f1b2580779cfeb2522a8babe73303bcdabf7556913d4af4db0a0394"),
+        ("pso-kmeans", "b550ac62d01dc9813535a615abfce6cae9b0f6be8e09215b239b9bda7758b1a6",
+         "7e6792b8b2746c08ac2a3094e9a5da7976399c790870f0e20111abd1d42ccf9f"),
         ("kmeans", "f816b05a1c784fb8dc5caaee1c51c3af350014a3225d2f92c6209bd801f63819",
          "72cf972753c38c2ef7bd3d9fcefd1b562122bd5f201f690eb39781f6d478b118"),
     ])
@@ -303,15 +316,15 @@ class TestMotifs:
             assert render_logo_svg(payload["report"]) == svg
 
     @pytest.mark.parametrize("flags,reports_sha,logos_sha", [
-        ([], "487d44e2b6d097e8ca0625e725672a44ec715795e4406a042e70803deb2e7c69",
-         "0b853c9cf7e7a2e287c3cc8238db1911f17253e36a1163438caf3a3303fd1399"),
+        ([], "8c4b2f4d70ef33acba00377111cfb84e6c9771491824db34f2d8633f85f87296",
+         "5dd5134268cf58e7dd16be0f7481ee56185e0d29f031d9f266db45fcaeb1392f"),
         (["--window-size", "5", "--saa-threshold", "0.12", "--no-logo-correction"],
-         "e3992e18430ce1c04d7f88c38beb74960ea934a364957e3cf0c6b86a051b0cc2",
-         "06428b396dbd7dfaffb06e3316a586afa982883854c3b27bd3e110b0f8ec7edf"),
+         "369b65fb5ad6c3eae892b0b02068ed82271f3edb38185eae163d70604a570a46",
+         "7551df9a78af6d4d9c11add5c9d8fdfab6655a753532787cb9e7bed953df3d18"),
     ], ids=["defaults", "window-5-no-correction"])
     def test_report_and_logo_bytes_are_pinned(self, tmp_path, flags, reports_sha,
                                               logos_sha):
-        # Digests of all 17 groups' reports and logos (without the logo's
+        # Digests of all 16 groups' reports and logos (without the logo's
         # version blurb) at seed 5: a change to the SAA, relation, logo or
         # SVG bytes fails, a version bump does not.
         assert run_cli("motifs", "--sample-corpus", "--seed", "5", *flags,
@@ -400,8 +413,8 @@ class TestCompare:
         digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
                    for name in ("o/compare.json", "o/tally.csv")]
         assert digests == [
-            "8e807f3626e96db61051c775fd47e32faced7594cc00f4cee0ba5c53f0691c80",
-            "6b5646b61afed41e01280d6e11fd0b3eac2793bd30054b92d3199a4358b26b09"]
+            "116b202a6839dc85092ed2468a312d674870ed9dd17e50b42fc4d311a28caaaa",
+            "b19a1c7bc78327fc1351a6123bd42c7157d935f9281c288b35239352b2308247"]
 
     @pytest.mark.parametrize("flags", [["--w", "0.1"], ["--c1", "3"], ["--c2", "0.2"]])
     def test_swarm_coefficients_drive_the_run(self, tmp_path, flags):

@@ -162,6 +162,22 @@ def test_oversized_window_is_refused_before_allocation(window_size):
     empty.assert_not_called()
 
 
+@pytest.mark.parametrize("window_size", [2**62, 10**30])
+def test_oversized_window_of_no_sequence_is_contract_error(window_size):
+    with mock.patch.object(featurize.np, "empty") as empty, \
+            pytest.raises(ContractError) as err:
+        build_cluster_dataset([], window_size)
+    assert str(err.value) == f"window size {window_size} is too large to allocate"
+    empty.assert_not_called()
+
+
+def test_largest_addressable_window_of_no_sequence_is_empty():
+    window_size = np.iinfo(np.intp).max // (8 * len(AMINO_ACIDS))
+    assert build_cluster_dataset([], window_size).shape == (0, window_size, 20)
+    with pytest.raises(ContractError, match="too large"):
+        build_cluster_dataset([], window_size + 1)
+
+
 def test_normalize_windows_of_nothing_is_empty_matrix():
     matrix = normalize_windows(build_cluster_dataset([]), "mode")
     assert matrix.shape == (0, len(AMINO_ACIDS))

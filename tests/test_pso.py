@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motifswarm.errors import ContractError
-from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize, real_move
+from motifswarm.pso import (MAX_PARTICLES, STALL_ITERATIONS, PsoConfig, pso_optimize,
+                            real_move)
 from motifswarm.psobiclust import bit_move, msr_ranker
 
 from helpers import pso_oracle
@@ -140,11 +141,13 @@ class TestLoopMechanics:
 
     def test_velocity_clamp(self):
         # The move receives the clamped velocities; x + v - x is v only up
-        # to rounding, so they are read there, at every step.
+        # to rounding, so they are read there, at every step: one after
+        # each iteration but the last.
         cfg = PsoConfig(n_particles=6, max_iter=25, seed=2)
         move, steps = velocity_recorder(real_move)
-        run(sphere, init_box(2, n=6), cfg, v_max=0.5, move=move)
-        assert len(steps) == 25
+        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5, move=move)
+        assert swarm.iteration == 25
+        assert len(steps) == 24
         assert all(v.shape == (6, 4) for v in steps)
         assert all(np.all(np.abs(v) <= 0.5) for v in steps)
 
@@ -158,6 +161,48 @@ class TestLoopMechanics:
             [v.min() for v in fitness.values]))
         fits = swarm.history
         assert all(b <= a for a, b in zip(fits, fits[1:]))
+
+
+def scripted(values):
+    """A fitness that scores every particle values[t] at iteration t + 1."""
+    values = iter(values)
+    return lambda positions: np.full(positions.shape[0], next(values))
+
+
+class TestStallRule:
+    W = STALL_ITERATIONS
+
+    def search(self, values, max_iter):
+        """(swarm, moves made) of a scripted search on a 3-particle swarm."""
+        move, steps = velocity_recorder(real_move)
+        cfg = PsoConfig(n_particles=3, max_iter=max_iter, seed=0)
+        swarm, _ = run(scripted(values), init_box(0, n=3), cfg, move=move)
+        return swarm, len(steps)
+
+    def test_constant_fitness_stops_after_w_plus_one_iterations(self):
+        swarm, moves = self.search([1.0] * 100, max_iter=100)
+        assert (swarm.iteration, swarm.converged) == (self.W + 1, True)
+        assert swarm.history == [1.0] * (self.W + 1)
+        assert moves == self.W  # none after the last scoring
+
+    @pytest.mark.parametrize("max_iter", [1, 20, 21])
+    def test_max_iter_stays_the_cap(self, max_iter):
+        swarm, moves = self.search([1.0] * 100, max_iter=max_iter)
+        assert swarm.iteration == len(swarm.history) == max_iter
+        assert swarm.converged == (max_iter > self.W)
+        assert moves == max_iter - 1
+
+    def test_fitness_improving_every_iteration_runs_max_iter(self):
+        swarm, moves = self.search(-np.arange(60.0), max_iter=60)
+        assert (swarm.iteration, swarm.converged, moves) == (60, False, 59)
+
+    def test_a_gain_after_w_minus_one_stalled_iterations_keeps_searching(self):
+        # Iterations 2..W repeat iteration 1's best; W + 1 improves on it,
+        # and only W iterations later, at 2W + 1, has gbest stalled again.
+        values = [5.0] * self.W + [4.0] * 100
+        swarm, _ = self.search(values, max_iter=100)
+        assert swarm.history[self.W] == 4.0
+        assert (swarm.iteration, swarm.converged) == (2 * self.W + 1, True)
 
 
 class TestDeterminism:
@@ -264,7 +309,7 @@ def engine_runs(draw):
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 6))
     v_max = draw(st.sampled_from([0.5, 4.0, np.inf]))
-    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 12)),
+    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 40)),
                     w=draw(st.sampled_from([0.72, 0.4, 1.1])),
                     c1=draw(st.sampled_from([1.49, 0.0, 2.0])),
                     c2=draw(st.sampled_from([1.49, 0.7])), seed=seed)
@@ -282,12 +327,32 @@ def engine_runs(draw):
     return fitness, move, init, velocities, cfg, v_max, n_rows
 
 
+def stalling_run():
+    """An engine_runs bit problem on a 2 x 2 matrix, which has only nine
+    membership vectors with both halves non-empty: gbest soon stops
+    improving, and the search stops long before max_iter."""
+    rng = np.random.default_rng(5)
+    init = np.array([[1.0, 0.0, 1.0, 0.0]] * 4)
+    velocities = rng.uniform(-3.0, 3.0, size=init.shape)
+    cfg = PsoConfig(n_particles=4, max_iter=60, seed=5)
+    return (msr_fitness(rng.normal(size=(2, 2))), bit_move(2), init, velocities, cfg,
+            4.0, 2)
+
+
+def test_the_stalling_example_stops_early():
+    fitness, move, init, velocities, cfg, v_max, _ = stalling_run()
+    swarm, _ = run(fitness, init, cfg, velocities, v_max, move=move)
+    assert swarm.converged
+    assert swarm.iteration < cfg.max_iter
+
+
 @settings(max_examples=80, deadline=None)
 @given(engine_runs())
+@example(stalling_run())
 def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
     """The in-place engine scores the same arrays as the allocating loop, at
-    every iteration, and what it returns shares no memory with the positions
-    it reuses."""
+    every iteration, stops at the same one, and what it returns shares no
+    memory with the positions it reuses."""
     fitness, move, init, velocities, cfg, v_max, n_rows = problem
     init_before, velocities_before = init.copy(), velocities.copy()
     recorder = Recorder(fitness)
@@ -295,7 +360,9 @@ def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
                                np.random.default_rng(cfg.seed), v_max, move=move)
     want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
                       v_max, n_rows)
-    assert len(recorder.scored) == len(want["scored"]) == cfg.max_iter
+    assert len(recorder.scored) == len(want["scored"]) == swarm.iteration
+    assert swarm.converged == want["converged"]
+    assert swarm.converged or swarm.iteration == cfg.max_iter
     for t, (got, expected) in enumerate(zip(recorder.scored, want["scored"])):
         assert np.array_equal(got, expected), t
     for name in ("pbest_positions", "gbest_position"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from motifswarm import psobiclust
 from motifswarm.errors import ContractError
 from motifswarm.metrics import msr
-from motifswarm.pso import MAX_PARTICLES, PsoConfig
+from motifswarm.pso import MAX_PARTICLES, STALL_ITERATIONS, PsoConfig
 from motifswarm.psobiclust import (
     Bicluster,
     default_lambda,
@@ -19,18 +19,7 @@ from motifswarm.psobiclust import (
 )
 from motifswarm.psokmeans import pso_kmeans
 
-from helpers import bicluster_histories, msr_oracle
-
-
-def planted_matrix(seed=0):
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(0, 1, size=(40, 20))
-    rows = np.arange(5, 13)
-    cols = np.arange(3, 9)
-    r = rng.uniform(1, 4, size=rows.size)
-    c = rng.uniform(1, 4, size=cols.size)
-    m[np.ix_(rows, cols)] = r[:, None] + c[None, :]
-    return m, set(rows.tolist()), set(cols.tolist())
+from helpers import bicluster_histories, msr_oracle, planted_matrix
 
 
 def jaccard(a, b):
@@ -143,6 +132,21 @@ class TestPsoBicluster:
                     and jaccard(set(out[0].cols), C) >= 0.8):
                 hits += 1
         assert hits == 3
+
+    def test_refining_a_planted_block_stops_once_it_stalls(self):
+        # The seeds already hold the planted block, so the refining swarm's
+        # gbest never improves after its first scoring: it ends at iteration
+        # STALL_ITERATIONS + 1 of the 300 allowed and still returns the block.
+        m, R, C = planted_matrix()
+        for seed in range(3):
+            seeds = seed_biclusters(m, 2, 2, PsoConfig(n_particles=20, max_iter=100,
+                                                       seed=seed))
+            with bicluster_histories() as histories:
+                out = pso_bicluster(m, PsoConfig(n_particles=30, max_iter=300, seed=seed),
+                                    seeds)
+            [fits] = histories
+            assert len(fits) <= STALL_ITERATIONS + 1, seed
+            assert (set(out[0].rows), set(out[0].cols)) == (R, C), seed
 
     def test_gbest_monotone_via_callback(self):
         m, _, _ = planted_matrix(seed=5)
@@ -278,16 +282,17 @@ class RecordingRng:
         return self.base.uniform(low, high, size)
 
 
-def test_draws_speeds_once_then_three_per_iteration():
-    """Initial speeds, then r1, r2 and the bit draw each iteration; the
-    per-seed artifact bytes depend on this sequence."""
+def test_draws_speeds_once_then_three_per_move():
+    """Initial speeds, then r1, r2 and the bit draw for each move: one fewer
+    than the iterations, since the last scoring is not followed by a move.
+    The per-seed artifact bytes depend on this sequence."""
     m, _, _ = planted_matrix(seed=4)
     seed = make_bicluster(m, range(6), range(5))
     rng = RecordingRng(np.random.default_rng(0))
     pso_bicluster(m, PsoConfig(n_particles=3, max_iter=4, seed=0), [seed], rng=rng)
     shape = (3, 60)
     assert [(name, tuple(size)) for name, size in rng.log] == \
-        [("uniform", shape)] + [("random", shape)] * 3 * 4
+        [("uniform", shape)] + [("random", shape)] * 3 * 3
 
 
 def test_row_permutation_equivariance():

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ContractError
 
+# _labelled_l1 sums rows through a buffer of about ROW_CELLS float cells.
+ROW_CELLS = 2**16
+
 
 @dataclass
 class ClusterSet:
@@ -59,21 +62,48 @@ def _pairwise_l1(flat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _labelled_l1(flat, centroids, labels) -> np.ndarray:
+    """(n, P) city-block distances from each item to its labelled centroid,
+    for P sets of k centroids given as a (P, k, d) array and (n, P) labels.
+    Each is a row sum, as in _pairwise_l1, so it equals that kernel's
+    distance bit for bit. Rows pass through one reused buffer of about
+    ROW_CELLS cells, which stays in cache and adds little to peak memory."""
+    n, d = flat.shape
+    step = max(1, ROW_CELLS // d)
+    out = np.empty(labels.shape)
+    buf = np.empty((min(n, step), d))
+    for p, centroid_set in enumerate(centroids):
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            part = buf[:min(step, n - start)]
+            np.take(centroid_set, labels[rows, p], axis=0, out=part, mode="clip")
+            np.subtract(flat[rows], part, out=part)
+            np.abs(part, out=part)
+            part.sum(axis=1, out=out[rows, p])
+    return out
+
+
 def assignment_fitness(flat, centroids, k: int, empty_penalty: float = 0.0):
     """Score P sets of k centroids, given as one (P * k, d) array, on the
     (n, d) items flat. Returns the (n, P) nearest-centroid labels (ties to
-    the lowest index) and the (P,) intra-cluster fitness: the nearest
-    distances summed, over k, plus empty_penalty per cluster no label uses."""
+    the lowest index) and the (P,) fitness of _labelled_fitness."""
     dist = _pairwise_l1(flat, centroids).reshape(flat.shape[0], -1, k)
     labels = dist.argmin(axis=2)
+    return labels, _labelled_fitness(dist.min(axis=2), labels, k, empty_penalty)
+
+
+def _labelled_fitness(nearest, labels, k: int, empty_penalty: float):
+    """The (P,) intra-cluster fitness of (n, P) nearest distances and their
+    labels: the distances summed, over k, plus empty_penalty per cluster no
+    label uses."""
     # cumsum adds the nearest distances one at a time in item order, so the
     # fitness equals a plain loop over the items bit for bit (the
     # intra_cluster_fitness oracle in tests/helpers.py).
-    fitness = np.cumsum(dist.min(axis=2), axis=0)[-1] / k
+    fitness = np.cumsum(nearest, axis=0)[-1] / k
     if empty_penalty:
         used = (labels[:, :, None] == np.arange(k)).any(axis=0)
         fitness += empty_penalty * (k - used.sum(axis=1))
-    return labels, fitness
+    return fitness
 
 
 def _seed_weighted(flat: np.ndarray, k: int, rng) -> np.ndarray:
@@ -81,9 +111,12 @@ def _seed_weighted(flat: np.ndarray, k: int, rng) -> np.ndarray:
     distance to the nearest already-chosen one (k-means++ scheme)."""
     n = flat.shape[0]
     chosen = [int(rng.integers(n))]
+    nearest = np.full(n, np.inf)
     while len(chosen) < k:
-        d = _pairwise_l1(flat, flat[chosen]).min(axis=1)
-        weights = d**2
+        # One pass per pick: the minimum is exact, so this running nearest
+        # distance equals the minimum over all chosen items.
+        np.minimum(nearest, _pairwise_l1(flat, flat[chosen[-1:]])[:, 0], out=nearest)
+        weights = nearest**2
         weights[chosen] = 0.0
         total = weights.sum()
         if total <= 0.0:

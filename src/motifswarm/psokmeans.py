@@ -7,7 +7,8 @@ free, so each one incurs a penalty equal to the dataset's L1 spread.
 
 Where it is cheaper, a Lattice scores all the swarm's centroids with one
 blocked matmul over a one-hot table of each column's distinct values, and
-screened_fitness rescores exactly what may improve.
+screened_fitness rescores exactly what may improve: through each item's
+nearest centroid, which the table ranks, with one exact distance per item.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import functools
 import numpy as np
 
 from .errors import ContractError
-from .kmeans import ClusterSet, as_item_arrays, assignment_fitness
+from .kmeans import (ClusterSet, _labelled_fitness, _labelled_l1, _pairwise_l1,
+                     as_item_arrays, assignment_fitness)
 from .pso import PsoConfig, pso_optimize
 
 # The table product runs in blocks of values: ~BLOCK_CELLS float cells each,
@@ -66,33 +68,56 @@ def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
 
 
 def lattice_fitness(lattice, positions, k: int):
-    """The penalty-free fitness of each particle of an (n_particles, k * d)
-    swarm from lattice distances, accurate to rounding."""
+    """The (n, n_particles, k) lattice distances of an (n_particles, k * d)
+    swarm, and each particle's penalty-free fitness from them, accurate to
+    rounding."""
     dist = lattice.distances(positions.reshape(positions.shape[0] * k, -1))
     dist = dist.reshape(-1, positions.shape[0], k)
     # k - 1 elementwise minimums beat a reduction along the short last axis.
     nearest = functools.reduce(np.minimum, (dist[:, :, c] for c in range(k)))
-    return nearest.sum(axis=0) / k
+    return dist, nearest.sum(axis=0) / k
+
+
+def _lattice_labels(dist, tol: float):
+    """The (n, P) nearest-centroid labels of (n, P, k) lattice distances,
+    and where they may not be assignment_fitness's: where a runner-up lies
+    within tol of the nearest distance, relative to it. Elsewhere the lattice
+    errs by far less than that gap, so both kernels find the same centroid."""
+    columns = [dist[:, :, c] for c in range(dist.shape[2])]
+    bound = functools.reduce(np.minimum, columns) * (1.0 + tol)
+    return dist.argmin(axis=2), sum(column <= bound for column in columns) > 1
 
 
 def screened_fitness(flat, ordered, k: int, empty_penalty: float):
     """Swarm fitness for pso_optimize that ranks by lattice_fitness and
-    rescores with assignment_fitness every particle that may beat its
-    personal best. Any other keeps its lattice value, above that best, so
-    pbests, gbest and history match assignment_fitness exactly."""
+    rescores exactly every particle that may beat its personal best. Any
+    other keeps its lattice value, above that best, so pbests, gbest and
+    history match assignment_fitness exactly. A rescored item keeps its
+    lattice label where that is clear and takes the exact argmin where it is
+    not; then its one exact distance, to that label's centroid, enters the
+    fitness."""
     lattice = Lattice(flat, ordered)
-    # A lattice value sums n nearest distances of d non-negative terms each,
-    # so rounding moves it by at most a few ulps x (n + d) of itself; tol
-    # leaves a margin of over a thousandfold.
+    # A lattice distance sums the d terms of the direct kernel in another
+    # order, and a lattice value n nearest distances, so rounding moves
+    # either by at most a few ulps x (n + d) of itself; tol leaves a margin
+    # of over a thousandfold.
     tol = 1e-12 * (flat.shape[0] + flat.shape[1])
     best = np.inf
 
     def fitness(positions):
         nonlocal best
-        value = lattice_fitness(lattice, positions, k)
-        redo = value * (1.0 - tol) <= best
-        value[redo] = assignment_fitness(flat, positions[redo].reshape(-1, flat.shape[1]),
-                                         k, empty_penalty)[1]
+        dist, value = lattice_fitness(lattice, positions, k)
+        redo = np.flatnonzero(value * (1.0 - tol) <= best)
+        if redo.size < positions.shape[0]:
+            dist = dist[:, redo]
+        labels, unclear = _lattice_labels(dist, tol)
+        centroids = positions[redo].reshape(redo.size, k, flat.shape[1])
+        # Unclear items are few: the ties of centroids that sit on data items.
+        for j in np.flatnonzero(unclear.any(axis=0)):
+            items = np.flatnonzero(unclear[:, j])
+            labels[items, j] = _pairwise_l1(flat[items], centroids[j]).argmin(axis=1)
+        nearest = _labelled_l1(flat, centroids, labels)
+        value[redo] = _labelled_fitness(nearest, labels, k, empty_penalty)
         best = np.minimum(best, value)
         return value
 

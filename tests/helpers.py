@@ -42,6 +42,27 @@ def intra_cluster_fitness(data, labels, centroids) -> float:
     return total / len(centroids)
 
 
+def kmeans_pp_oracle(flat, k, rng) -> list[int]:
+    """The indices of k k-means++ picks, as a plain loop: each round weights
+    every unchosen item by its squared city-block distance to the nearest
+    chosen one, recomputed every round, and picks uniformly among the
+    unchosen items once every weight is 0. Draws from rng as
+    kmeans._seed_weighted does; on integer data its sums are exact."""
+    n = len(flat)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        weights = np.zeros(n)
+        for i in range(n):
+            if i not in chosen:
+                weights[i] = min(cityblock_oracle(flat[i], flat[c]) for c in chosen) ** 2
+        total = sum(weights)
+        if total == 0.0:
+            chosen.append(int(rng.choice([i for i in range(n) if i not in chosen])))
+        else:
+            chosen.append(int(rng.choice(n, p=weights / total)))
+    return chosen
+
+
 def msr_oracle(matrix, rows, cols) -> float:
     """Quadruple-average mean squared residue, loops only."""
     rows = list(rows)

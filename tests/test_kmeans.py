@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motifswarm import kmeans
 from motifswarm.errors import ContractError
 from motifswarm.featurize import build_cluster_dataset
-from motifswarm.kmeans import _pairwise_l1, as_item_arrays, kmeans_run
+from motifswarm.kmeans import (_labelled_l1, _pairwise_l1, _seed_weighted, as_item_arrays,
+                               kmeans_run)
 from motifswarm.seqio import Sequence
 
-from helpers import cityblock_oracle, intra_cluster_fitness, make_blobs, partitions_match
+from helpers import (cityblock_oracle, intra_cluster_fitness, kmeans_pp_oracle, make_blobs,
+                     partitions_match)
 
 
 def test_identical_pairs_split_any_seed():
@@ -103,6 +108,43 @@ def test_fitness_equals_intra_cluster_fitness_exactly(n, d, k, seed, max_iter, w
     cs = kmeans_run(data, k=k, seed=seed, max_iter=max_iter)
     assert cs.final_fitness == intra_cluster_fitness(
         data.reshape(n, -1), cs.assignment, cs.centroids.reshape(k, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 300), k=st.integers(1, 6),
+       n_sets=st.integers(1, 3), transposed=st.booleans(),
+       row_cells=st.sampled_from([1, 150, 2**16]), seed=st.integers(0, 2**16))
+def test_labelled_l1_equals_pairwise_l1_bit_for_bit(n, d, k, n_sets, transposed, row_cells,
+                                                   seed):
+    """Above 8 and above 128 terms numpy sums a row pairwise; both kernels
+    sum the same contiguous rows, so their distances agree exactly, in any
+    buffer size and also for a column-major item array (a transposed
+    matrix)."""
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=(d, n)).T if transposed else rng.normal(size=(n, d))
+    centroids = rng.normal(size=(n_sets, k, d))
+    labels = rng.integers(0, k, size=(n, n_sets))
+    with mock.patch.object(kmeans, "ROW_CELLS", row_cells):
+        got = _labelled_l1(flat, centroids, labels)
+    for p in range(n_sets):
+        direct = _pairwise_l1(flat, centroids[p])
+        assert np.array_equal(got[:, p], direct[np.arange(n), labels[:, p]])
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_seeding_picks_what_the_kmeans_pp_oracle_picks(k, duplicates):
+    """Integer counts, so every distance and weight is exact. With duplicates
+    the 12 items hold 3 distinct rows, so once all 3 are chosen every weight
+    is 0 and the uniform pick among the rest runs."""
+    for seed in range(21):
+        rng = np.random.default_rng(1000 + seed)
+        flat = rng.integers(0, 6, size=(12, 7)).astype(float)
+        if duplicates:
+            flat = flat[rng.integers(0, 3, size=12)]
+        got = _seed_weighted(flat, k, np.random.default_rng(seed))
+        expected = kmeans_pp_oracle(flat, k, np.random.default_rng(seed))
+        assert np.array_equal(got, flat[expected])
 
 
 def test_accepts_frequency_windows():

@@ -139,7 +139,7 @@ def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_const
     with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_VALUES=block_values):
         lattice = Lattice(flat, np.sort(flat, axis=0))
         dist = lattice.distances(centroids)
-        bare = lattice_fitness(lattice, positions, k)
+        _, bare = lattice_fitness(lattice, positions, k)
 
     oracle = np.array([[cityblock_oracle(x, c) for c in centroids] for x in flat])
     # Every term is >= 0, so rounding is relative to the distance itself.
@@ -172,6 +172,50 @@ def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
         pull = (0.3, 1e-6, 0.0)[step % 3]
         kick = rng.normal(scale=0.05, size=target.shape) if step % 3 == 2 else 0.0
         positions = positions + pull * (target - positions) + kick
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 12), k=st.integers(1, 5),
+       n_particles=st.integers(1, 5), penalty=st.sampled_from([0.0, 7.5]),
+       divisor=st.sampled_from([1.0, 9.0]), duplicates=st.booleans(),
+       coincide=st.booleans(), seed=st.integers(0, 2**16))
+def test_screen_rescoring_equals_assignment_fitness(n, d, k, n_particles, penalty, divisor,
+                                                    duplicates, coincide, seed):
+    """A fresh screen has no personal bests, so its first call rescores every
+    particle. Few distinct values and half-step centroids make items
+    equidistant from two centroids, and coinciding centroids tie every
+    item, so clear items and the exact fallback both occur. Every item that
+    ties in exact arithmetic must reach the fallback."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=(n, d))
+    if duplicates:
+        counts[n // 2:] = counts[:n - n // 2]
+    halves = rng.integers(0, 7, size=(n_particles, k, d))
+    if coincide:
+        halves[:, -1] = halves[:, 0]
+    flat, positions = counts / divisor, halves.reshape(n_particles, -1) / (2 * divisor)
+    # Twice the distances, in integers: ties here are ties in real arithmetic.
+    twice = np.abs(2 * counts[:, None, None, :] - halves[None]).sum(axis=3)
+    ties = np.count_nonzero((twice == twice.min(axis=2, keepdims=True)).sum(axis=2) > 1)
+
+    fitness = psokmeans.screened_fitness(flat, np.sort(flat, axis=0), k, penalty)
+    with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
+        value = fitness(positions)
+    assert np.array_equal(value, assignment_fitness(flat, positions.reshape(-1, d), k, penalty)[1])
+    assert sum(call.args[0].shape[0] for call in spy.call_args_list) >= ties
+
+
+@pytest.mark.parametrize("centroids, exact_rows", [([[1.0], [11.0]], 0),   # all clear
+                                                    ([[0.0], [2.0]], 1),   # item 1 ties
+                                                    ([[1.0], [1.0]], 5)])  # all tie
+def test_screen_rescoring_labels_only_unclear_items_exactly(centroids, exact_rows):
+    flat = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
+    positions = np.array(centroids).reshape(1, -1)
+    fitness = psokmeans.screened_fitness(flat, flat, 2, 3.0)
+    with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
+        value = fitness(positions)
+    assert sum(call.args[0].shape[0] for call in spy.call_args_list) == exact_rows
+    assert np.array_equal(value, assignment_fitness(flat, positions.reshape(2, 1), 2, 3.0)[1])
 
 
 def command_input(name):
@@ -216,6 +260,15 @@ def test_sample_corpus_inputs_take_the_table(name):
                            wraps=psokmeans.screened_fitness) as spy:
         pso_kmeans(flat, k, PsoConfig(n_particles=Settings.n_particles, max_iter=2))
     assert spy.called
+
+
+def test_screened_swarm_scores_only_its_final_labels_with_assignment_fitness():
+    flat, k = command_input("chunked")
+    with mock.patch.object(psokmeans, "assignment_fitness",
+                           wraps=psokmeans.assignment_fitness) as spy:
+        pso_kmeans(flat, k, Settings().swarm)
+    spy.assert_called_once()
+    assert spy.call_args.args[1].shape == (k, flat.shape[1])
 
 
 @pytest.mark.parametrize("transpose", [False, True])

@@ -1,9 +1,11 @@
 """Cluster the frequency windows: plain k-means vs the swarm-driven variant.
 
 Both minimize the same objective (total city-block distance to the assigned
-centroid, divided by the cluster count). k-means descends from one seeding;
-the swarm searches over whole centroid sets and its best-seen fitness can
-only improve, so its trace is worth watching.
+centroid, divided by the cluster count). k-means descends from one seeding
+and moves centroids to their members' means. The swarm searches over whole
+centroid sets and snaps each particle to the medians of the partition it
+induces (PSO k-medians), so it reaches a fixed point within a few
+iterations and stops once its best fitness stalls.
 """
 
 from motifswarm import PsoConfig, kmeans_run, load_sample_corpus, pso_kmeans
@@ -13,7 +15,7 @@ from motifswarm.report import profile_for_members
 
 K = 3
 SEED = 7
-# 180-dimensional centroids need a real budget before the swarm moves
+# max_iter is a cap: the swarm stops 3 iterations after its last gain
 SWARM = PsoConfig(n_particles=30, max_iter=200, seed=SEED)
 
 corpus = load_sample_corpus()
@@ -26,8 +28,9 @@ print(f"k-means:     fitness {km.final_fitness:8.2f}  "
 
 swarm = pso_kmeans(windows, K, SWARM)
 print(f"pso-k-means: fitness {swarm.final_fitness:8.2f}  "
-      f"(best fitness per iteration, every 25th):")
-print("  " + "  ".join(f"{f:.2f}" for f in swarm.trace[::25]))
+      f"({swarm.iterations_run} iterations, converged: {swarm.converged}; "
+      f"best partition cost per iteration):")
+print("  " + "  ".join(f"{f:.2f}" for f in swarm.trace))
 
 print("\nswarm clusters, scored by secondary-structure homology:")
 for c in range(swarm.k):

@@ -12,9 +12,10 @@ position and velocity arrays in place, so an iteration allocates no array of
 the swarm's size beyond the random draws.
 
 The search stops after max_iter iterations, or earlier when gbest stalls:
-after iteration t > STALL_ITERATIONS it ends if gbest has not strictly
-improved over the last STALL_ITERATIONS iterations. No iteration updates
-velocities or moves after its last scoring.
+after iteration t > window it ends if gbest has not strictly improved over
+the last window iterations. Each search passes its own window, as it passes
+its own velocity clamp. No iteration updates velocities or moves after its
+last scoring.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import numpy as np
 from .errors import ContractError
 
 MAX_PARTICLES = 100
-
-#: Iterations without a strict gbest gain after which a search stops. On the
-#: benchmark's inputs, no swarm that may run longer than this improves after
-#: iteration 1 (see README).
-STALL_ITERATIONS = 20
 
 
 @dataclass
@@ -61,7 +57,7 @@ class Swarm:
     """What a search leaves: row i of pbest_positions is particle i's best
     position, history[t] is the gbest fitness after iteration t + 1,
     iteration is the number of iterations run, and converged says whether
-    gbest had stalled for STALL_ITERATIONS iterations when the search ended."""
+    gbest had stalled for the search's window when it ended."""
 
     pbest_positions: np.ndarray
     gbest_position: np.ndarray
@@ -75,7 +71,7 @@ def real_move(positions, velocities, rng):
     return positions
 
 
-def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
+def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, window,
                  move=real_move):
     """Minimize fitness from the given start state; returns (Swarm, best).
 
@@ -85,14 +81,17 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
     each update; v_max is a positive scalar or a (dim,) array, np.inf for no
     clamp. rng gives the r1, r2 draws. move(positions, velocities, rng)
     returns the next positions. The returned Swarm's history holds the gbest
-    fitness of every iteration run: max_iter of them, or fewer when gbest
-    stalls (STALL_ITERATIONS).
+    fitness of every iteration run: max_iter of them, or fewer once gbest has
+    not strictly improved for window (>= 1) iterations.
 
-    The swarm's arrays are reused from one iteration to the next: velocities
-    are updated in place, and move may overwrite positions (both moves here
-    do). So fitness may not keep a reference to the positions array after it
-    returns; copy what must outlive the call. The returned pbest and gbest
-    positions are copies, never views of positions.
+    fitness may overwrite positions in place (PSO k-means snaps each particle
+    to its partition's medians): the pbest and gbest positions record what it
+    leaves there, and the velocity update starts from it. The swarm's arrays
+    are reused from one iteration to the next: velocities are updated in
+    place, and move may overwrite positions (both moves here do). So fitness
+    may not keep a reference to the positions array after it returns; copy
+    what must outlive the call. The returned pbest and gbest positions are
+    copies, never views of positions.
     """
     positions = np.array(positions, dtype=float)
     velocities = np.array(velocities, dtype=float)
@@ -103,6 +102,8 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
             f"must both be (n_particles={cfg.n_particles}, dim)")
     if not np.all(np.asarray(v_max) > 0):
         raise ContractError(f"v_max must be positive, got {v_max}")
+    if window < 1:
+        raise ContractError(f"stall window must be >= 1, got {window}")
     n, dim = positions.shape
 
     pbest_pos = positions.copy()
@@ -130,8 +131,7 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max,
             gbest_fit = float(pbest_fit[best])
             gbest_pos[:] = pbest_pos[best]
         history.append(gbest_fit)
-        converged = (iteration > STALL_ITERATIONS
-                     and history[-1 - STALL_ITERATIONS] <= gbest_fit)
+        converged = iteration > window and history[-1 - window] <= gbest_fit
         if converged or iteration == cfg.max_iter:
             break
 

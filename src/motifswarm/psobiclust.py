@@ -21,6 +21,10 @@ from .pso import MAX_PARTICLES, PsoConfig, pso_optimize
 from .psokmeans import pso_kmeans
 
 VELOCITY_CLAMP = 4.0
+#: Iterations without a strict gbest gain after which the search stops. On the
+#: benchmark's inputs, the refining swarm never improves after iteration 1
+#: (see README).
+STALL_ITERATIONS = 20
 DEFAULT_LAMBDA_SCALE = 0.1
 
 
@@ -189,7 +193,7 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None, rng=N
         return msr_of(rows, cols) - lam * volume / total
 
     swarm, _ = pso_optimize(fitness, bits, velocities, replace(cfg, n_particles=n), rng,
-                            VELOCITY_CLAMP, move=bit_move(n_rows))
+                            VELOCITY_CLAMP, STALL_ITERATIONS, move=bit_move(n_rows))
 
     def to_bicluster(position):
         return make_bicluster(m, np.flatnonzero(position[:n_rows]),

@@ -1,14 +1,18 @@
-"""Swarm-optimized k-means: a particle is a full set of k centroids.
+"""Hybrid PSO k-medians: a particle is a full set of k centroids.
 
-The swarm minimizes the intra-cluster fitness of the nearest-centroid
-assignment each position induces; the best particle's centroids define the
-returned clustering. Empty clusters would shrink the fitness numerator for
-free, so each one incurs a penalty equal to the dataset's L1 spread.
+Each iteration labels every item with the nearest of each particle's
+centroids under the city-block distance, then overwrites those centroids in
+place with the coordinate-wise lower medians of their members, the L1
+centre of the partition (k-medians; Bradley, Mangasarian & Street, NIPS
+1996), as in the hybrid PSO of van der Merwe & Engelbrecht (CEC 2003). A
+particle's fitness is its partition's intra-cluster L1 cost to those
+medians. Empty clusters would shrink that cost for free, so each one keeps
+its centroid and incurs a penalty equal to the dataset's L1 spread. The best
+particle's centroids define the returned clustering.
 
-Where it is cheaper, a Lattice scores all the swarm's centroids with one
-blocked matmul over a one-hot table of each column's distinct values, and
-screened_fitness rescores exactly what may improve: through each item's
-nearest centroid, which the table ranks, with one exact distance per item.
+Where it is cheaper, a Lattice finds every particle's labels with one
+blocked matmul over a one-hot table of each column's distinct values; items
+whose nearest centroid it cannot tell apart take the exact argmin.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .pso import PsoConfig, pso_optimize
 # The table product runs in blocks of values: ~BLOCK_CELLS float cells each,
 # but never under BLOCK_VALUES values, below which the matmuls run slowly.
 BLOCK_CELLS, BLOCK_VALUES = 2**13, 64
+#: Iterations without a strict gbest gain after which the search stops. The
+#: median step reaches its fixed point within a few iterations (see README).
+STALL_ITERATIONS = 3
 
 
 class Lattice:
@@ -60,76 +67,65 @@ class Lattice:
 
 def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
     """Whether the lattice of an (n, d) matrix with values distinct (column,
-    value) pairs scores n_centroids centroids faster than assignment_fitness,
-    by nanoseconds per evaluation fitted with one BLAS thread on a 2-core
-    x86-64 host (see tools/)."""
+    value) pairs labels items by n_centroids centroids faster than the
+    direct kernel, by nanoseconds per evaluation fitted with one BLAS thread
+    on a 2-core x86-64 host (see tools/)."""
     lattice = n_centroids * values * (6.1 + 0.065 * n) + 1.6 * n * values
     return lattice < n_centroids * (2.3 * n * d + 15400)
 
 
-def lattice_fitness(lattice, positions, k: int):
-    """The (n, n_particles, k) lattice distances of an (n_particles, k * d)
-    swarm, and each particle's penalty-free fitness from them, accurate to
-    rounding."""
-    dist = lattice.distances(positions.reshape(positions.shape[0] * k, -1))
-    dist = dist.reshape(-1, positions.shape[0], k)
-    # k - 1 elementwise minimums beat a reduction along the short last axis.
-    nearest = functools.reduce(np.minimum, (dist[:, :, c] for c in range(k)))
-    return dist, nearest.sum(axis=0) / k
-
-
-def _lattice_labels(dist, tol: float):
-    """The (n, P) nearest-centroid labels of (n, P, k) lattice distances,
-    and where they may not be assignment_fitness's: where a runner-up lies
-    within tol of the nearest distance, relative to it. Elsewhere the lattice
-    errs by far less than that gap, so both kernels find the same centroid."""
-    columns = [dist[:, :, c] for c in range(dist.shape[2])]
-    bound = functools.reduce(np.minimum, columns) * (1.0 + tol)
-    return dist.argmin(axis=2), sum(column <= bound for column in columns) > 1
-
-
-def screened_fitness(flat, ordered, k: int, empty_penalty: float):
-    """Swarm fitness for pso_optimize that ranks by lattice_fitness and
-    rescores exactly every particle that may beat its personal best. Any
-    other keeps its lattice value, above that best, so pbests, gbest and
-    history match assignment_fitness exactly. A rescored item keeps its
-    lattice label where that is clear and takes the exact argmin where it is
-    not; then its one exact distance, to that label's centroid, enters the
-    fitness."""
+def lattice_labels(flat, ordered, k: int):
+    """A function from P sets of k centroids, a (P, k, d) array, to the
+    (n, P) nearest-centroid labels that assignment_fitness gives on flat
+    (given sorted down each column as ordered), found through one Lattice
+    pass. An item keeps its lattice label unless a runner-up lies within tol
+    of its nearest distance, relative to it; then it takes the exact argmin.
+    So the labels are assignment_fitness's, whatever the BLAS thread count."""
     lattice = Lattice(flat, ordered)
     # A lattice distance sums the d terms of the direct kernel in another
-    # order, and a lattice value n nearest distances, so rounding moves
-    # either by at most a few ulps x (n + d) of itself; tol leaves a margin
-    # of over a thousandfold.
-    tol = 1e-12 * (flat.shape[0] + flat.shape[1])
-    best = np.inf
+    # order, so rounding moves either by at most a few ulps x d of itself;
+    # outside tol, both kernels find the same centroid with a margin of over
+    # a thousandfold.
+    tol = 1e-12 * flat.shape[1]
 
-    def fitness(positions):
-        nonlocal best
-        dist, value = lattice_fitness(lattice, positions, k)
-        redo = np.flatnonzero(value * (1.0 - tol) <= best)
-        if redo.size < positions.shape[0]:
-            dist = dist[:, redo]
-        labels, unclear = _lattice_labels(dist, tol)
-        centroids = positions[redo].reshape(redo.size, k, flat.shape[1])
-        # Unclear items are few: the ties of centroids that sit on data items.
+    def labels_of(centroids):
+        dist = lattice.distances(centroids.reshape(-1, flat.shape[1]))
+        columns = [dist[:, c::k] for c in range(k)]  # (n, P) each
+        bound = functools.reduce(np.minimum, columns) * (1.0 + tol)
+        labels = dist.reshape(flat.shape[0], -1, k).argmin(axis=2)
+        unclear = sum(column <= bound for column in columns) > 1
+        # Unclear items are few: ties between centroids that sit on data values.
         for j in np.flatnonzero(unclear.any(axis=0)):
             items = np.flatnonzero(unclear[:, j])
             labels[items, j] = _pairwise_l1(flat[items], centroids[j]).argmin(axis=1)
-        nearest = _labelled_l1(flat, centroids, labels)
-        value[redo] = _labelled_fitness(nearest, labels, k, empty_penalty)
-        best = np.minimum(best, value)
-        return value
+        return labels
 
-    return fitness
+    return labels_of
+
+
+def _median_step(flat, centroids, labels) -> None:
+    """Overwrite P sets of k centroids, a (P, k, d) array, with the
+    coordinate-wise lower medians of their members under (n, P) labels: in
+    each column, the ((m - 1) // 2)-th smallest of a cluster's m values. A
+    centroid with no members keeps its place."""
+    for p, centroid_set in enumerate(centroids):
+        for c in range(centroids.shape[1]):
+            members = flat[labels[:, p] == c]
+            if members.shape[0]:
+                members.sort(axis=0)  # in place: members is a copy
+                centroid_set[c] = members[(members.shape[0] - 1) // 2]
 
 
 def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
-    """Cluster items into k groups by swarm search over centroid sets.
+    """Cluster items into k groups by hybrid PSO k-medians.
 
     A particle is its k centroids flattened into one position vector; each
     starts on k distinct data items with a random velocity. Velocities are
     clamped to 20% of each dimension's data range (1 for a constant one).
+    The trace holds the best partition-to-median cost after each iteration;
+    the returned labels and final_fitness are the best centroids' nearest-
+    centroid assignment and its penalty-free fitness, at most the last trace
+    value.
     """
     items = as_item_arrays(data)
     n = items.shape[0]
@@ -151,12 +147,19 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
 
     values = flat.shape[1] + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if lattice_pays(n, flat.shape[1], values, cfg.n_particles * k):
-        fitness = screened_fitness(flat, ordered, k, spread)
+        nearest = lattice_labels(flat, ordered, k)
     else:
-        fitness = lambda positions: assignment_fitness(
-            flat, positions.reshape(-1, flat.shape[1]), k, spread)[1]
+        nearest = lambda centroids: assignment_fitness(
+            flat, centroids.reshape(-1, flat.shape[1]), k)[0]
+
+    def fitness(positions):
+        centroids = positions.reshape(cfg.n_particles, k, -1)  # a view: snapped in place
+        labels = nearest(centroids)
+        _median_step(flat, centroids, labels)
+        return _labelled_fitness(_labelled_l1(flat, centroids, labels), labels, k, spread)
+
     swarm, best_position = pso_optimize(fitness, init_positions, init_velocities,
-                                        cfg, rng, v_max)
+                                        cfg, rng, v_max, STALL_ITERATIONS)
 
     centroids = best_position.reshape(k, -1)
     labels, final = assignment_fitness(flat, centroids, k)

@@ -11,7 +11,6 @@ import contextlib
 import numpy as np
 
 from motifswarm import psobiclust
-from motifswarm.pso import STALL_ITERATIONS
 from motifswarm.psobiclust import _repair
 from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence
 
@@ -63,6 +62,65 @@ def kmeans_pp_oracle(flat, k, rng) -> list[int]:
     return chosen
 
 
+def lower_median_oracle(flat, centroids, labels):
+    """The (P, k, d) centroids after the median step, one value at a time:
+    each centroid's column j becomes the ((m - 1) // 2)-th smallest of the
+    column-j values of its m members, found by a plain selection sort; a
+    centroid with no members is copied as it is."""
+    out = np.array(centroids, dtype=float)
+    for p in range(out.shape[0]):
+        for c in range(out.shape[1]):
+            members = [i for i in range(len(flat)) if labels[i][p] == c]
+            if not members:
+                continue
+            for j in range(out.shape[2]):
+                values = [float(flat[i][j]) for i in members]
+                for a in range(len(values)):
+                    low = min(range(a, len(values)), key=lambda b: values[b])
+                    values[a], values[low] = values[low], values[a]
+                out[p, c, j] = values[(len(members) - 1) // 2]
+    return out
+
+
+def adjusted_rand_index(labels_a, labels_b) -> float:
+    """Hubert & Arabie's adjusted Rand index of two labelings of the same
+    items, from plain pair counts; 1.0 when both are one cluster."""
+    n = len(labels_a)
+    table, rows, cols = {}, {}, {}
+    for a, b in zip(labels_a, labels_b):
+        table[a, b] = table.get((a, b), 0) + 1
+        rows[a] = rows.get(a, 0) + 1
+        cols[b] = cols.get(b, 0) + 1
+
+    def pairs(counts):
+        return sum(m * (m - 1) / 2 for m in counts.values())
+
+    both, in_a, in_b = pairs(table), pairs(rows), pairs(cols)
+    expected = in_a * in_b / (n * (n - 1) / 2) if n > 1 else 0.0
+    top = (in_a + in_b) / 2
+    return 1.0 if top == expected else (both - expected) / (top - expected)
+
+
+def planted_family_corpus(seed, n=150, length=150, n_families=5):
+    """n sequences of one length in n_families planted families, as
+    bench/gen.py plants them: sequence i is in family i % n_families, whose
+    4 favoured letters are a slice of one shuffled alphabet, and each residue
+    is a favoured letter with probability 0.85, else any of the 20. With one
+    length, composition is the only signal. Returns (sequences, families)."""
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(list(AMINO_ACIDS))
+    sequences, families = [], []
+    for i in range(n):
+        f = i % n_families
+        favoured = shuffled[4 * f:4 * f + 4]
+        residues = np.where(rng.random(length) < 0.85,
+                            favoured[rng.integers(0, 4, size=length)],
+                            rng.choice(list(AMINO_ACIDS), size=length))
+        sequences.append(Sequence(f"f{f}_{i}", "".join(residues)))
+        families.append(f)
+    return sequences, families
+
+
 def msr_oracle(matrix, rows, cols) -> float:
     """Quadruple-average mean squared residue, loops only."""
     rows = list(rows)
@@ -82,14 +140,15 @@ def msr_oracle(matrix, rows, cols) -> float:
     return total / (len(rows) * len(cols))
 
 
-def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows=None):
+def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, window,
+               n_rows=None):
     """The swarm engine as an allocating loop: every step builds fresh arrays,
     with the velocity update written as one expression and np.clip. n_rows
     selects the sigmoid bit move (then _repair) over the real move x + v.
     The loop ends after max_iter iterations, or after the first iteration
-    past STALL_ITERATIONS none of whose last STALL_ITERATIONS iterations
-    lowered gbest. Returns the position array scored at each iteration, the
-    pbest and gbest positions, the history and whether gbest stalled."""
+    past window none of whose last window iterations lowered gbest. Returns
+    the position array scored at each iteration, the pbest and gbest
+    positions, the history and whether gbest stalled."""
     positions = np.array(init_positions, dtype=float)
     velocities = np.array(init_velocities, dtype=float)
     n, dim = positions.shape
@@ -112,9 +171,9 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, n_rows
             gbest_fit = pbest_fit[best]
             gbest_pos = pbest_pos[best].copy()
         history.append(gbest_fit)
-        if t > STALL_ITERATIONS:
+        if t > window:
             converged = True
-            for u in range(t - STALL_ITERATIONS, t):
+            for u in range(t - window, t):
                 if history[u] < history[u - 1]:
                     converged = False
         if converged or t == cfg.max_iter:

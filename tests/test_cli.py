@@ -141,14 +141,19 @@ class TestCluster:
         assert all("similarity" in c and "homology" in c for c in scored)
 
     def test_trace_csv(self, tmp_path):
+        # The PSO k-medians search stops 3 iterations after gbest last
+        # improves, well inside --max-iter 20.
         trace = tmp_path / "trace.csv"
         run_cli("cluster", "--sample-corpus", "--k", "3", "--out", tmp_path,
                 "--trace", trace, *FAST)
+        data = json.loads((tmp_path / "clusters.json").read_text())
         lines = trace.read_text().splitlines()
         assert lines[0] == "iteration,fitness"
         fits = [float(line.split(",")[1]) for line in lines[1:]]
-        assert len(fits) == 20
+        assert data["converged"] is True
+        assert len(fits) == data["iterations_run"] < 20
         assert fits == sorted(fits, reverse=True)
+        assert fits[-4] == fits[-1] and (len(fits) == 4 or fits[-5] > fits[-4])
 
     def test_trace_has_one_row_per_iteration_run(self, tmp_path):
         # At default settings the window swarm's gbest stalls long before
@@ -168,8 +173,8 @@ class TestCluster:
                        "--out", tmp_path, *FAST) == 1
 
     @pytest.mark.parametrize("engine,clusters_sha,trace_sha", [
-        ("pso-kmeans", "b550ac62d01dc9813535a615abfce6cae9b0f6be8e09215b239b9bda7758b1a6",
-         "7e6792b8b2746c08ac2a3094e9a5da7976399c790870f0e20111abd1d42ccf9f"),
+        ("pso-kmeans", "884126bd2ebff506c14e5c14ea0bdf068922bcf5d70cd4e9a612733efb0f20e6",
+         "c0599d839a51c999213085326d51ad7e8d1383ee7111992c6c06eb2860ee9adc"),
         ("kmeans", "f816b05a1c784fb8dc5caaee1c51c3af350014a3225d2f92c6209bd801f63819",
          "72cf972753c38c2ef7bd3d9fcefd1b562122bd5f201f690eb39781f6d478b118"),
     ])
@@ -316,11 +321,11 @@ class TestMotifs:
             assert render_logo_svg(payload["report"]) == svg
 
     @pytest.mark.parametrize("flags,reports_sha,logos_sha", [
-        ([], "8c4b2f4d70ef33acba00377111cfb84e6c9771491824db34f2d8633f85f87296",
-         "5dd5134268cf58e7dd16be0f7481ee56185e0d29f031d9f266db45fcaeb1392f"),
+        ([], "6ef8c8abf949cd680389b17cc336746925ffa401c5e9d4b05a90c67fcf5fe59c",
+         "63a79a3e91347bbaba08895847a3ab2916303e4a00ae741c6203f6bdc4a95f76"),
         (["--window-size", "5", "--saa-threshold", "0.12", "--no-logo-correction"],
-         "369b65fb5ad6c3eae892b0b02068ed82271f3edb38185eae163d70604a570a46",
-         "7551df9a78af6d4d9c11add5c9d8fdfab6655a753532787cb9e7bed953df3d18"),
+         "1a7cc9c1cd39a737a77b0f8189b4468b6c4decc34bdf129b83adbffb3dcb3981",
+         "948a4b0bc6ab85bd9c1643773cf96d48478b72be1bb5cf838927e5945d23a03c"),
     ], ids=["defaults", "window-5-no-correction"])
     def test_report_and_logo_bytes_are_pinned(self, tmp_path, flags, reports_sha,
                                               logos_sha):
@@ -413,8 +418,8 @@ class TestCompare:
         digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
                    for name in ("o/compare.json", "o/tally.csv")]
         assert digests == [
-            "116b202a6839dc85092ed2468a312d674870ed9dd17e50b42fc4d311a28caaaa",
-            "b19a1c7bc78327fc1351a6123bd42c7157d935f9281c288b35239352b2308247"]
+            "dda9cd0890f499fccff89efecfeb4ef373cd8f4590016e28c60c5013f8f838db",
+            "9063f6a79b34555f79ca49f191be090cf54241b81d26512cdba2d3ae26a9b389"]
 
     @pytest.mark.parametrize("flags", [["--w", "0.1"], ["--c1", "3"], ["--c2", "0.2"]])
     def test_swarm_coefficients_drive_the_run(self, tmp_path, flags):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from motifswarm import psobiclust, psokmeans
 from motifswarm.errors import ContractError
-from motifswarm.pso import (MAX_PARTICLES, STALL_ITERATIONS, PsoConfig, pso_optimize,
-                            real_move)
+from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize, real_move
 from motifswarm.psobiclust import bit_move, msr_ranker
 
 from helpers import pso_oracle
@@ -53,13 +53,19 @@ def velocity_recorder(move):
     return recording_move, seen
 
 
-def run(fitness, init, cfg, velocities=None, v_max=np.inf, **kwargs):
+# The searches' stall windows. The engine tests below run at the binary
+# search's window, 20, unless they say otherwise: on the sphere, gbest stalls
+# for a few iterations at a time, so TestSphere fails at windows of 3 to 9.
+KMEDIANS_WINDOW, BINARY_WINDOW = psokmeans.STALL_ITERATIONS, psobiclust.STALL_ITERATIONS
+
+
+def run(fitness, init, cfg, velocities=None, v_max=np.inf, window=BINARY_WINDOW, **kwargs):
     """pso_optimize from rest (unless velocities are given), drawing from a
     generator seeded with cfg.seed, unclamped unless v_max is given."""
     if velocities is None:
         velocities = np.zeros(np.shape(init))
     return pso_optimize(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
-                        v_max, **kwargs)
+                        v_max, window, **kwargs)
 
 
 class TestConfig:
@@ -83,6 +89,10 @@ class TestConfig:
             with pytest.raises(ContractError, match="v_max"):
                 run(sphere, init_box(0, n=5), PsoConfig(n_particles=5, max_iter=5),
                     v_max=v_max)
+        for window in (0, -1):
+            with pytest.raises(ContractError, match="window"):
+                run(sphere, init_box(0, n=5), PsoConfig(n_particles=5, max_iter=5),
+                    window=window)
 
 
 class TestSphere:
@@ -134,7 +144,9 @@ class TestLoopMechanics:
         cfg = PsoConfig(n_particles=4, max_iter=10, seed=1, w=0.0, c1=0.0, c2=0.0)
         fitness = Recorder(sphere)
         move, steps = velocity_recorder(real_move)
-        run(fitness, init, cfg, vels, move=move)
+        # Frozen positions score the same every time: a window of 20 lets
+        # all 10 iterations run.
+        run(fitness, init, cfg, vels, window=20, move=move)
         assert len(fitness.scored) == 10
         assert all(np.array_equal(x, init) for x in fitness.scored)
         assert all(np.all(v == 0.0) for v in steps)
@@ -142,10 +154,10 @@ class TestLoopMechanics:
     def test_velocity_clamp(self):
         # The move receives the clamped velocities; x + v - x is v only up
         # to rounding, so they are read there, at every step: one after
-        # each iteration but the last.
+        # each iteration but the last. At window 20 the sphere runs all 25.
         cfg = PsoConfig(n_particles=6, max_iter=25, seed=2)
         move, steps = velocity_recorder(real_move)
-        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5, move=move)
+        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5, window=20, move=move)
         assert swarm.iteration == 25
         assert len(steps) == 24
         assert all(v.shape == (6, 4) for v in steps)
@@ -155,7 +167,7 @@ class TestLoopMechanics:
         # history[t] is the lowest fitness scored in iterations 1..t + 1.
         cfg = PsoConfig(n_particles=5, max_iter=15, seed=4)
         fitness = Recorder(sphere)
-        swarm, _ = run(fitness, init_box(4, n=5), cfg)
+        swarm, _ = run(fitness, init_box(4, n=5), cfg, window=20)
         assert swarm.iteration == len(swarm.history) == len(fitness.values) == 15
         assert swarm.history == list(np.minimum.accumulate(
             [v.min() for v in fitness.values]))
@@ -169,40 +181,45 @@ def scripted(values):
     return lambda positions: np.full(positions.shape[0], next(values))
 
 
-class TestStallRule:
-    W = STALL_ITERATIONS
+def test_the_searches_windows():
+    assert (KMEDIANS_WINDOW, BINARY_WINDOW) == (3, 20)
 
-    def search(self, values, max_iter):
+
+@pytest.mark.parametrize("W", [KMEDIANS_WINDOW, BINARY_WINDOW])
+class TestStallRule:
+    def search(self, values, max_iter, W):
         """(swarm, moves made) of a scripted search on a 3-particle swarm."""
         move, steps = velocity_recorder(real_move)
         cfg = PsoConfig(n_particles=3, max_iter=max_iter, seed=0)
-        swarm, _ = run(scripted(values), init_box(0, n=3), cfg, move=move)
+        swarm, _ = run(scripted(values), init_box(0, n=3), cfg, window=W, move=move)
         return swarm, len(steps)
 
-    def test_constant_fitness_stops_after_w_plus_one_iterations(self):
-        swarm, moves = self.search([1.0] * 100, max_iter=100)
-        assert (swarm.iteration, swarm.converged) == (self.W + 1, True)
-        assert swarm.history == [1.0] * (self.W + 1)
-        assert moves == self.W  # none after the last scoring
+    def test_constant_fitness_stops_after_w_plus_one_iterations(self, W):
+        swarm, moves = self.search([1.0] * 100, 100, W)
+        assert (swarm.iteration, swarm.converged) == (W + 1, True)
+        assert swarm.history == [1.0] * (W + 1)
+        assert moves == W  # none after the last scoring
 
-    @pytest.mark.parametrize("max_iter", [1, 20, 21])
-    def test_max_iter_stays_the_cap(self, max_iter):
-        swarm, moves = self.search([1.0] * 100, max_iter=max_iter)
+    @pytest.mark.parametrize("cap", [lambda W: 1, lambda W: W, lambda W: W + 1],
+                             ids=["1", "W", "W+1"])
+    def test_max_iter_stays_the_cap(self, W, cap):
+        max_iter = cap(W)
+        swarm, moves = self.search([1.0] * 100, max_iter, W)
         assert swarm.iteration == len(swarm.history) == max_iter
-        assert swarm.converged == (max_iter > self.W)
+        assert swarm.converged == (max_iter > W)
         assert moves == max_iter - 1
 
-    def test_fitness_improving_every_iteration_runs_max_iter(self):
-        swarm, moves = self.search(-np.arange(60.0), max_iter=60)
+    def test_fitness_improving_every_iteration_runs_max_iter(self, W):
+        swarm, moves = self.search(-np.arange(60.0), 60, W)
         assert (swarm.iteration, swarm.converged, moves) == (60, False, 59)
 
-    def test_a_gain_after_w_minus_one_stalled_iterations_keeps_searching(self):
+    def test_a_gain_after_w_minus_one_stalled_iterations_keeps_searching(self, W):
         # Iterations 2..W repeat iteration 1's best; W + 1 improves on it,
         # and only W iterations later, at 2W + 1, has gbest stalled again.
-        values = [5.0] * self.W + [4.0] * 100
-        swarm, _ = self.search(values, max_iter=100)
-        assert swarm.history[self.W] == 4.0
-        assert (swarm.iteration, swarm.converged) == (2 * self.W + 1, True)
+        values = [5.0] * W + [4.0] * 100
+        swarm, _ = self.search(values, 100, W)
+        assert swarm.history[W] == 4.0
+        assert (swarm.iteration, swarm.converged) == (2 * W + 1, True)
 
 
 class TestDeterminism:
@@ -276,7 +293,9 @@ class TestBinaryEngine:
     def test_history_length_and_monotone(self, problem):
         m, bits, cfg = problem
         fitness = Recorder(msr_fitness(m))
-        swarm, best = run(fitness, bits, cfg, v_max=4.0, move=bit_move(m.shape[0]))
+        # max_iter <= 15 stays below the binary search's window of 20.
+        swarm, best = run(fitness, bits, cfg, v_max=4.0, window=20,
+                          move=bit_move(m.shape[0]))
         hist = swarm.history
         assert swarm.iteration == cfg.max_iter == len(hist) == len(fitness.values)
         assert all(b <= a for a, b in zip(hist, hist[1:]))
@@ -324,7 +343,8 @@ def engine_runs(draw):
         init = rng.uniform(-5.0, 5.0, size=(n, draw(st.integers(1, 6))))
         fitness, move = sphere, real_move
     velocities = rng.uniform(-3.0, 3.0, size=init.shape)
-    return fitness, move, init, velocities, cfg, v_max, n_rows
+    window = draw(st.sampled_from([KMEDIANS_WINDOW, BINARY_WINDOW]))
+    return fitness, move, init, velocities, cfg, v_max, window, n_rows
 
 
 def stalling_run():
@@ -336,12 +356,12 @@ def stalling_run():
     velocities = rng.uniform(-3.0, 3.0, size=init.shape)
     cfg = PsoConfig(n_particles=4, max_iter=60, seed=5)
     return (msr_fitness(rng.normal(size=(2, 2))), bit_move(2), init, velocities, cfg,
-            4.0, 2)
+            4.0, BINARY_WINDOW, 2)
 
 
 def test_the_stalling_example_stops_early():
-    fitness, move, init, velocities, cfg, v_max, _ = stalling_run()
-    swarm, _ = run(fitness, init, cfg, velocities, v_max, move=move)
+    fitness, move, init, velocities, cfg, v_max, window, _ = stalling_run()
+    swarm, _ = run(fitness, init, cfg, velocities, v_max, window, move=move)
     assert swarm.converged
     assert swarm.iteration < cfg.max_iter
 
@@ -353,13 +373,13 @@ def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
     """The in-place engine scores the same arrays as the allocating loop, at
     every iteration, stops at the same one, and what it returns shares no
     memory with the positions it reuses."""
-    fitness, move, init, velocities, cfg, v_max, n_rows = problem
+    fitness, move, init, velocities, cfg, v_max, window, n_rows = problem
     init_before, velocities_before = init.copy(), velocities.copy()
     recorder = Recorder(fitness)
     swarm, best = pso_optimize(recorder, init, velocities, cfg,
-                               np.random.default_rng(cfg.seed), v_max, move=move)
+                               np.random.default_rng(cfg.seed), v_max, window, move=move)
     want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
-                      v_max, n_rows)
+                      v_max, window, n_rows)
     assert len(recorder.scored) == len(want["scored"]) == swarm.iteration
     assert swarm.converged == want["converged"]
     assert swarm.converged or swarm.iteration == cfg.max_iter

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from motifswarm import psobiclust
 from motifswarm.errors import ContractError
 from motifswarm.metrics import msr
-from motifswarm.pso import MAX_PARTICLES, STALL_ITERATIONS, PsoConfig
+from motifswarm.pso import MAX_PARTICLES, PsoConfig
 from motifswarm.psobiclust import (
     Bicluster,
     default_lambda,
@@ -136,7 +136,8 @@ class TestPsoBicluster:
     def test_refining_a_planted_block_stops_once_it_stalls(self):
         # The seeds already hold the planted block, so the refining swarm's
         # gbest never improves after its first scoring: it ends at iteration
-        # STALL_ITERATIONS + 1 of the 300 allowed and still returns the block.
+        # psobiclust.STALL_ITERATIONS + 1 (21) of the 300 allowed and still
+        # returns the block.
         m, R, C = planted_matrix()
         for seed in range(3):
             seeds = seed_biclusters(m, 2, 2, PsoConfig(n_particles=20, max_iter=100,
@@ -145,7 +146,7 @@ class TestPsoBicluster:
                 out = pso_bicluster(m, PsoConfig(n_particles=30, max_iter=300, seed=seed),
                                     seeds)
             [fits] = histories
-            assert len(fits) <= STALL_ITERATIONS + 1, seed
+            assert len(fits) <= psobiclust.STALL_ITERATIONS + 1, seed
             assert (set(out[0].rows), set(out[0].cols)) == (R, C), seed
 
     def test_gbest_monotone_via_callback(self):

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 from motifswarm import psokmeans
 from motifswarm.errors import ContractError
 from motifswarm.featurize import WINDOW_SCHEMES, build_cluster_dataset, normalize_windows
+from motifswarm.kmeans import _labelled_fitness, _labelled_l1
 from motifswarm.pso import PsoConfig
-from motifswarm.psokmeans import Lattice, assignment_fitness, lattice_fitness, pso_kmeans
+from motifswarm.psokmeans import (STALL_ITERATIONS, Lattice, _median_step,
+                                  assignment_fitness, pso_kmeans)
 from motifswarm.report import Settings
 from motifswarm.seqio import Sequence, load_sample_corpus
 
-from helpers import cityblock_oracle, intra_cluster_fitness, make_blobs, partitions_match
+from helpers import (adjusted_rand_index, cityblock_oracle, intra_cluster_fitness,
+                     lower_median_oracle, make_blobs, partitions_match,
+                     planted_family_corpus)
 
 
 class TestAssignmentFitness:
@@ -61,12 +65,14 @@ class TestPsoKmeans:
         assert cs.final_fitness == pytest.approx(again, abs=1e-9)
 
     def test_trace_monotone_and_bounds_result(self):
+        # Reassigning each item to its nearest median can only lower its
+        # distance, so the final fitness is at most the last trace value.
         rng = np.random.default_rng(3)
         data = rng.normal(size=(30, 4))
         for seed in range(5):
             cs = pso_kmeans(data, k=3, cfg=PsoConfig(n_particles=10, max_iter=40, seed=seed))
             assert all(b <= a for a, b in zip(cs.trace, cs.trace[1:]))
-            assert cs.final_fitness <= cs.trace[0] + 1e-12
+            assert cs.final_fitness <= cs.trace[-1] + 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -79,17 +85,41 @@ class TestPsoKmeans:
         assert a.trace == b.trace
 
     def test_default_config(self):
+        # gbest is found at iteration 1 and never improves, so the search
+        # ends after STALL_ITERATIONS more, long before max_iter 100.
         rng = np.random.default_rng(10)
         data = rng.normal(size=(15, 2))
-        cs = pso_kmeans(data, k=2, cfg=Settings().swarm)
-        assert cs.iterations_run == 100
-        assert len(cs.trace) == 100
+        cfg = Settings().swarm
+        cs = pso_kmeans(data, k=2, cfg=cfg)
+        assert cfg.max_iter == 100
+        assert cs.converged
+        assert cs.iterations_run == len(cs.trace) == STALL_ITERATIONS + 1
 
     def test_window_items_supported(self):
         windows = build_cluster_dataset(
             [Sequence("a", "A" * 9), Sequence("b", "V" * 9), Sequence("c", "VAV" * 3)])
         cs = pso_kmeans(windows, k=2, cfg=PsoConfig(n_particles=6, max_iter=25, seed=0))
         assert cs.centroids.shape == (2, 9, 20)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recovers_equal_length_planted_families(self, seed):
+        # Equal lengths leave composition as the only signal. The nearest-
+        # centroid swarm without the median step found the families only at
+        # seed 3 (ARI 0.65-0.72 at the others).
+        sequences, families = planted_family_corpus(1)
+        windows = build_cluster_dataset(sequences)
+        cs = pso_kmeans(windows, Settings.k, Settings(seed=seed).swarm)
+        assert adjusted_rand_index(families, cs.assignment.tolist()) == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stops_at_its_fixed_point(self, seed):
+        # The median step reaches its fixed point by iteration 2 or 3, so the
+        # stall window ends the search by iteration 2 * STALL_ITERATIONS + 1.
+        sequences, _ = planted_family_corpus(1)
+        windows = build_cluster_dataset(sequences)
+        cs = pso_kmeans(windows, Settings.k, Settings(seed=seed).swarm)
+        assert cs.converged
+        assert cs.iterations_run <= 2 * STALL_ITERATIONS + 1
 
     def test_k_bounds(self):
         data = np.zeros((4, 2))
@@ -139,36 +169,49 @@ def test_lattice_matches_cityblock_oracle(n, d, k, n_particles, divisor, n_const
     with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_VALUES=block_values):
         lattice = Lattice(flat, np.sort(flat, axis=0))
         dist = lattice.distances(centroids)
-        _, bare = lattice_fitness(lattice, positions, k)
 
     oracle = np.array([[cityblock_oracle(x, c) for c in centroids] for x in flat])
     # Every term is >= 0, so rounding is relative to the distance itself.
     assert np.all(np.abs(dist - oracle) <= 1e-12 * oracle)
-    for p in range(n_particles):
-        expected = oracle[:, p * k:(p + 1) * k].min(axis=1).sum() / k
-        assert abs(bare[p] - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), k=st.integers(1, 4),
+       n_particles=st.integers(1, 3), divisor=st.sampled_from([1.0, 9.0, None]),
+       singles=st.booleans(), seed=st.integers(0, 2**16))
+def test_median_step_equals_the_lower_median_oracle(n, d, k, n_particles, divisor,
+                                                    singles, seed):
+    """Integer windows (divisor 1), count/9 matrices and distinct floats
+    (None); few distinct values make ties, random labels leave clusters
+    empty, and singles gives every item but the first its own cluster."""
+    rng = np.random.default_rng(seed)
+    if divisor is None:
+        flat = rng.normal(size=(n, d))
+    else:
+        flat = rng.integers(0, 4, size=(n, d)) / divisor
+    labels = rng.integers(0, k, size=(n, n_particles))
+    if singles:
+        labels[:, :] = np.minimum(np.arange(n), k - 1)[:, None]
+    centroids = rng.normal(size=(n_particles, k, d))
+    expected = lower_median_oracle(flat, centroids, labels)
+    _median_step(flat, centroids, labels)
+    assert np.array_equal(centroids, expected)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
+def test_lattice_labels_follow_a_drifting_swarm(seed):
     """Over a swarm that drifts toward data items in large and in tiny steps
-    and is kicked away now and then, every value that improves its
-    particle's best is assignment_fitness's, and every other value leaves
-    that best unchanged under assignment_fitness too."""
+    and is kicked away now and then, the lattice labels every item as the
+    exact argmin does."""
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 12, size=(40, 30)) / 9.0
-    k, penalty = 3, 4.0
-    fitness = psokmeans.screened_fitness(flat, np.sort(flat, axis=0), k, penalty)
+    k = 3
+    labels_of = psokmeans.lattice_labels(flat, np.sort(flat, axis=0), k)
     target = flat[rng.integers(0, 40, size=(12, k))].reshape(12, -1)
     positions = rng.uniform(-1.0, 2.0, size=target.shape)
-    best = np.full(12, np.inf)
     for step in range(18):
-        value = fitness(positions)
-        exact = assignment_fitness(flat, positions.reshape(-1, flat.shape[1]), k, penalty)[1]
-        improved = exact < best
-        assert np.array_equal(value < best, improved)
-        assert np.array_equal(value[improved], exact[improved])
-        best = np.minimum(best, exact)
+        exact, _ = assignment_fitness(flat, positions.reshape(-1, flat.shape[1]), k)
+        assert np.array_equal(labels_of(positions.reshape(12, k, -1)), exact)
         pull = (0.3, 1e-6, 0.0)[step % 3]
         kick = rng.normal(scale=0.05, size=target.shape) if step % 3 == 2 else 0.0
         positions = positions + pull * (target - positions) + kick
@@ -179,13 +222,13 @@ def test_screened_fitness_is_exact_where_a_pbest_moves(seed):
        n_particles=st.integers(1, 5), penalty=st.sampled_from([0.0, 7.5]),
        divisor=st.sampled_from([1.0, 9.0]), duplicates=st.booleans(),
        coincide=st.booleans(), seed=st.integers(0, 2**16))
-def test_screen_rescoring_equals_assignment_fitness(n, d, k, n_particles, penalty, divisor,
-                                                    duplicates, coincide, seed):
-    """A fresh screen has no personal bests, so its first call rescores every
-    particle. Few distinct values and half-step centroids make items
-    equidistant from two centroids, and coinciding centroids tie every
-    item, so clear items and the exact fallback both occur. Every item that
-    ties in exact arithmetic must reach the fallback."""
+def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, penalty, divisor,
+                                                 duplicates, coincide, seed):
+    """Few distinct values and half-step centroids make items equidistant
+    from two centroids, and coinciding centroids tie every item, so clear
+    items and the exact fallback both occur. Every item that ties in exact
+    arithmetic must reach the fallback. Scored through one distance per
+    item, the labels give assignment_fitness's fitness bit for bit."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 4, size=(n, d))
     if duplicates:
@@ -193,29 +236,32 @@ def test_screen_rescoring_equals_assignment_fitness(n, d, k, n_particles, penalt
     halves = rng.integers(0, 7, size=(n_particles, k, d))
     if coincide:
         halves[:, -1] = halves[:, 0]
-    flat, positions = counts / divisor, halves.reshape(n_particles, -1) / (2 * divisor)
+    flat, centroids = counts / divisor, halves / (2 * divisor)
     # Twice the distances, in integers: ties here are ties in real arithmetic.
     twice = np.abs(2 * counts[:, None, None, :] - halves[None]).sum(axis=3)
     ties = np.count_nonzero((twice == twice.min(axis=2, keepdims=True)).sum(axis=2) > 1)
 
-    fitness = psokmeans.screened_fitness(flat, np.sort(flat, axis=0), k, penalty)
+    labels_of = psokmeans.lattice_labels(flat, np.sort(flat, axis=0), k)
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
-        value = fitness(positions)
-    assert np.array_equal(value, assignment_fitness(flat, positions.reshape(-1, d), k, penalty)[1])
+        labels = labels_of(centroids)
+    want_labels, want = assignment_fitness(flat, centroids.reshape(-1, d), k, penalty)
+    assert np.array_equal(labels, want_labels)
+    value = _labelled_fitness(_labelled_l1(flat, centroids, labels), labels, k, penalty)
+    assert np.array_equal(value, want)
     assert sum(call.args[0].shape[0] for call in spy.call_args_list) >= ties
 
 
 @pytest.mark.parametrize("centroids, exact_rows", [([[1.0], [11.0]], 0),   # all clear
                                                     ([[0.0], [2.0]], 1),   # item 1 ties
                                                     ([[1.0], [1.0]], 5)])  # all tie
-def test_screen_rescoring_labels_only_unclear_items_exactly(centroids, exact_rows):
+def test_lattice_labels_only_unclear_items_exactly(centroids, exact_rows):
     flat = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
-    positions = np.array(centroids).reshape(1, -1)
-    fitness = psokmeans.screened_fitness(flat, flat, 2, 3.0)
+    centroids = np.array(centroids).reshape(1, 2, 1)
+    labels_of = psokmeans.lattice_labels(flat, flat, 2)
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
-        value = fitness(positions)
+        labels = labels_of(centroids)
     assert sum(call.args[0].shape[0] for call in spy.call_args_list) == exact_rows
-    assert np.array_equal(value, assignment_fitness(flat, positions.reshape(2, 1), 2, 3.0)[1])
+    assert np.array_equal(labels, assignment_fitness(flat, centroids[0], 2)[0])
 
 
 def command_input(name):
@@ -235,14 +281,14 @@ def command_input(name):
 @pytest.mark.parametrize("name", ["chunked", "sliding", "mean", "range", "mode",
                                   "mean T", "range T", "mode T"])
 def test_lattice_ranking_matches_exact_ranking(monkeypatch, name, seed):
-    """On every input the commands cluster, a swarm ranked by the lattice
-    and one ranked by assignment_fitness end on the same gbest, trace and
+    """On every input the commands cluster, a swarm labelled by the lattice
+    and one labelled by the direct kernel end on the same gbest, trace and
     assignment."""
     flat, k = command_input(name)
     cfg = PsoConfig(n_particles=20, max_iter=30, seed=seed)
     monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: True)
-    with mock.patch.object(psokmeans, "screened_fitness",
-                           wraps=psokmeans.screened_fitness) as spy:
+    with mock.patch.object(psokmeans, "lattice_labels",
+                           wraps=psokmeans.lattice_labels) as spy:
         by_lattice = pso_kmeans(flat, k, cfg)
     assert spy.called
     monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: False)
@@ -256,13 +302,13 @@ def test_lattice_ranking_matches_exact_ranking(monkeypatch, name, seed):
 @pytest.mark.parametrize("name", ["chunked", "mean", "mean T"])
 def test_sample_corpus_inputs_take_the_table(name):
     flat, k = command_input(name)
-    with mock.patch.object(psokmeans, "screened_fitness",
-                           wraps=psokmeans.screened_fitness) as spy:
+    with mock.patch.object(psokmeans, "lattice_labels",
+                           wraps=psokmeans.lattice_labels) as spy:
         pso_kmeans(flat, k, PsoConfig(n_particles=Settings.n_particles, max_iter=2))
     assert spy.called
 
 
-def test_screened_swarm_scores_only_its_final_labels_with_assignment_fitness():
+def test_swarm_scores_only_its_final_labels_with_assignment_fitness():
     flat, k = command_input("chunked")
     with mock.patch.object(psokmeans, "assignment_fitness",
                            wraps=psokmeans.assignment_fitness) as spy:
@@ -281,6 +327,6 @@ def test_uniform_noise_keeps_the_direct_kernel(monkeypatch, transpose):
     def no_lattice(*args):
         raise AssertionError("uniform noise took the lattice path")
 
-    monkeypatch.setattr(psokmeans, "screened_fitness", no_lattice)
+    monkeypatch.setattr(psokmeans, "lattice_labels", no_lattice)
     cs = pso_kmeans(data, 2, PsoConfig(n_particles=10, max_iter=3, seed=0))
     assert cs.assignment.shape == (data.shape[0],)

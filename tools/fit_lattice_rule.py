@@ -3,8 +3,8 @@ with one BLAS thread (takes a few minutes):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_lattice_rule.py
 
-For a grid of (n, d, distinct values, particles, k) it times one swarm
-evaluation by psokmeans.lattice_fitness and by the batched
+For a grid of (n, d, distinct values, particles, k) it times one swarm's
+nearest-centroid labels by psokmeans.lattice_labels and by the batched
 kmeans.assignment_fitness on random count/9 data, fits nanoseconds per
 evaluation by relative least squares, and reports how often the fitted
 constants and the constants in lattice_pays pick the slower kernel.
@@ -16,7 +16,7 @@ import timeit
 import numpy as np
 
 from motifswarm.kmeans import assignment_fitness
-from motifswarm.psokmeans import Lattice, lattice_fitness, lattice_pays
+from motifswarm.psokmeans import lattice_labels, lattice_pays
 
 NS = [20, 60, 150, 400, 1000, 3000]
 DS = [20, 60, 180, 400]
@@ -37,14 +37,14 @@ def measure():
         rng = np.random.default_rng(n + d + distinct)
         flat = rng.integers(0, distinct, size=(n, d)) / 9.0
         ordered = np.sort(flat, axis=0)
-        lattice = Lattice(flat, ordered)
-        values = lattice.col.size
-        pos = flat[rng.integers(0, n, size=(p, k))].reshape(p, -1)
-        pos += rng.normal(scale=0.3 * flat.std(), size=pos.shape)
+        values = d + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        labels_of = lattice_labels(flat, ordered, k)
+        centroids = flat[rng.integers(0, n, size=(p, k))]
+        centroids += rng.normal(scale=0.3 * flat.std(), size=centroids.shape)
         cells = p * k * n * (d + values)
-        centroids = pos.reshape(-1, d)
-        direct = best_time(lambda: assignment_fitness(flat, centroids, k, 1.0), cells)
-        by_lattice = best_time(lambda: lattice_fitness(lattice, pos, k), cells)
+        direct = best_time(lambda: assignment_fitness(flat, centroids.reshape(-1, d), k),
+                           cells)
+        by_lattice = best_time(lambda: labels_of(centroids), cells)
         rows.append((n, d, values, p * k, direct, by_lattice))
     return rows
 

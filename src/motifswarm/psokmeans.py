@@ -12,7 +12,10 @@ particle's centroids define the returned clustering.
 
 Where it is cheaper, a Lattice finds every particle's labels with one
 blocked matmul over a one-hot table of each column's distinct values; items
-whose nearest centroid it cannot tell apart take the exact argmin.
+whose nearest centroid it cannot tell apart take the exact argmin. The same
+table counts each cluster's members at every value, from which the lower
+medians are read without sorting. A particle whose labels did not change
+since the last iteration keeps its last medians and fitness.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .pso import PsoConfig, pso_optimize
 # The table product runs in blocks of values: ~BLOCK_CELLS float cells each,
 # but never under BLOCK_VALUES values, below which the matmuls run slowly.
 BLOCK_CELLS, BLOCK_VALUES = 2**13, 64
+# The median pass counts members in float32, exact for whole numbers below
+# 2^24, so the table serves fewer items than that. Its running counts take
+# ~MEDIAN_CELLS cells, or one particle's worth if that is more.
+MAX_TABLE_ITEMS, MEDIAN_CELLS = 2**24, 2**22
 #: Iterations without a strict gbest gain after which the search stops. The
 #: median step reaches its fixed point within a few iterations (see README).
 STALL_ITERATIONS = 3
@@ -43,7 +50,8 @@ class Lattice:
         |x_i - c|_1 = sum_t E[i,t] |s_t - c_j_t| = (E W^T)[i,c]
 
     exactly in real arithmetic, and every term is >= 0. E is kept as bool
-    blocks of table columns.
+    blocks of table columns. Value s_t is the rank[t]-th smallest of column
+    j_t, and grid[rank[t], j_t] = s_t.
     """
 
     def __init__(self, flat, ordered):
@@ -51,6 +59,9 @@ class Lattice:
         first[1:] = ordered[1:] != ordered[:-1]
         col, at = np.nonzero(first.T)
         self.col, self.value = col, ordered[at, col]
+        self.rank = np.arange(col.size) - np.searchsorted(col, col)
+        self.grid = np.zeros((self.rank.max() + 1, flat.shape[1]))
+        self.grid[self.rank, col] = self.value
         step = max(BLOCK_VALUES, BLOCK_CELLS // flat.shape[0])
         self.blocks = [slice(b, b + step) for b in range(0, col.size, step)]
         self.equal = [flat[:, col[t]] == self.value[t] for t in self.blocks]
@@ -64,24 +75,52 @@ class Lattice:
             dist += equal.astype(float) @ np.abs(w, out=w)
         return dist
 
+    def medians(self, centroids, labels) -> None:
+        """_median_step read off the table: one float32 matmul of each block
+        of E against the one-hot of the (n, P) labels counts each cluster's
+        members at every value; summed up each column's values, the counts
+        first pass (m - 1) // 2 at the lower median. The counts are whole
+        numbers of at most n < MAX_TABLE_ITEMS, so float32 holds them exactly."""
+        group = max(1, MEDIAN_CELLS // (self.grid.size * centroids.shape[1]))
+        for p in range(0, centroids.shape[0], group):
+            self._medians(centroids[p:p + group], labels[:, p:p + group])
+
+    def _medians(self, centroids, labels) -> None:
+        n_sets, k, d = centroids.shape
+        member = (labels[:, :, None] == np.arange(k)).reshape(labels.shape[0], -1)
+        size = np.count_nonzero(member, axis=0)  # (P k,)
+        onehot = member.astype(np.float32)
+        count = np.zeros((self.grid.shape[0], d, size.size), dtype=np.float32)
+        for t, equal in zip(self.blocks, self.equal):
+            count[self.rank[t], self.col[t]] = equal.T.astype(np.float32) @ onehot
+        for r in range(1, count.shape[0]):  # row adds: cumsum is several times slower
+            count[r] += count[r - 1]
+        # The lower median's rank: how many running counts stay at or below
+        # (m - 1) // 2, summed in the narrowest integer that holds the ranks.
+        below = count <= ((size - 1) // 2).astype(np.float32)
+        rank = below.sum(axis=0, dtype=np.min_scalar_type(count.shape[0]))
+        median = self.grid[rank.T, np.arange(d)].reshape(n_sets, k, d)
+        filled = size.reshape(n_sets, k) > 0  # a centroid with no members keeps its place
+        centroids[filled] = median[filled]
+
 
 def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
     """Whether the lattice of an (n, d) matrix with values distinct (column,
     value) pairs labels items by n_centroids centroids faster than the
     direct kernel, by nanoseconds per evaluation fitted with one BLAS thread
-    on a 2-core x86-64 host (see tools/)."""
+    on a 2-core x86-64 host (see tools/). Never at MAX_TABLE_ITEMS items or
+    more, where the median pass's float32 counts would round."""
     lattice = n_centroids * values * (6.1 + 0.065 * n) + 1.6 * n * values
-    return lattice < n_centroids * (2.3 * n * d + 15400)
+    return n < MAX_TABLE_ITEMS and lattice < n_centroids * (2.3 * n * d + 15400)
 
 
-def lattice_labels(flat, ordered, k: int):
+def lattice_labels(flat, lattice: Lattice, k: int):
     """A function from P sets of k centroids, a (P, k, d) array, to the
-    (n, P) nearest-centroid labels that assignment_fitness gives on flat
-    (given sorted down each column as ordered), found through one Lattice
-    pass. An item keeps its lattice label unless a runner-up lies within tol
-    of its nearest distance, relative to it; then it takes the exact argmin.
-    So the labels are assignment_fitness's, whatever the BLAS thread count."""
-    lattice = Lattice(flat, ordered)
+    (n, P) nearest-centroid labels that assignment_fitness gives on flat,
+    found through one pass of flat's lattice. An item keeps its lattice
+    label unless a runner-up lies within tol of its nearest distance,
+    relative to it; then it takes the exact argmin. So the labels are
+    assignment_fitness's, whatever the BLAS thread count."""
     # A lattice distance sums the d terms of the direct kernel in another
     # order, so rounding moves either by at most a few ulps x d of itself;
     # outside tol, both kernels find the same centroid with a margin of over
@@ -147,16 +186,38 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
 
     values = flat.shape[1] + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if lattice_pays(n, flat.shape[1], values, cfg.n_particles * k):
-        nearest = lattice_labels(flat, ordered, k)
+        lattice = Lattice(flat, ordered)
+        nearest, snap = lattice_labels(flat, lattice, k), lattice.medians
     else:
         nearest = lambda centroids: assignment_fitness(
             flat, centroids.reshape(-1, flat.shape[1]), k)[0]
+        snap = lambda centroids, labels: _median_step(flat, centroids, labels)
+
+    every = np.arange(cfg.n_particles)
+    last_labels = np.full((n, cfg.n_particles), -1)
+    last_centroids = np.empty((cfg.n_particles, k, flat.shape[1]))
+    last_fitness = np.empty(cfg.n_particles)
 
     def fitness(positions):
+        nonlocal last_labels
         centroids = positions.reshape(cfg.n_particles, k, -1)  # a view: snapped in place
         labels = nearest(centroids)
-        _median_step(flat, centroids, labels)
-        return _labelled_fitness(_labelled_l1(flat, centroids, labels), labels, k, spread)
+        moved = (labels != last_labels).any(axis=0)
+        # A particle whose partition did not move has its last medians and
+        # fitness; a centroid with no members keeps its moved place.
+        used = np.zeros((cfg.n_particles, k), dtype=bool)
+        used[every, labels] = True
+        kept = used & ~moved[:, None]
+        centroids[kept] = last_centroids[kept]
+        if moved.any():
+            snapped, moved_labels = centroids[moved], labels[:, moved]
+            snap(snapped, moved_labels)
+            centroids[moved] = snapped
+            last_fitness[moved] = _labelled_fitness(
+                _labelled_l1(flat, snapped, moved_labels), moved_labels, k, spread)
+        last_labels = labels
+        last_centroids[:] = centroids
+        return last_fitness.copy()
 
     swarm, best_position = pso_optimize(fitness, init_positions, init_velocities,
                                         cfg, rng, v_max, STALL_ITERATIONS)

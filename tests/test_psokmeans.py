@@ -16,7 +16,7 @@ from motifswarm.seqio import Sequence, load_sample_corpus
 
 from helpers import (adjusted_rand_index, cityblock_oracle, intra_cluster_fitness,
                      lower_median_oracle, make_blobs, partitions_match,
-                     planted_family_corpus)
+                     planted_family_corpus, pso_oracle)
 
 
 class TestAssignmentFitness:
@@ -198,6 +198,137 @@ def test_median_step_equals_the_lower_median_oracle(n, d, k, n_particles, diviso
     assert np.array_equal(centroids, expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), k=st.integers(1, 4),
+       n_particles=st.integers(1, 3), divisor=st.sampled_from([1.0, 9.0, None]),
+       singles=st.booleans(), block_values=st.sampled_from([1, 3, 64]),
+       median_cells=st.sampled_from([1, 2**22]), seed=st.integers(0, 2**16))
+def test_table_medians_equal_the_lower_median_oracle(n, d, k, n_particles, divisor, singles,
+                                                     block_values, median_cells, seed):
+    """The inputs of the median step's oracle test, read off a table whose
+    columns span several blocks of values, over all particles at once or one
+    particle at a time."""
+    rng = np.random.default_rng(seed)
+    if divisor is None:
+        flat = rng.normal(size=(n, d))
+    else:
+        flat = rng.integers(0, 4, size=(n, d)) / divisor
+    labels = rng.integers(0, k, size=(n, n_particles))
+    if singles:
+        labels[:, :] = np.minimum(np.arange(n), k - 1)[:, None]
+    centroids = rng.normal(size=(n_particles, k, d))
+    expected = lower_median_oracle(flat, centroids, labels)
+    with mock.patch.multiple(psokmeans, BLOCK_CELLS=1, BLOCK_VALUES=block_values,
+                             MEDIAN_CELLS=median_cells):
+        Lattice(flat, np.sort(flat, axis=0)).medians(centroids, labels)
+    assert np.array_equal(centroids, expected)
+
+
+def test_the_table_stops_where_float32_counts_would_round():
+    shape = (180, 2000, 100)  # windows of a large corpus: the table pays
+    assert psokmeans.lattice_pays(psokmeans.MAX_TABLE_ITEMS - 1, *shape)
+    assert not psokmeans.lattice_pays(psokmeans.MAX_TABLE_ITEMS, *shape)
+
+
+def spy_medians(monkeypatch, table):
+    """Takes the table (True) or the direct kernel, and returns the list to
+    which every call of its median kernel appends how many particles it got."""
+    monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: table)
+    received = []
+    direct, by_table = psokmeans._median_step, Lattice.medians
+
+    def step(flat, centroids, labels):
+        received.append(labels.shape[1])
+        direct(flat, centroids, labels)
+
+    def medians(self, centroids, labels):
+        received.append(labels.shape[1])
+        by_table(self, centroids, labels)
+
+    monkeypatch.setattr(psokmeans, "_median_step", step)
+    monkeypatch.setattr(Lattice, "medians", medians)
+    return received
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("n, k", [(8, 1), (5, 5)])
+def test_unmoved_particles_skip_the_median_kernel(monkeypatch, table, n, k):
+    """With no velocity, every particle stays on its medians. In one cluster,
+    or with a centroid on each of k distinct items, the first partition is
+    the medians' own, so no particle's labels move after iteration 1."""
+    data = np.random.default_rng(0).integers(0, 4, size=(n, 3)) + 10.0 * np.arange(n)[:, None]
+    received = spy_medians(monkeypatch, table)
+    cfg = PsoConfig(n_particles=6, max_iter=10, w=0.0, c1=0.0, c2=0.0, seed=3)
+    cs = pso_kmeans(data, k, cfg)
+    assert cs.iterations_run == STALL_ITERATIONS + 1
+    assert received[0] == cfg.n_particles
+    assert sum(received[1:]) == 0
+
+
+def reference_swarm(data, k, cfg):
+    """pso_kmeans through the allocating engine, with every particle labelled
+    by assignment_fitness, snapped by the plain-loop median oracle and scored
+    by the plain-loop cost plus the empty penalty at every iteration."""
+    flat = np.asarray(data, dtype=float)
+    n, d = flat.shape
+    per_dim = flat.max(axis=0) - flat.min(axis=0)
+    spread = float(per_dim.sum())
+    per_dim[per_dim == 0.0] = 1.0
+    v_max = np.tile(0.2 * per_dim, k)
+    rng = np.random.default_rng(cfg.seed)
+    start = np.stack([flat[rng.choice(n, size=k, replace=False)].reshape(-1)
+                      for _ in range(cfg.n_particles)])
+    velocities = rng.uniform(-1.0, 1.0, size=start.shape) * v_max
+
+    def fitness(positions):
+        centroids = positions.reshape(cfg.n_particles, k, d)
+        labels, _ = assignment_fitness(flat, centroids.reshape(-1, d), k)
+        centroids[:] = lower_median_oracle(flat, centroids, labels)
+        return np.array([intra_cluster_fitness(flat, labels[:, p], centroids[p])
+                         + spread * (k - len(set(labels[:, p])))
+                         for p in range(cfg.n_particles)])
+
+    return pso_oracle(fitness, start, velocities, cfg, rng, v_max, STALL_ITERATIONS)
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", ["counts", "two points"])
+def test_swarm_equals_a_reference_that_snaps_every_particle(monkeypatch, table, seed, case):
+    """Reusing unmoved particles' medians and fitness changes nothing: on
+    count/9 data, and on two points of copies where a third cluster stays
+    empty, both kernels end where the reference does."""
+    rng = np.random.default_rng(seed)
+    if case == "counts":
+        data, k = rng.integers(0, 5, size=(24, 6)) / 9.0, 3
+    else:
+        data, k = np.repeat([[0.0, 1.0, 2.0], [3.0, 1.0, 0.0]], 6, axis=0), 3
+    cfg = PsoConfig(n_particles=6, max_iter=15, seed=seed)
+    want = reference_swarm(data, k, cfg)
+    received = spy_medians(monkeypatch, table)
+    scored, engine = [], psokmeans.pso_optimize
+
+    def recording(fitness, *args):
+        def scoring(positions):
+            value = fitness(positions)
+            scored.append(positions.copy())
+            return value
+        return engine(scoring, *args)
+
+    monkeypatch.setattr(psokmeans, "pso_optimize", recording)
+    cs = pso_kmeans(data, k, cfg)
+    # Every iteration leaves the reference's positions, empty centroids too.
+    assert len(scored) == len(want["scored"])
+    assert all(np.array_equal(a, b) for a, b in zip(scored, want["scored"]))
+    assert np.array_equal(cs.centroids.reshape(-1), want["gbest_position"])
+    assert np.array_equal(cs.assignment,
+                          assignment_fitness(data, cs.centroids, k)[0][:, 0])
+    assert cs.trace == want["history"]
+    assert cs.iterations_run == len(want["history"])
+    assert cs.converged == want["converged"]
+    assert sum(received) < cfg.n_particles * cs.iterations_run  # some were reused
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lattice_labels_follow_a_drifting_swarm(seed):
     """Over a swarm that drifts toward data items in large and in tiny steps
@@ -206,7 +337,7 @@ def test_lattice_labels_follow_a_drifting_swarm(seed):
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 12, size=(40, 30)) / 9.0
     k = 3
-    labels_of = psokmeans.lattice_labels(flat, np.sort(flat, axis=0), k)
+    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, np.sort(flat, axis=0)), k)
     target = flat[rng.integers(0, 40, size=(12, k))].reshape(12, -1)
     positions = rng.uniform(-1.0, 2.0, size=target.shape)
     for step in range(18):
@@ -241,7 +372,7 @@ def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, penalty, 
     twice = np.abs(2 * counts[:, None, None, :] - halves[None]).sum(axis=3)
     ties = np.count_nonzero((twice == twice.min(axis=2, keepdims=True)).sum(axis=2) > 1)
 
-    labels_of = psokmeans.lattice_labels(flat, np.sort(flat, axis=0), k)
+    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, np.sort(flat, axis=0)), k)
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
         labels = labels_of(centroids)
     want_labels, want = assignment_fitness(flat, centroids.reshape(-1, d), k, penalty)
@@ -257,7 +388,7 @@ def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, penalty, 
 def test_lattice_labels_only_unclear_items_exactly(centroids, exact_rows):
     flat = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
     centroids = np.array(centroids).reshape(1, 2, 1)
-    labels_of = psokmeans.lattice_labels(flat, flat, 2)
+    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, flat), 2)
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
         labels = labels_of(centroids)
     assert sum(call.args[0].shape[0] for call in spy.call_args_list) == exact_rows

@@ -3,11 +3,14 @@ with one BLAS thread (takes a few minutes):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/fit_lattice_rule.py
 
-For a grid of (n, d, distinct values, particles, k) it times one swarm's
-nearest-centroid labels by psokmeans.lattice_labels and by the batched
-kmeans.assignment_fitness on random count/9 data, fits nanoseconds per
-evaluation by relative least squares, and reports how often the fitted
-constants and the constants in lattice_pays pick the slower kernel.
+For a grid of (n, d, distinct values, particles, k) it times on random
+count/9 data the work that lattice_pays selects for one swarm iteration:
+the nearest-centroid labels and the lower medians of the partition they
+induce, by the table (psokmeans.lattice_labels, then Lattice.medians) and by
+the direct kernel (the batched kmeans.assignment_fitness, then
+psokmeans._median_step). It fits nanoseconds per evaluation by relative
+least squares and reports how often the fitted constants and the constants
+in lattice_pays pick the slower kernel.
 """
 
 import itertools
@@ -16,7 +19,7 @@ import timeit
 import numpy as np
 
 from motifswarm.kmeans import assignment_fitness
-from motifswarm.psokmeans import lattice_labels, lattice_pays
+from motifswarm.psokmeans import Lattice, _median_step, lattice_labels, lattice_pays
 
 NS = [20, 60, 150, 400, 1000, 3000]
 DS = [20, 60, 180, 400]
@@ -38,14 +41,21 @@ def measure():
         flat = rng.integers(0, distinct, size=(n, d)) / 9.0
         ordered = np.sort(flat, axis=0)
         values = d + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-        labels_of = lattice_labels(flat, ordered, k)
+        lattice = Lattice(flat, ordered)
+        labels_of = lattice_labels(flat, lattice, k)
         centroids = flat[rng.integers(0, n, size=(p, k))]
         centroids += rng.normal(scale=0.3 * flat.std(), size=centroids.shape)
+
+        def direct_pass():
+            labels = assignment_fitness(flat, centroids.reshape(-1, d), k)[0]
+            _median_step(flat, centroids.copy(), labels)
+
+        def lattice_pass():
+            lattice.medians(centroids.copy(), labels_of(centroids))
+
         cells = p * k * n * (d + values)
-        direct = best_time(lambda: assignment_fitness(flat, centroids.reshape(-1, d), k),
-                           cells)
-        by_lattice = best_time(lambda: labels_of(centroids), cells)
-        rows.append((n, d, values, p * k, direct, by_lattice))
+        rows.append((n, d, values, p * k, best_time(direct_pass, cells),
+                     best_time(lattice_pass, cells)))
     return rows
 
 

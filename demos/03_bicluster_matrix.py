@@ -1,14 +1,11 @@
-"""Bicluster the sequence x amino-acid matrix with binary PSO.
+"""Bicluster the sequence x amino-acid matrix with PSO k-means.
 
 A bicluster keeps a subset of sequences AND a subset of amino-acid columns;
 its quality is the mean squared residue (0 for a perfectly additive block).
-The swarm starts from seeds built by clustering rows and columns separately,
-then flips membership bits through a sigmoid of real-valued velocities. The
-fitness rewards volume, so the search resists collapsing into the trivially
-coherent one-column submatrices.
+PSO k-means clusters the rows and the columns separately, and crossing the
+two partitions gives the biclusters. They are ranked by MSR minus a volume
+reward, so of two equally coherent blocks the larger comes first.
 """
-
-from dataclasses import replace
 
 from motifswarm import (
     AMINO_ACIDS,
@@ -21,8 +18,8 @@ from motifswarm import (
 from motifswarm.featurize import build_cluster_dataset, normalize_windows
 
 SEED = 7
-# One swarm setting, as the CLI's flags give it: the seeding swarms run on
-# it and the refining swarm on the same with the seed plus two.
+# One swarm setting, as the CLI's flags give it: the row swarm runs on it and
+# the column swarm on the same with the seed plus one.
 SWARM = PsoConfig(n_particles=15, max_iter=80, seed=SEED)
 
 corpus = load_sample_corpus()
@@ -33,14 +30,10 @@ lam = default_lambda(matrix)
 print(f"matrix {matrix.shape}, volume reward weight {lam:.4f} "
       "(0.1 x full-matrix MSR)")
 
-seeds = seed_biclusters(matrix, 3, 2, SWARM)
-print(f"\n{len(seeds)} seeds from crossing 3 row clusters with 2 column clusters:")
-for s in seeds:
-    print(f"  {len(s.rows):2d} x {len(s.cols):2d}  MSR {s.msr:.4f}")
-
-results = pso_bicluster(matrix, replace(SWARM, seed=SEED + 2), seeds, lam=lam)
-print(f"\n{len(results)} distinct biclusters after refinement (best first):")
-for bic in results[:5]:
+results = pso_bicluster(matrix, SWARM, seed_biclusters(matrix, 3, 2, SWARM), lam=lam)
+print(f"\n{len(results)} biclusters from crossing 3 row clusters with 2 column "
+      "clusters, ranked (best first):")
+for bic in results:
     letters = "".join(AMINO_ACIDS[c] for c in bic.cols)
     rows = ", ".join(ids[r] for r in bic.rows[:4])
     more = "..." if len(bic.rows) > 4 else ""

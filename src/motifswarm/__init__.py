@@ -2,8 +2,9 @@
 
 Sequences become 9 x 20 positional amino-acid frequency windows; those are
 clustered with PSO-driven k-means, a normalized sequence x amino-acid matrix
-is biclustered with binary PSO, and groups are scored by secondary-structure
-homology and summarized as SAA/motif reports with sequence logos.
+is biclustered by crossing PSO k-means clusterings of its rows and of its
+columns, and groups are scored by secondary-structure homology and
+summarized as SAA/motif reports with sequence logos.
 """
 
 __version__ = "0.1.0"

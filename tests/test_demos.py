@@ -33,7 +33,7 @@ def test_cluster_demo_command_writes_its_fitness(tmp_path, monkeypatch, capsys):
 def test_bicluster_demo_command_writes_its_best_msr(tmp_path, monkeypatch, capsys):
     printed, out = run_demo_and_its_command("03_bicluster_matrix.py", tmp_path,
                                             monkeypatch, capsys)
-    best = printed.split("after refinement (best first):\n")[1].splitlines()[0]
+    best = printed.split("ranked (best first):\n")[1].splitlines()[0]
     msr = re.search(r"MSR ([\d.]+)", best).group(1)
     written = json.loads((out / "biclusters.json").read_text(encoding="utf-8"))
     assert f"{written['biclusters'][0]['msr']:.4f}" == msr

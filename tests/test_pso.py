@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motifswarm import psobiclust, psokmeans
+from motifswarm import psokmeans
 from motifswarm.errors import ContractError
-from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize, real_move
-from motifswarm.psobiclust import bit_move, msr_ranker
+from motifswarm.pso import MAX_PARTICLES, PsoConfig, pso_optimize
 
 from helpers import pso_oracle
 
@@ -42,30 +41,33 @@ class Recorder:
         return np.array(self.scored)[first], values[first]
 
 
-def velocity_recorder(move):
-    """move, plus a list that gets a copy of the velocities of every step."""
-    seen = []
+class CountingRng:
+    """A generator seeded with seed that counts its random() calls: the
+    engine draws r1 and r2 once per move, so moves == draws // 2."""
 
-    def recording_move(positions, velocities, rng):
-        seen.append(velocities.copy())
-        return move(positions, velocities, rng)
+    def __init__(self, seed):
+        self.base, self.draws = np.random.default_rng(seed), 0
 
-    return recording_move, seen
-
-
-# The searches' stall windows. The engine tests below run at the binary
-# search's window, 20, unless they say otherwise: on the sphere, gbest stalls
-# for a few iterations at a time, so TestSphere fails at windows of 3 to 9.
-KMEDIANS_WINDOW, BINARY_WINDOW = psokmeans.STALL_ITERATIONS, psobiclust.STALL_ITERATIONS
+    def random(self, size=None):
+        self.draws += 1
+        return self.base.random(size)
 
 
-def run(fitness, init, cfg, velocities=None, v_max=np.inf, window=BINARY_WINDOW, **kwargs):
+# PSO k-medians' stall window, and the one the engine tests below run at
+# unless they say otherwise: on the sphere, gbest stalls for a few
+# iterations at a time, so TestSphere fails at windows of 3 to 9.
+KMEDIANS_WINDOW, SPHERE_WINDOW = psokmeans.STALL_ITERATIONS, 20
+
+
+def run(fitness, init, cfg, velocities=None, v_max=np.inf, window=SPHERE_WINDOW, rng=None):
     """pso_optimize from rest (unless velocities are given), drawing from a
-    generator seeded with cfg.seed, unclamped unless v_max is given."""
+    generator seeded with cfg.seed (unless rng is given), unclamped unless
+    v_max is given."""
     if velocities is None:
         velocities = np.zeros(np.shape(init))
-    return pso_optimize(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
-                        v_max, window, **kwargs)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    return pso_optimize(fitness, init, velocities, cfg, rng, v_max, window)
 
 
 class TestConfig:
@@ -132,8 +134,8 @@ class TestLoopMechanics:
         cfg = PsoConfig(n_particles=6, max_iter=20, seed=7)
         fitness = Recorder(sphere)
         swarm, _ = run(fitness, init_box(7, n=6), cfg)
-        pbest_positions, pbest_fitness = fitness.best()
-        assert np.array_equal(swarm.pbest_positions, pbest_positions)
+        best_positions, pbest_fitness = fitness.best()
+        assert np.array_equal(swarm.gbest_position, best_positions[pbest_fitness.argmin()])
         assert pbest_fitness.shape == (6,)
         assert swarm.history[-1] == pbest_fitness.min()
         assert np.all(pbest_fitness <= fitness.values[-1])
@@ -143,25 +145,27 @@ class TestLoopMechanics:
         vels = np.full((4, 4), 2.5)
         cfg = PsoConfig(n_particles=4, max_iter=10, seed=1, w=0.0, c1=0.0, c2=0.0)
         fitness = Recorder(sphere)
-        move, steps = velocity_recorder(real_move)
         # Frozen positions score the same every time: a window of 20 lets
-        # all 10 iterations run.
-        run(fitness, init, cfg, vels, window=20, move=move)
+        # all 10 iterations run. w = 0 drops the start velocities, so every
+        # move adds exactly 0.
+        run(fitness, init, cfg, vels, window=20)
         assert len(fitness.scored) == 10
         assert all(np.array_equal(x, init) for x in fitness.scored)
-        assert all(np.all(v == 0.0) for v in steps)
 
     def test_velocity_clamp(self):
-        # The move receives the clamped velocities; x + v - x is v only up
-        # to rounding, so they are read there, at every step: one after
-        # each iteration but the last. At window 20 the sphere runs all 25.
+        # A move adds the clamped velocities to the positions, so each step
+        # between two scorings is a velocity, up to the rounding of x + v - x.
+        # There is one step after each iteration but the last; at window 20
+        # the sphere runs all 25.
         cfg = PsoConfig(n_particles=6, max_iter=25, seed=2)
-        move, steps = velocity_recorder(real_move)
-        swarm, _ = run(sphere, init_box(2, n=6), cfg, v_max=0.5, window=20, move=move)
+        fitness, rng = Recorder(sphere), CountingRng(cfg.seed)
+        swarm, _ = run(fitness, init_box(2, n=6), cfg, v_max=0.5, window=20, rng=rng)
+        steps = np.diff(fitness.scored, axis=0)
         assert swarm.iteration == 25
-        assert len(steps) == 24
-        assert all(v.shape == (6, 4) for v in steps)
-        assert all(np.all(np.abs(v) <= 0.5) for v in steps)
+        assert steps.shape == (24, 6, 4)
+        assert rng.draws == 2 * 24
+        assert np.all(np.abs(steps) <= 0.5 + 1e-12)
+        assert np.any(np.abs(steps) > 0.5 - 1e-12)  # the clamp fired
 
     def test_callback_sees_every_iteration(self):
         # history[t] is the lowest fitness scored in iterations 1..t + 1.
@@ -182,17 +186,17 @@ def scripted(values):
 
 
 def test_the_searches_windows():
-    assert (KMEDIANS_WINDOW, BINARY_WINDOW) == (3, 20)
+    assert KMEDIANS_WINDOW == 3
 
 
-@pytest.mark.parametrize("W", [KMEDIANS_WINDOW, BINARY_WINDOW])
+@pytest.mark.parametrize("W", [KMEDIANS_WINDOW, SPHERE_WINDOW])
 class TestStallRule:
     def search(self, values, max_iter, W):
         """(swarm, moves made) of a scripted search on a 3-particle swarm."""
-        move, steps = velocity_recorder(real_move)
         cfg = PsoConfig(n_particles=3, max_iter=max_iter, seed=0)
-        swarm, _ = run(scripted(values), init_box(0, n=3), cfg, window=W, move=move)
-        return swarm, len(steps)
+        rng = CountingRng(cfg.seed)
+        swarm, _ = run(scripted(values), init_box(0, n=3), cfg, window=W, rng=rng)
+        return swarm, rng.draws // 2
 
     def test_constant_fitness_stops_after_w_plus_one_iterations(self, W):
         swarm, moves = self.search([1.0] * 100, 100, W)
@@ -265,65 +269,9 @@ class TestErrors:
 
 
 @st.composite
-def binary_problems(draw):
-    """A small matrix, a swarm of random membership vectors with non-empty
-    row and column halves, and a config for the bit engine."""
-    n_rows = draw(st.integers(2, 8))
-    n_cols = draw(st.integers(2, 6))
-    n = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n_rows, n_cols)) * draw(st.sampled_from([1.0, 50.0]))
-    bits = rng.random((n, n_rows + n_cols)) < 0.5
-    bits[:, 0] = True
-    bits[:, n_rows] = True
-    cfg = PsoConfig(n_particles=n, max_iter=draw(st.integers(1, 15)), seed=seed)
-    return m, bits, cfg
-
-
-def msr_fitness(m):
-    n_rows = m.shape[0]
-    msr_of = msr_ranker(m)
-    return lambda x: msr_of(x[:, :n_rows], x[:, n_rows:]) - 0.1 * x.sum(axis=1)
-
-
-class TestBinaryEngine:
-    @settings(max_examples=40, deadline=None)
-    @given(binary_problems())
-    def test_history_length_and_monotone(self, problem):
-        m, bits, cfg = problem
-        fitness = Recorder(msr_fitness(m))
-        # max_iter <= 15 stays below the binary search's window of 20.
-        swarm, best = run(fitness, bits, cfg, v_max=4.0, window=20,
-                          move=bit_move(m.shape[0]))
-        hist = swarm.history
-        assert swarm.iteration == cfg.max_iter == len(hist) == len(fitness.values)
-        assert all(b <= a for a, b in zip(hist, hist[1:]))
-        pbest_positions, pbest_fitness = fitness.best()
-        assert np.array_equal(swarm.pbest_positions, pbest_positions)
-        assert pbest_fitness.min() == hist[-1]
-        assert np.array_equal(best, swarm.gbest_position)
-
-    @settings(max_examples=40, deadline=None)
-    @given(binary_problems())
-    def test_moves_keep_bits_and_both_halves(self, problem):
-        m, bits, cfg = problem
-        n_rows = m.shape[0]
-        fitness = Recorder(msr_fitness(m))
-        move, steps = velocity_recorder(bit_move(n_rows))
-        swarm, _ = run(fitness, bits, cfg, v_max=4.0, move=move)
-        for arr in (*fitness.scored, swarm.pbest_positions):
-            assert set(np.unique(arr)) <= {0.0, 1.0}
-            assert np.all(arr[:, :n_rows].any(axis=1))
-            assert np.all(arr[:, n_rows:].any(axis=1))
-        assert all(np.all(np.abs(v) <= 4.0) for v in steps)
-
-
-@st.composite
 def engine_runs(draw):
-    """A swarm problem for either move: the sphere with real positions, or
-    an MSR fitness with membership bits; a finite or infinite v_max, and start
-    velocities large enough for the clamp to fire."""
+    """A sphere problem for the engine: real positions, a finite or infinite
+    v_max, and start velocities large enough for the clamp to fire."""
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 6))
@@ -332,38 +280,28 @@ def engine_runs(draw):
                     w=draw(st.sampled_from([0.72, 0.4, 1.1])),
                     c1=draw(st.sampled_from([1.49, 0.0, 2.0])),
                     c2=draw(st.sampled_from([1.49, 0.7])), seed=seed)
-    if draw(st.booleans()):
-        n_rows, n_cols = draw(st.integers(2, 8)), draw(st.integers(2, 6))
-        m = rng.normal(size=(n_rows, n_cols))
-        init = (rng.random((n, n_rows + n_cols)) < 0.5).astype(float)
-        init[:, 0] = init[:, n_rows] = 1.0
-        fitness, move = msr_fitness(m), bit_move(n_rows)
-    else:
-        n_rows = None
-        init = rng.uniform(-5.0, 5.0, size=(n, draw(st.integers(1, 6))))
-        fitness, move = sphere, real_move
+    init = rng.uniform(-5.0, 5.0, size=(n, draw(st.integers(1, 6))))
     velocities = rng.uniform(-3.0, 3.0, size=init.shape)
-    window = draw(st.sampled_from([KMEDIANS_WINDOW, BINARY_WINDOW]))
-    return fitness, move, init, velocities, cfg, v_max, window, n_rows
+    window = draw(st.sampled_from([KMEDIANS_WINDOW, SPHERE_WINDOW]))
+    return sphere, init, velocities, cfg, v_max, window
 
 
 def stalling_run():
-    """An engine_runs bit problem on a 2 x 2 matrix, which has only nine
-    membership vectors with both halves non-empty: gbest soon stops
-    improving, and the search stops long before max_iter."""
+    """An engine_runs problem at PSO k-medians' window: the sphere's gbest
+    idles for 3 iterations at 1.17, and the search stops at iteration 7 of
+    60."""
     rng = np.random.default_rng(5)
-    init = np.array([[1.0, 0.0, 1.0, 0.0]] * 4)
+    init = rng.uniform(-5.0, 5.0, size=(4, 3))
     velocities = rng.uniform(-3.0, 3.0, size=init.shape)
     cfg = PsoConfig(n_particles=4, max_iter=60, seed=5)
-    return (msr_fitness(rng.normal(size=(2, 2))), bit_move(2), init, velocities, cfg,
-            4.0, BINARY_WINDOW, 2)
+    return sphere, init, velocities, cfg, 4.0, KMEDIANS_WINDOW
 
 
 def test_the_stalling_example_stops_early():
-    fitness, move, init, velocities, cfg, v_max, window, _ = stalling_run()
-    swarm, _ = run(fitness, init, cfg, velocities, v_max, window, move=move)
+    fitness, init, velocities, cfg, v_max, window = stalling_run()
+    swarm, _ = run(fitness, init, cfg, velocities, v_max, window)
     assert swarm.converged
-    assert swarm.iteration < cfg.max_iter
+    assert window + 1 < swarm.iteration < cfg.max_iter
 
 
 @settings(max_examples=80, deadline=None)
@@ -373,23 +311,21 @@ def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
     """The in-place engine scores the same arrays as the allocating loop, at
     every iteration, stops at the same one, and what it returns shares no
     memory with the positions it reuses."""
-    fitness, move, init, velocities, cfg, v_max, window, n_rows = problem
+    fitness, init, velocities, cfg, v_max, window = problem
     init_before, velocities_before = init.copy(), velocities.copy()
     recorder = Recorder(fitness)
     swarm, best = pso_optimize(recorder, init, velocities, cfg,
-                               np.random.default_rng(cfg.seed), v_max, window, move=move)
+                               np.random.default_rng(cfg.seed), v_max, window)
     want = pso_oracle(fitness, init, velocities, cfg, np.random.default_rng(cfg.seed),
-                      v_max, window, n_rows)
+                      v_max, window)
     assert len(recorder.scored) == len(want["scored"]) == swarm.iteration
     assert swarm.converged == want["converged"]
     assert swarm.converged or swarm.iteration == cfg.max_iter
     for t, (got, expected) in enumerate(zip(recorder.scored, want["scored"])):
         assert np.array_equal(got, expected), t
-    for name in ("pbest_positions", "gbest_position"):
-        assert np.array_equal(getattr(swarm, name), want[name]), name
+    assert np.array_equal(swarm.gbest_position, want["gbest_position"])
     assert swarm.history == want["history"]
     assert best is swarm.gbest_position
-    assert not np.shares_memory(swarm.pbest_positions, recorder.live)
     assert not np.shares_memory(swarm.gbest_position, recorder.live)
     assert np.array_equal(init, init_before)
     assert np.array_equal(velocities, velocities_before)

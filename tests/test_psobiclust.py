@@ -1,25 +1,22 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from motifswarm import psobiclust
 from motifswarm.errors import ContractError
 from motifswarm.metrics import msr
-from motifswarm.pso import MAX_PARTICLES, PsoConfig
+from motifswarm.pso import PsoConfig
 from motifswarm.psobiclust import (
     Bicluster,
     default_lambda,
     make_bicluster,
     pso_bicluster,
-    msr_ranker,
     seed_biclusters,
 )
 from motifswarm.psokmeans import pso_kmeans
 
-from helpers import bicluster_histories, msr_oracle, planted_matrix
+from helpers import msr_oracle, planted_matrix
 
 
 def jaccard(a, b):
@@ -133,31 +130,6 @@ class TestPsoBicluster:
                 hits += 1
         assert hits == 3
 
-    def test_refining_a_planted_block_stops_once_it_stalls(self):
-        # The seeds already hold the planted block, so the refining swarm's
-        # gbest never improves after its first scoring: it ends at iteration
-        # psobiclust.STALL_ITERATIONS + 1 (21) of the 300 allowed and still
-        # returns the block.
-        m, R, C = planted_matrix()
-        for seed in range(3):
-            seeds = seed_biclusters(m, 2, 2, PsoConfig(n_particles=20, max_iter=100,
-                                                       seed=seed))
-            with bicluster_histories() as histories:
-                out = pso_bicluster(m, PsoConfig(n_particles=30, max_iter=300, seed=seed),
-                                    seeds)
-            [fits] = histories
-            assert len(fits) <= psobiclust.STALL_ITERATIONS + 1, seed
-            assert (set(out[0].rows), set(out[0].cols)) == (R, C), seed
-
-    def test_gbest_monotone_via_callback(self):
-        m, _, _ = planted_matrix(seed=5)
-        seed = make_bicluster(m, range(0, 9), range(0, 7))
-        with bicluster_histories() as histories:
-            pso_bicluster(m, PsoConfig(n_particles=8, max_iter=50, seed=2), [seed])
-        [fits] = histories
-        assert len(fits) == 50
-        assert all(b <= a for a, b in zip(fits, fits[1:]))
-
     def test_deterministic(self):
         m, _, _ = planted_matrix(seed=6)
         seed = make_bicluster(m, range(5), range(5))
@@ -215,106 +187,58 @@ class TestPsoBicluster:
             pso_bicluster(m, cfg, [seed], lam=1e307)
         assert pso_bicluster(m, cfg, [seed], lam=1e306)
 
-    def test_more_seeds_than_particles_allowed_is_an_error(self):
-        m = np.arange(24.0).reshape(6, 4)
-        seeds = [make_bicluster(m, [0, 1], [0, 1])] * (MAX_PARTICLES + 1)
-        cfg = PsoConfig(n_particles=2, max_iter=5)
-        with pytest.raises(ContractError, match=f"{MAX_PARTICLES + 1} seed"):
-            pso_bicluster(m, cfg, seeds)
-        assert len(pso_bicluster(m, cfg, seeds[:MAX_PARTICLES])) >= 1
 
+class TestRanking:
+    def test_crossings_come_out_in_fitness_order_whatever_the_config(self):
+        m, _, _ = planted_matrix(seed=9)
+        lam, total = default_lambda(m), m.size
+        seeds = seed_biclusters(m, 3, 2, PsoConfig(n_particles=10, max_iter=30, seed=1))
+        want = sorted(seeds, key=lambda b: (penalized(b, lam, total), b.rows, b.cols))
+        for cfg in (PsoConfig(n_particles=1, max_iter=1),
+                    PsoConfig(n_particles=30, max_iter=300, w=0.1, seed=8)):
+            assert pso_bicluster(m, cfg, seeds) == want
+            assert pso_bicluster(m, cfg, seeds[::-1], lam=lam) == want
 
-@settings(max_examples=60, deadline=None)
-@given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 8), n=st.integers(1, 8),
-       seed=st.integers(0, 2**16), scale=st.sampled_from([1.0, 50.0]),
-       offset=st.sampled_from([0.0, 100.0]))
-def test_swarm_msr_matches_oracle(n_rows, n_cols, n, seed, scale, offset):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n_rows, n_cols)) * scale + offset
-    rows = rng.random((n, n_rows)) < rng.random((n, 1))
-    cols = rng.random((n, n_cols)) < rng.random((n, 1))
-    rows[0], cols[0] = True, True  # the full matrix
-    rows[np.arange(n), rng.integers(n_rows, size=n)] = True
-    cols[np.arange(n), rng.integers(n_cols, size=n)] = True
-    got = msr_ranker(m)(rows.astype(float), cols.astype(float))
-    assert got.shape == (n,)
-    for p in range(n):
-        r, c = np.flatnonzero(rows[p]), np.flatnonzero(cols[p])
-        if r.size == 1 or c.size == 1:
-            assert got[p] == 0.0
-        else:
-            assert math.isclose(got[p], msr_oracle(m, r, c), rel_tol=1e-9,
-                                abs_tol=1e-12 * scale**2)
+    def test_equal_fitness_goes_to_lower_rows_then_lower_columns(self):
+        m = np.full((6, 5), 3.0)  # every submatrix has msr 0
+        cells = [((2, 3), (0, 1)), ((0, 1), (2, 4)), ((0, 1), (0, 3)), ((0, 5), (1, 2))]
+        seeds = [make_bicluster(m, rows, cols) for rows, cols in cells]
+        out = pso_bicluster(m, PsoConfig(n_particles=2, max_iter=5), seeds, lam=0.5)
+        assert [(b.rows, b.cols) for b in out] == sorted(cells)
 
+    def test_repeated_seeds_come_out_once_with_their_exact_msr(self):
+        m, _, _ = planted_matrix(seed=3)
+        seed = make_bicluster(m, range(5, 13), range(3, 9))
+        stale = Bicluster(rows=seed.rows, cols=seed.cols, msr=99.0, volume=seed.volume)
+        out = pso_bicluster(m, PsoConfig(n_particles=2, max_iter=5), [seed, stale, seed])
+        assert out == [seed]
 
-class PermutedRng:
-    """Mirrors a base generator with every (n, n_bits) draw re-indexed along
-    the bit axis, so a run on permuted data consumes corresponding numbers."""
-
-    def __init__(self, base, bit_perm):
-        self.base = base
-        self.bit_perm = bit_perm
-
-    def _remap(self, draw):
-        if draw.ndim == 2 and draw.shape[1] == len(self.bit_perm):
-            return draw[:, self.bit_perm]
-        return draw
-
-    def random(self, size=None):
-        return self._remap(np.asarray(self.base.random(size)))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._remap(np.asarray(self.base.uniform(low, high, size)))
-
-
-class RecordingRng:
-    """Passes draws through to a base generator and logs (method, size)."""
-
-    def __init__(self, base):
-        self.base = base
-        self.log = []
-
-    def random(self, size=None):
-        self.log.append(("random", size))
-        return self.base.random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        self.log.append(("uniform", size))
-        return self.base.uniform(low, high, size)
-
-
-def test_draws_speeds_once_then_three_per_move():
-    """Initial speeds, then r1, r2 and the bit draw for each move: one fewer
-    than the iterations, since the last scoring is not followed by a move.
-    The per-seed artifact bytes depend on this sequence."""
-    m, _, _ = planted_matrix(seed=4)
-    seed = make_bicluster(m, range(6), range(5))
-    rng = RecordingRng(np.random.default_rng(0))
-    pso_bicluster(m, PsoConfig(n_particles=3, max_iter=4, seed=0), [seed], rng=rng)
-    shape = (3, 60)
-    assert [(name, tuple(size)) for name, size in rng.log] == \
-        [("uniform", shape)] + [("random", shape)] * 3 * 3
+    def test_more_seeds_than_a_swarm_holds_are_ranked(self):
+        m, _, _ = planted_matrix(seed=4)
+        seeds = seed_biclusters(m, 11, 10, PsoConfig(n_particles=8, max_iter=10))
+        assert len(seeds) > 100
+        assert len(pso_bicluster(m, PsoConfig(n_particles=2, max_iter=5), seeds)) == \
+            len(seeds)
 
 
 def test_row_permutation_equivariance():
     rng = np.random.default_rng(10)
     m = rng.normal(size=(8, 5))
     seeds = [make_bicluster(m, [0, 1, 2], [0, 1]),
-             make_bicluster(m, [4, 5, 6, 7], [2, 3, 4])]
+             make_bicluster(m, [4, 5, 6, 7], [2, 3, 4]),
+             make_bicluster(m, [1, 3, 5], [0, 2, 4]),
+             make_bicluster(m, [0, 7], [1, 3])]
     cfg = PsoConfig(n_particles=2, max_iter=40, seed=0)
-    out_a = pso_bicluster(m, cfg, seeds, rng=np.random.default_rng(99))
+    out_a = pso_bicluster(m, cfg, seeds)
 
     perm = np.array([3, 0, 6, 1, 7, 2, 5, 4])  # new row i holds old row perm[i]
     inv = np.argsort(perm)
     m_p = m[perm]
     seeds_p = [make_bicluster(m_p, [inv[r] for r in s.rows], s.cols) for s in seeds]
-    bit_perm = np.concatenate([perm, 8 + np.arange(5)])
-    out_b = pso_bicluster(m_p, cfg, seeds_p,
-                          rng=PermutedRng(np.random.default_rng(99), bit_perm))
+    out_b = pso_bicluster(m_p, cfg, seeds_p)
 
     def mapped(b):
         return (tuple(sorted(int(inv[r]) for r in b.rows)), b.cols)
 
-    assert len(out_a) == len(out_b)
-    assert mapped(out_a[0]) == (out_b[0].rows, out_b[0].cols)
-    assert {mapped(b) for b in out_a} == {(b.rows, b.cols) for b in out_b}
+    assert [mapped(b) for b in out_a] == [(b.rows, b.cols) for b in out_b]
+    assert [b.msr for b in out_a] == pytest.approx([b.msr for b in out_b], rel=1e-12)

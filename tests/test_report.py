@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from motifswarm.errors import ContractError, ValidationError
-from motifswarm.metrics import structure_similarity
+from motifswarm.featurize import normalize_windows
+from motifswarm.metrics import msr, structure_similarity
+from motifswarm.psobiclust import seed_biclusters
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
     Settings,
+    bicluster_corpus,
     compare_pipelines,
+    corpus_windows,
     json_text,
     profile_for_members,
     tally_homology,
@@ -52,6 +56,20 @@ class TestTallyHomology:
         counts = tally_homology(sims, (0.9, 0.7, 0.5, 0.34))
         assert counts == sorted(counts)
         assert all(c <= 12 for c in counts)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_biclusters_are_the_crossings_in_fitness_order(seed):
+    settings = Settings(sample_corpus=True, seed=seed)
+    windows = corpus_windows(load_sample_corpus(), settings)
+    matrix = normalize_windows(windows, settings.normalization)
+    cells = matrix.size
+    lam = 0.1 * msr(matrix, range(matrix.shape[0]), range(matrix.shape[1]))
+    crossings = seed_biclusters(matrix, settings.k_rows, settings.k_cols, settings.swarm)
+    bics, got_lam = bicluster_corpus(windows, settings)
+    assert got_lam == lam
+    assert bics == sorted(crossings, key=lambda b: (b.msr - lam * b.volume / cells,
+                                                    b.rows, b.cols))
 
 
 def test_profile_for_members_pure_helix():

@@ -40,13 +40,16 @@ class ClusterSet:
 
 def as_item_arrays(data) -> np.ndarray:
     """The items (an (n, ...) array or a list of same-shaped arrays) as one
-    (n, ...) float array."""
+    (n, ...) float array of finite values."""
     try:
         items = np.asarray(data, dtype=float)
     except ValueError:
         raise ContractError("items must share one shape") from None
     if len(items) == 0:
         raise ContractError("empty dataset")
+    if not np.isfinite(items).all():
+        bad = np.isfinite(items.reshape(len(items), -1)).all(axis=1).argmin()
+        raise ContractError(f"item {bad} holds a non-finite value")
     return items
 
 
@@ -83,13 +86,13 @@ def _labelled_l1(flat, centroids, labels) -> np.ndarray:
     return out
 
 
-def assignment_fitness(flat, centroids, k: int, empty_penalty: float = 0.0):
+def assignment_fitness(flat, centroids, k: int):
     """Score P sets of k centroids, given as one (P * k, d) array, on the
     (n, d) items flat. Returns the (n, P) nearest-centroid labels (ties to
-    the lowest index) and the (P,) fitness of _labelled_fitness."""
+    the lowest index) and the (P,) penalty-free fitness of _labelled_fitness."""
     dist = _pairwise_l1(flat, centroids).reshape(flat.shape[0], -1, k)
     labels = dist.argmin(axis=2)
-    return labels, _labelled_fitness(dist.min(axis=2), labels, k, empty_penalty)
+    return labels, _labelled_fitness(dist.min(axis=2), labels, k, 0.0)
 
 
 def _labelled_fitness(nearest, labels, k: int, empty_penalty: float):

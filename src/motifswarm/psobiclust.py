@@ -32,8 +32,6 @@ class Bicluster:
 def make_bicluster(matrix, rows, cols) -> Bicluster:
     rows = tuple(sorted(int(r) for r in rows))
     cols = tuple(sorted(int(c) for c in cols))
-    if not rows or not cols:
-        raise ContractError("bicluster needs non-empty row and column sets")
     return Bicluster(
         rows=rows,
         cols=cols,
@@ -91,12 +89,6 @@ def pso_bicluster(matrix, cfg: PsoConfig, seeds, lam: float | None = None):
     n_rows, n_cols = m.shape
     if not seeds:
         raise ContractError("at least one seed bicluster required")
-    for s in seeds:
-        if not s.rows or not s.cols:
-            raise ContractError("seed with empty row or column set")
-        if (min(s.rows) < 0 or min(s.cols) < 0
-                or max(s.rows) >= n_rows or max(s.cols) >= n_cols):
-            raise ContractError("seed indices outside matrix")
     if lam is None:
         lam = default_lambda(m)
     total = n_rows * n_cols

@@ -108,8 +108,9 @@ def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
     """Whether the lattice of an (n, d) matrix with values distinct (column,
     value) pairs labels items by n_centroids centroids faster than the
     direct kernel, by nanoseconds per evaluation fitted with one BLAS thread
-    on a 2-core x86-64 host (see tools/). Never at MAX_TABLE_ITEMS items or
-    more, where the median pass's float32 counts would round."""
+    on a 2-core x86-64 host (CHANGES.md and git history hold the fits and
+    the README their check on real inputs). Never at MAX_TABLE_ITEMS items
+    or more, where the median pass's float32 counts would round."""
     lattice = n_centroids * values * (6.1 + 0.065 * n) + 1.6 * n * values
     return n < MAX_TABLE_ITEMS and lattice < n_centroids * (2.3 * n * d + 15400)
 

@@ -168,6 +168,14 @@ def test_contract_violations():
         as_item_arrays([np.zeros(2), np.zeros(3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_items_are_refused(bad):
+    data = np.zeros((5, 2))
+    data[3, 1] = bad
+    with pytest.raises(ContractError, match="^item 3 holds a non-finite value$"):
+        kmeans_run(data, k=2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 40), d=st.integers(1, 200), k=st.integers(1, 6),
        seed=st.integers(0, 2**16), scale=st.sampled_from([1e-3, 1.0, 1e3]))

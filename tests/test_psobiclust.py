@@ -102,6 +102,13 @@ class TestSeedBiclusters:
         with pytest.raises(ContractError):
             seed_biclusters(np.zeros((4, 4)), 5, 2, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_are_refused(self, bad):
+        m, _, _ = planted_matrix()
+        m[6, 2] = bad
+        with pytest.raises(ContractError, match="^item 6 holds a non-finite value$"):
+            seed_biclusters(m, 2, 2, PsoConfig(n_particles=4, max_iter=5))
+
 
 class TestPsoBicluster:
     def test_constant_matrix_floor(self):
@@ -170,13 +177,12 @@ class TestPsoBicluster:
             pso_bicluster(m, cfg, [bad])
 
     def test_negative_seed_indices_are_refused(self):
-        # Python indexing would read row -1 as row 9, and column -2 as bit
-        # n_rows - 2, which is row 8.
+        # Python indexing would read row -1 as row 9 and column -2 as column 3.
         m = np.arange(50.0).reshape(10, 5)
         cfg = PsoConfig(n_particles=2, max_iter=5)
         for rows, cols in (((-1, 0), (0, 1)), ((0, 1), (-2, 1))):
             bad = Bicluster(rows=rows, cols=cols, msr=0.0, volume=4)
-            with pytest.raises(ContractError, match="seed indices outside matrix"):
+            with pytest.raises(ContractError, match="index out of range"):
                 pso_bicluster(m, cfg, [bad])
 
     def test_lambda_overflowing_the_volume_reward_is_refused(self):

@@ -27,11 +27,14 @@ class TestAssignmentFitness:
         assert labels[0, 0] == 0
 
     def test_empty_cluster_penalty(self):
+        # pso_kmeans scores a partition through _labelled_fitness, with the
+        # data's spread as the penalty for each cluster no item uses.
         flat = np.array([[0.0], [1.0]])
         cents = np.array([[0.0], [1.0], [50.0]])
-        _, plain = assignment_fitness(flat, cents, 3)
-        _, penalized = assignment_fitness(flat, cents, 3, empty_penalty=7.0)
-        assert penalized[0] == pytest.approx(plain[0] + 7.0)
+        labels, plain = assignment_fitness(flat, cents, 3)
+        nearest = _labelled_l1(flat, cents[None], labels)
+        assert np.array_equal(_labelled_fitness(nearest, labels, 3, 0.0), plain)
+        assert _labelled_fitness(nearest, labels, 3, 7.0)[0] == pytest.approx(plain[0] + 7.0)
 
 
 class TestPsoKmeans:
@@ -129,6 +132,13 @@ class TestPsoKmeans:
         with pytest.raises(ContractError):
             pso_kmeans(data, k=5, cfg=cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_items_are_refused(self, bad):
+        windows = np.zeros((5, 9, 20))
+        windows[3, 4, 7] = bad
+        with pytest.raises(ContractError, match="^item 3 holds a non-finite value$"):
+            pso_kmeans(windows, k=2, cfg=PsoConfig(n_particles=4, max_iter=5))
+
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 30), d=st.integers(1, 40), k=st.integers(1, 5),
@@ -139,9 +149,12 @@ def test_swarm_fitness_matches_intra_cluster_fitness(n, d, k, n_particles, penal
     # Few distinct values, so ties and empty clusters both occur.
     flat = rng.integers(0, 3, size=(n, d)).astype(float) / 9
     positions = rng.integers(0, 3, size=(n_particles, k * d)).astype(float) / 9
-    got_labels, got = assignment_fitness(flat, positions.reshape(-1, d), k, penalty)
+    got_labels, got = assignment_fitness(flat, positions.reshape(-1, d), k)
     assert got_labels.shape == (n, n_particles)
     assert got.shape == (n_particles,)
+    nearest = _labelled_l1(flat, positions.reshape(n_particles, k, d), got_labels)
+    assert np.array_equal(_labelled_fitness(nearest, got_labels, k, 0.0), got)
+    got = _labelled_fitness(nearest, got_labels, k, penalty)
     for p in range(n_particles):
         cents = positions[p].reshape(k, d)
         labels = [int(np.argmin([np.abs(item - c).sum() for c in cents])) for item in flat]
@@ -350,10 +363,9 @@ def test_lattice_labels_follow_a_drifting_swarm(seed):
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 30), d=st.integers(1, 12), k=st.integers(1, 5),
-       n_particles=st.integers(1, 5), penalty=st.sampled_from([0.0, 7.5]),
-       divisor=st.sampled_from([1.0, 9.0]), duplicates=st.booleans(),
-       coincide=st.booleans(), seed=st.integers(0, 2**16))
-def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, penalty, divisor,
+       n_particles=st.integers(1, 5), divisor=st.sampled_from([1.0, 9.0]),
+       duplicates=st.booleans(), coincide=st.booleans(), seed=st.integers(0, 2**16))
+def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, divisor,
                                                  duplicates, coincide, seed):
     """Few distinct values and half-step centroids make items equidistant
     from two centroids, and coinciding centroids tie every item, so clear
@@ -375,9 +387,9 @@ def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, penalty, 
     labels_of = psokmeans.lattice_labels(flat, Lattice(flat, np.sort(flat, axis=0)), k)
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
         labels = labels_of(centroids)
-    want_labels, want = assignment_fitness(flat, centroids.reshape(-1, d), k, penalty)
+    want_labels, want = assignment_fitness(flat, centroids.reshape(-1, d), k)
     assert np.array_equal(labels, want_labels)
-    value = _labelled_fitness(_labelled_l1(flat, centroids, labels), labels, k, penalty)
+    value = _labelled_fitness(_labelled_l1(flat, centroids, labels), labels, k, 0.0)
     assert np.array_equal(value, want)
     assert sum(call.args[0].shape[0] for call in spy.call_args_list) >= ties
 

@@ -40,16 +40,23 @@ class ClusterSet:
 
 def as_item_arrays(data) -> np.ndarray:
     """The items (an (n, ...) array or a list of same-shaped arrays) as one
-    (n, ...) float array of finite values."""
+    (n, ...) float array of finite values. Refused when n times the summed
+    range of each item coordinate overflows: that bounds a partition's L1
+    cost, n distances from items to centres within the items' range."""
     try:
         items = np.asarray(data, dtype=float)
     except ValueError:
         raise ContractError("items must share one shape") from None
     if len(items) == 0:
         raise ContractError("empty dataset")
-    if not np.isfinite(items).all():
-        bad = np.isfinite(items.reshape(len(items), -1)).all(axis=1).argmin()
+    flat = items.reshape(len(items), -1)
+    if not np.isfinite(flat).all():
+        bad = np.isfinite(flat).all(axis=1).argmin()
         raise ContractError(f"item {bad} holds a non-finite value")
+    with np.errstate(over="ignore"):
+        bound = len(items) * (flat.max(axis=0) - flat.min(axis=0)).sum()
+    if not np.isfinite(bound):
+        raise ContractError("items span too wide a range: their L1 costs overflow")
     return items
 
 
@@ -119,7 +126,8 @@ def _seed_weighted(flat: np.ndarray, k: int, rng) -> np.ndarray:
         # One pass per pick: the minimum is exact, so this running nearest
         # distance equals the minimum over all chosen items.
         np.minimum(nearest, _pairwise_l1(flat, flat[chosen[-1:]])[:, 0], out=nearest)
-        weights = nearest**2
+        # Scaled by a power of two (exact) so that the squares cannot overflow.
+        weights = np.ldexp(nearest, -np.frexp(nearest.max())[1])**2
         weights[chosen] = 0.0
         total = weights.sum()
         if total <= 0.0:

@@ -6,9 +6,7 @@ move every particle with the inertia-weight update
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)
     x <- x + v
 
-where r1, r2 are fresh uniform[0,1] draws per dimension per step. The engine
-updates its position and velocity arrays in place, so an iteration allocates
-no array of the swarm's size beyond the random draws.
+where r1, r2 are fresh uniform[0,1] draws per dimension per step.
 
 The search stops after max_iter iterations, or earlier when gbest stalls:
 after iteration t > window it ends if gbest has not strictly improved over
@@ -75,12 +73,8 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
 
     fitness may overwrite positions in place (PSO k-means snaps each particle
     to its partition's medians): the pbest and gbest positions record what it
-    leaves there, and the velocity update starts from it. The swarm's arrays
-    are reused from one iteration to the next: velocities are updated in
-    place and added to the positions in place. So fitness may not keep a
-    reference to the positions array after it returns; copy what must outlive
-    the call. The returned gbest position is a copy, never a view of
-    positions.
+    leaves there, and the velocity update starts from it. The returned gbest
+    position is a copy, never a view of positions.
     """
     positions = np.array(positions, dtype=float)
     velocities = np.array(velocities, dtype=float)
@@ -100,7 +94,6 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
     gbest_pos = positions[0].copy()
     gbest_fit = np.inf
     history: list[float] = []
-    gap = np.empty_like(positions)  # best - x, the one scratch array of the update
 
     for iteration in range(1, cfg.max_iter + 1):
         current = np.asarray(fitness(positions), dtype=float)
@@ -124,23 +117,17 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
         if converged or iteration == cfg.max_iter:
             break
 
-        # w*v + (c1*r1)*(pbest - x) + (c2*r2)*(gbest - x), in place and in
-        # that order, so the values match the allocating expression bit for
-        # bit; r1 is drawn before r2.
         try:
             with np.errstate(over="raise"):
-                velocities *= cfg.w
-                for c, best_pos in ((cfg.c1, pbest_pos), (cfg.c2, gbest_pos)):
-                    draw = rng.random((n, dim))
-                    draw *= c
-                    draw *= np.subtract(best_pos, positions, out=gap)
-                    velocities += draw
+                velocities = (cfg.w * velocities
+                              + cfg.c1 * rng.random((n, dim)) * (pbest_pos - positions)
+                              + cfg.c2 * rng.random((n, dim)) * (gbest_pos - positions))
         except FloatingPointError:
             raise ContractError(
                 f"velocity update overflowed at iteration {iteration} "
                 f"(w={cfg.w}, c1={cfg.c1}, c2={cfg.c2})") from None
-        np.clip(velocities, -v_max, v_max, out=velocities)
-        positions += velocities
+        velocities = np.clip(velocities, -v_max, v_max)
+        positions = positions + velocities
 
     swarm = Swarm(gbest_position=gbest_pos, iteration=iteration, history=history,
                   converged=converged)

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,8 @@ from motifswarm.errors import ContractError
 from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import (_labelled_l1, _pairwise_l1, _seed_weighted, as_item_arrays,
                                kmeans_run)
+from motifswarm.pso import PsoConfig
+from motifswarm.psokmeans import pso_kmeans
 from motifswarm.seqio import Sequence
 
 from helpers import (cityblock_oracle, intra_cluster_fitness, kmeans_pp_oracle, make_blobs,
@@ -174,6 +177,45 @@ def test_non_finite_items_are_refused(bad):
     data[3, 1] = bad
     with pytest.raises(ContractError, match="^item 3 holds a non-finite value$"):
         kmeans_run(data, k=2)
+
+
+def test_seeding_weights_do_not_overflow():
+    """The one far item is 1e307 from the rest: its squared distance would
+    overflow, so the weights are scaled before squaring and it is picked."""
+    data = np.zeros((6, 3))
+    data[0, 0] = 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cs = kmeans_run(data, k=2)
+    assert cs.final_fitness == 0.0
+    assert cs.assignment[0] != cs.assignment[1]
+    assert len(set(cs.assignment[1:])) == 1
+
+
+def _opposite_extremes():
+    data = np.zeros((6, 3))
+    data[0, 0], data[1, 0] = -1e308, 1e308
+    return data
+
+
+def _three_far_rows():
+    """Each column's range, 5e307, is finite, but six items' costs are not."""
+    data = np.zeros((6, 3))
+    data[:3] = 5e307
+    return data
+
+
+@pytest.mark.parametrize("data", [_opposite_extremes(), _three_far_rows()],
+                         ids=["opposite-extremes", "three-far-rows"])
+@pytest.mark.parametrize("cluster", [
+    lambda data: kmeans_run(data, k=2),
+    lambda data: pso_kmeans(data, k=2, cfg=PsoConfig(n_particles=4, max_iter=5)),
+], ids=["kmeans", "pso-kmeans"])
+def test_items_whose_l1_costs_overflow_are_refused(cluster, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContractError, match="^items span too wide a range"):
+            cluster(data)
 
 
 @settings(max_examples=60, deadline=None)

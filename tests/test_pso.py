@@ -23,7 +23,8 @@ def init_box(seed, n=10, dim=4, half_width=5.0):
 
 class Recorder:
     """A fitness that keeps a copy of every position array it scores and of
-    the values it returns, and the last array itself: the engine reuses it."""
+    the values it returns, and the last array itself, to check that nothing
+    the engine returns is a view of it."""
 
     def __init__(self, fitness):
         self.fitness, self.scored, self.values, self.live = fitness, [], [], None
@@ -308,9 +309,9 @@ def test_the_stalling_example_stops_early():
 @given(engine_runs())
 @example(stalling_run())
 def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
-    """The in-place engine scores the same arrays as the allocating loop, at
-    every iteration, stops at the same one, and what it returns shares no
-    memory with the positions it reuses."""
+    """The engine scores the same arrays as the allocating loop, at every
+    iteration, stops at the same one, and what it returns shares no memory
+    with the positions it last scored."""
     fitness, init, velocities, cfg, v_max, window = problem
     init_before, velocities_before = init.copy(), velocities.copy()
     recorder = Recorder(fitness)

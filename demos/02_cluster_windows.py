@@ -8,25 +8,22 @@ induces (PSO k-medians), so it reaches a fixed point within a few
 iterations and stops once its best fitness stalls.
 """
 
-from motifswarm import PsoConfig, kmeans_run, load_sample_corpus, pso_kmeans
-from motifswarm.featurize import build_cluster_dataset
+from motifswarm import Settings, kmeans_run, load_sample_corpus, pso_kmeans
 from motifswarm.metrics import homology_class, structure_similarity
-from motifswarm.report import profile_for_members
+from motifswarm.report import corpus_windows, profile_for_members
 
-K = 3
-SEED = 7
 # max_iter is a cap: the swarm stops 3 iterations after its last gain
-SWARM = PsoConfig(n_particles=30, max_iter=200, seed=SEED)
+SETTINGS = Settings(k=3, n_particles=30, max_iter=200, seed=7)
 
 corpus = load_sample_corpus()
-windows = build_cluster_dataset(corpus.sequences)  # (n, 9, 20), row i for ids[i]
+windows = corpus_windows(corpus, SETTINGS)  # (n, 9, 20), row i for ids[i]
 ids = [s.id for s in corpus.sequences]
 
-km = kmeans_run(windows, K, seed=SEED)
+km = kmeans_run(windows, SETTINGS.k, SETTINGS.max_iter, SETTINGS.seed)
 print(f"k-means:     fitness {km.final_fitness:8.2f}  "
       f"({km.iterations_run} iterations, converged: {km.converged})")
 
-swarm = pso_kmeans(windows, K, SWARM)
+swarm = pso_kmeans(windows, SETTINGS.k, SETTINGS.swarm)
 print(f"pso-k-means: fitness {swarm.final_fitness:8.2f}  "
       f"({swarm.iterations_run} iterations, converged: {swarm.converged}; "
       f"best partition cost per iteration):")
@@ -43,5 +40,5 @@ for c in range(swarm.k):
           f"({homology_class(sim)})  e.g. {', '.join(members[:4])}")
 
 print("\nthe CLI equivalent: motifswarm cluster --sample-corpus --engine pso-kmeans "
-      f"--k {K} --n-particles {SWARM.n_particles} --max-iter {SWARM.max_iter} "
-      f"--seed {SEED} --out out/")
+      f"--k {SETTINGS.k} --n-particles {SETTINGS.n_particles} "
+      f"--max-iter {SETTINGS.max_iter} --seed {SETTINGS.seed} --out out/")

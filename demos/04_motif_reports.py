@@ -14,24 +14,24 @@ from pathlib import Path
 
 from motifswarm import (
     AMINO_ACIDS,
-    PsoConfig,
+    Settings,
     load_sample_corpus,
     pso_bicluster,
     seed_biclusters,
 )
-from motifswarm.featurize import build_cluster_dataset, normalize_windows
+from motifswarm.featurize import normalize_windows
 from motifswarm.motif import build_motif_report, position_frequencies, render_logo_svg
+from motifswarm.report import corpus_windows
 
-SEED = 7
 # One swarm setting for the row and (with the seed plus one) column
 # clusterings, as the CLI runs them.
-SWARM = PsoConfig(n_particles=15, max_iter=80, seed=SEED)
+SETTINGS = Settings(k_rows=3, k_cols=2, n_particles=15, max_iter=80, seed=7)
 
 corpus = load_sample_corpus()
-windows = build_cluster_dataset(corpus.sequences)
-matrix = normalize_windows(windows)
-seeds = seed_biclusters(matrix, 3, 2, SWARM)
-results = pso_bicluster(matrix, SWARM, seeds)
+windows = corpus_windows(corpus, SETTINGS)
+matrix = normalize_windows(windows, SETTINGS.normalization)
+seeds = seed_biclusters(matrix, SETTINGS.k_rows, SETTINGS.k_cols, SETTINGS.swarm)
+results = pso_bicluster(matrix, SETTINGS.swarm, seeds)
 
 
 def motif_set(bic):
@@ -44,7 +44,9 @@ def report_for(bic, gid):
     freqs = position_frequencies(members)
     # every block fills position 0, so its count is the group's block count
     n_segments = int(members[:, 0].sum())
-    return build_motif_report(gid, freqs, motif_set(bic), n_segments), n_segments
+    report = build_motif_report(gid, freqs, motif_set(bic), n_segments,
+                                SETTINGS.saa_threshold, SETTINGS.logo_correction)
+    return report, n_segments
 
 
 print("relations per group (best-first):")
@@ -77,6 +79,7 @@ out.mkdir(exist_ok=True)
 svg = out / f"{report['group_id']}.svg"
 svg.write_text(render_logo_svg(report), encoding="utf-8")
 print(f"\nwrote {svg}")
-print("the CLI equivalent: motifswarm motifs --sample-corpus --k-rows 3 --k-cols 2 "
-      f"--n-particles {SWARM.n_particles} --max-iter {SWARM.max_iter} "
-      f"--seed {SEED} --out out/")
+print("the CLI equivalent: motifswarm motifs --sample-corpus "
+      f"--k-rows {SETTINGS.k_rows} --k-cols {SETTINGS.k_cols} "
+      f"--n-particles {SETTINGS.n_particles} --max-iter {SETTINGS.max_iter} "
+      f"--seed {SETTINGS.seed} --out out/")

@@ -83,7 +83,7 @@ def _column_modes(counts: np.ndarray) -> np.ndarray:
     return np.where(top, counts, np.inf).min(axis=1)
 
 
-def normalize_windows(windows: np.ndarray, method: str = "mean") -> np.ndarray:
+def normalize_windows(windows: np.ndarray, method: str) -> np.ndarray:
     """Collapse each window of an (n, ws, 20) stack into one 20-element row,
     column by column, giving an n x 20 matrix.
 
@@ -99,9 +99,7 @@ def normalize_windows(windows: np.ndarray, method: str = "mean") -> np.ndarray:
     return _column_modes(windows)
 
 
-def build_cluster_dataset(
-    seqs: list[Sequence], window_size: int = WINDOW_SIZE, scheme: str = "chunked"
-) -> np.ndarray:
+def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -> np.ndarray:
     """The (len(seqs), window_size, 20) windows of seqs, in input order.
 
     A sequence shorter than window_size is a ValidationError naming the first

@@ -138,12 +138,13 @@ def _seed_weighted(flat: np.ndarray, k: int, rng) -> np.ndarray:
     return flat[chosen].copy()
 
 
-def kmeans_run(data, k: int, max_iter: int = 100, seed: int = 0) -> ClusterSet:
+def kmeans_run(data, k: int, max_iter: int, seed: int) -> ClusterSet:
     """Cluster items into k groups; deterministic for a given seed.
 
     Centroids start on distance-weighted item picks (k-means++) and move to
     their members' means. Stops when an iteration changes no assignment, or
-    after max_iter iterations.
+    after max_iter iterations. Items so large that n times their largest
+    magnitude overflows are refused: a mean sums at most n of them.
     """
     items = as_item_arrays(data)
     n = items.shape[0]
@@ -154,6 +155,9 @@ def kmeans_run(data, k: int, max_iter: int = 100, seed: int = 0) -> ClusterSet:
         raise ContractError("max_iter must be >= 1")
     rng = np.random.default_rng(seed)
     flat = items.reshape(n, -1)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * max(flat.max(), -flat.min())):
+            raise ContractError("items are too large: their cluster means overflow")
 
     centroids = _seed_weighted(flat, k, rng)
 

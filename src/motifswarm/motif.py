@@ -45,7 +45,7 @@ def position_frequencies(members) -> np.ndarray:
     return total / scale
 
 
-def significant_amino_acids(freqs, threshold: float = SAA_THRESHOLD):
+def significant_amino_acids(freqs, threshold: float):
     """Letters strictly above the frequency threshold, one frozenset per
     position of a ws x 20 frequency matrix."""
     freqs = np.asarray(freqs, dtype=float)
@@ -71,7 +71,7 @@ def classify_superset(saa, motif) -> str:
     return RELATION_DISJOINT
 
 
-def logo_columns(freqs, n_segments: int, correction: bool = True):
+def logo_columns(freqs, n_segments: int, correction: bool):
     """Information content per position: log2(20) minus the row's entropy,
     minus the small-sample term 19/(2*ln2*n) when correction is on, clamped
     at 0. Letter heights split the column total by frequency. One
@@ -92,9 +92,8 @@ def logo_columns(freqs, n_segments: int, correction: bool = True):
     return columns
 
 
-def build_motif_report(group, freqs, motif, n_segments,
-                       threshold: float = SAA_THRESHOLD,
-                       correction: bool = True) -> dict:
+def build_motif_report(group, freqs, motif, n_segments, threshold: float,
+                       correction: bool) -> dict:
     """One group's report, in the form its JSON artifact holds. freqs is
     ws x 20; every position's SAA is classified against motif, the group's
     retained letter set. The report is degenerate when every SAA is empty."""

@@ -9,9 +9,10 @@ move every particle with the inertia-weight update
 where r1, r2 are fresh uniform[0,1] draws per dimension per step.
 
 The search stops after max_iter iterations, or earlier when gbest stalls:
-after iteration t > window it ends if gbest has not strictly improved over
-the last window iterations. The caller passes the window and the velocity
-clamp. No iteration updates velocities or moves after its last scoring.
+after iteration t > STALL_ITERATIONS it ends if gbest has not strictly
+improved over the last STALL_ITERATIONS iterations. The caller passes the
+velocity clamp. No iteration updates velocities or moves after its last
+scoring.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import numpy as np
 from .errors import ContractError
 
 MAX_PARTICLES = 100
+#: Iterations without a strict gbest gain after which the search stops. PSO
+#: k-medians reaches its fixed point within a few iterations (see README).
+STALL_ITERATIONS = 3
 
 
 @dataclass
@@ -52,7 +56,7 @@ class PsoConfig:
 class Swarm:
     """What a search leaves: history[t] is the gbest fitness after iteration
     t + 1, iteration is the number of iterations run, and converged says
-    whether gbest had stalled for the search's window when it ended."""
+    whether gbest had stalled for STALL_ITERATIONS when it ended."""
 
     gbest_position: np.ndarray
     iteration: int
@@ -60,7 +64,7 @@ class Swarm:
     converged: bool
 
 
-def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, window):
+def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max):
     """Minimize fitness from the given start state; returns (Swarm, best).
 
     positions and velocities are (n_particles, dim) arrays; the engine works
@@ -69,7 +73,7 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
     each update; v_max is a positive scalar or a (dim,) array, np.inf for no
     clamp. rng gives the r1, r2 draws. The returned Swarm's history holds the
     gbest fitness of every iteration run: max_iter of them, or fewer once
-    gbest has not strictly improved for window (>= 1) iterations.
+    gbest has not strictly improved for STALL_ITERATIONS iterations.
 
     fitness may overwrite positions in place (PSO k-means snaps each particle
     to its partition's medians): the pbest and gbest positions record what it
@@ -85,8 +89,6 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
             f"must both be (n_particles={cfg.n_particles}, dim)")
     if not np.all(np.asarray(v_max) > 0):
         raise ContractError(f"v_max must be positive, got {v_max}")
-    if window < 1:
-        raise ContractError(f"stall window must be >= 1, got {window}")
     n, dim = positions.shape
 
     pbest_pos = positions.copy()
@@ -113,7 +115,8 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max, win
             gbest_fit = float(pbest_fit[best])
             gbest_pos[:] = pbest_pos[best]
         history.append(gbest_fit)
-        converged = iteration > window and history[-1 - window] <= gbest_fit
+        converged = (iteration > STALL_ITERATIONS
+                     and history[-1 - STALL_ITERATIONS] <= gbest_fit)
         if converged or iteration == cfg.max_iter:
             break
 

@@ -36,9 +36,6 @@ BLOCK_CELLS, BLOCK_VALUES = 2**13, 64
 # 2^24, so the table serves fewer items than that. Its running counts take
 # ~MEDIAN_CELLS cells, or one particle's worth if that is more.
 MAX_TABLE_ITEMS, MEDIAN_CELLS = 2**24, 2**22
-#: Iterations without a strict gbest gain after which the search stops. The
-#: median step reaches its fixed point within a few iterations (see README).
-STALL_ITERATIONS = 3
 
 
 class Lattice:
@@ -55,6 +52,7 @@ class Lattice:
     """
 
     def __init__(self, flat, ordered):
+        self.flat = flat
         first = np.ones(ordered.shape, dtype=bool)  # a value's first sorted row
         first[1:] = ordered[1:] != ordered[:-1]
         col, at = np.nonzero(first.T)
@@ -74,6 +72,31 @@ class Lattice:
             w = by_column[self.col[t]] - self.value[t, None]  # W^T of block t
             dist += equal.astype(float) @ np.abs(w, out=w)
         return dist
+
+    def labels(self, centroids) -> np.ndarray:
+        """The (n, P) nearest-centroid labels that assignment_fitness gives
+        on flat for P sets of k centroids, a (P, k, d) array, found through
+        one pass of the table. An item keeps its table label unless a
+        runner-up lies within tol of its nearest distance, relative to it;
+        then it takes the exact argmin. So the labels are
+        assignment_fitness's, whatever the BLAS thread count."""
+        # A table distance sums the d terms of the direct kernel in another
+        # order, so rounding moves either by at most a few ulps x d of
+        # itself; outside tol, both kernels find the same centroid with a
+        # margin of over a thousandfold.
+        n, d = self.flat.shape
+        k = centroids.shape[1]
+        tol = 1e-12 * d
+        dist = self.distances(centroids.reshape(-1, d))
+        columns = [dist[:, c::k] for c in range(k)]  # (n, P) each
+        bound = functools.reduce(np.minimum, columns) * (1.0 + tol)
+        labels = dist.reshape(n, -1, k).argmin(axis=2)
+        unclear = sum(column <= bound for column in columns) > 1
+        # Unclear items are few: ties between centroids that sit on data values.
+        for j in np.flatnonzero(unclear.any(axis=0)):
+            items = np.flatnonzero(unclear[:, j])
+            labels[items, j] = _pairwise_l1(self.flat[items], centroids[j]).argmin(axis=1)
+        return labels
 
     def medians(self, centroids, labels) -> None:
         """_median_step read off the table: one float32 matmul of each block
@@ -113,34 +136,6 @@ def lattice_pays(n: int, d: int, values: int, n_centroids: int) -> bool:
     or more, where the median pass's float32 counts would round."""
     lattice = n_centroids * values * (6.1 + 0.065 * n) + 1.6 * n * values
     return n < MAX_TABLE_ITEMS and lattice < n_centroids * (2.3 * n * d + 15400)
-
-
-def lattice_labels(flat, lattice: Lattice, k: int):
-    """A function from P sets of k centroids, a (P, k, d) array, to the
-    (n, P) nearest-centroid labels that assignment_fitness gives on flat,
-    found through one pass of flat's lattice. An item keeps its lattice
-    label unless a runner-up lies within tol of its nearest distance,
-    relative to it; then it takes the exact argmin. So the labels are
-    assignment_fitness's, whatever the BLAS thread count."""
-    # A lattice distance sums the d terms of the direct kernel in another
-    # order, so rounding moves either by at most a few ulps x d of itself;
-    # outside tol, both kernels find the same centroid with a margin of over
-    # a thousandfold.
-    tol = 1e-12 * flat.shape[1]
-
-    def labels_of(centroids):
-        dist = lattice.distances(centroids.reshape(-1, flat.shape[1]))
-        columns = [dist[:, c::k] for c in range(k)]  # (n, P) each
-        bound = functools.reduce(np.minimum, columns) * (1.0 + tol)
-        labels = dist.reshape(flat.shape[0], -1, k).argmin(axis=2)
-        unclear = sum(column <= bound for column in columns) > 1
-        # Unclear items are few: ties between centroids that sit on data values.
-        for j in np.flatnonzero(unclear.any(axis=0)):
-            items = np.flatnonzero(unclear[:, j])
-            labels[items, j] = _pairwise_l1(flat[items], centroids[j]).argmin(axis=1)
-        return labels
-
-    return labels_of
 
 
 def _median_step(flat, centroids, labels) -> None:
@@ -188,7 +183,7 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
     values = flat.shape[1] + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     if lattice_pays(n, flat.shape[1], values, cfg.n_particles * k):
         lattice = Lattice(flat, ordered)
-        nearest, snap = lattice_labels(flat, lattice, k), lattice.medians
+        nearest, snap = lattice.labels, lattice.medians
     else:
         nearest = lambda centroids: assignment_fitness(
             flat, centroids.reshape(-1, flat.shape[1]), k)[0]
@@ -221,7 +216,7 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
         return last_fitness.copy()
 
     swarm, best_position = pso_optimize(fitness, init_positions, init_velocities,
-                                        cfg, rng, v_max, STALL_ITERATIONS)
+                                        cfg, rng, v_max)
 
     centroids = best_position.reshape(k, -1)
     labels, final = assignment_fitness(flat, centroids, k)

@@ -162,7 +162,7 @@ def _check_descending(thresholds) -> None:
         raise ContractError(f"thresholds must be sorted descending, got {list(thresholds)}")
 
 
-def tally_homology(similarities, thresholds=DEFAULT_THRESHOLDS):
+def tally_homology(similarities, thresholds):
     """Count the group similarities that reach each cutoff; thresholds must
     be sorted descending so counts grow down the list."""
     thresholds = tuple(thresholds)

@@ -189,9 +189,7 @@ class Corpus:
     structures: dict[str, str] | None = None
 
 
-def load_corpus(
-    sequence_path: str | Path, structure_path: str | Path | None = None
-) -> Corpus:
+def load_corpus(sequence_path: str | Path, structure_path: str | Path | None) -> Corpus:
     """Load and cross-validate a sequence file and optional structure file.
 
     A file without records is rejected, and so are a repeated sequence id and

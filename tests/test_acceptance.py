@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from motifswarm import cli, metrics
-from motifswarm.featurize import build_cluster_dataset
 from motifswarm.kmeans import _pairwise_l1, kmeans_run
 from motifswarm.motif import RELATION_PARTIAL, classify_superset, logo_columns
 from motifswarm.pso import PsoConfig
 from motifswarm.psobiclust import pso_bicluster, seed_biclusters
 from motifswarm.psokmeans import pso_kmeans
-from motifswarm.report import Settings, compare_pipelines
+from motifswarm.report import Settings, compare_pipelines, corpus_windows
 from motifswarm.seqio import Corpus, load_sample_corpus
 
 from helpers import (
@@ -134,7 +133,7 @@ def test_c05_kmeans_blob_recovery():
     items, labels = make_blobs(np.random.default_rng(77), BLOB_CENTERS, 20, 0.5)
     with budget(2.0):
         wins = sum(
-            partitions_match(kmeans_run(items, 3, seed=s).assignment, labels)
+            partitions_match(kmeans_run(items, 3, Settings.max_iter, s).assignment, labels)
             for s in range(10)
         )
     assert wins >= 9, f"recovered {wins}/10"
@@ -143,7 +142,7 @@ def test_c05_kmeans_blob_recovery():
 @criterion(6, "swarm best fitness never worsens across iterations")
 def test_c06_pso_monotonicity():
     corpus = load_sample_corpus()
-    windows = build_cluster_dataset(corpus.sequences)
+    windows = corpus_windows(corpus, Settings())
     for s in range(20):
         cs = pso_kmeans(windows, 4, PsoConfig(n_particles=10, max_iter=30, seed=s))
         assert all(b <= a for a, b in zip(cs.trace, cs.trace[1:])), f"seed {s}"
@@ -158,7 +157,7 @@ def test_c07_pso_kmeans_vs_kmeans_direction():
                        ).final_fitness
             for s in range(20)
         ]
-        km_fits = [kmeans_run(items, 3, seed=s).final_fitness for s in range(20)]
+        km_fits = [kmeans_run(items, 3, Settings.max_iter, s).final_fitness for s in range(20)]
     assert np.median(pso_fits) <= np.median(km_fits), (
         f"median {np.median(pso_fits):.3f} vs {np.median(km_fits):.3f}")
 

@@ -12,6 +12,7 @@ from motifswarm.featurize import (
     build_cluster_dataset,
     normalize_windows,
 )
+from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS, Sequence
 
 from helpers import (
@@ -20,26 +21,28 @@ from helpers import (
     window_counts_oracle,
 )
 
+SIZE, SCHEME = Settings.window_size, Settings.window_scheme
+
 
 def col(window, aa):
     return window[:, AMINO_ACIDS.index(aa)]
 
 
 def test_single_block_single_residue():
-    w = build_cluster_dataset([Sequence("s", "A" * 9)])[0]
+    w = build_cluster_dataset([Sequence("s", "A" * 9)], SIZE, SCHEME)[0]
     assert (col(w, "A") == 1).all()
     other = np.delete(w, AMINO_ACIDS.index("A"), axis=1)
     assert (other == 0).all()
 
 
 def test_two_identical_blocks():
-    w = build_cluster_dataset([Sequence("s", "G" * 18)])[0]
+    w = build_cluster_dataset([Sequence("s", "G" * 18)], SIZE, SCHEME)[0]
     assert (col(w, "G") == 2).all()
 
 
 def test_partial_final_block_row_sums():
     # 17 residues: second block fills positions 1..8 only.
-    w = build_cluster_dataset([Sequence("s", "ACDEFGHIKLMNPQRST")])[0]
+    w = build_cluster_dataset([Sequence("s", "ACDEFGHIKLMNPQRST")], SIZE, SCHEME)[0]
     sums = w.sum(axis=1)
     assert (sums[:8] == 2).all()
     assert sums[8] == 1
@@ -47,14 +50,14 @@ def test_partial_final_block_row_sums():
 
 def test_too_short_sequence_rejected():
     with pytest.raises(ValidationError):
-        build_cluster_dataset([Sequence("s", "ACDEF")])
+        build_cluster_dataset([Sequence("s", "ACDEF")], SIZE, SCHEME)
 
 
 def test_total_count_conservation():
     rng = np.random.default_rng(7)
     for length in [9, 10, 17, 18, 26, 27, 40, 100]:
         seq = random_sequence(rng, length)
-        w = build_cluster_dataset([seq])[0]
+        w = build_cluster_dataset([seq], SIZE, SCHEME)[0]
         assert w.sum() == length
 
 
@@ -63,13 +66,13 @@ def test_reverse_changes_matrix():
     seq = random_sequence(rng, 27)
     rev = Sequence(seq.id, seq.residues[::-1])
     assert seq.residues != rev.residues
-    forward, backward = build_cluster_dataset([seq, rev])
+    forward, backward = build_cluster_dataset([seq, rev], SIZE, SCHEME)
     assert (forward != backward).any()
 
 
 def test_sliding_scheme_row_sums():
     seq = Sequence("s", "ACDEFGHIKLMNPQRST")  # length 17 -> 9 windows
-    w = build_cluster_dataset([seq], scheme="sliding")[0]
+    w = build_cluster_dataset([seq], SIZE, "sliding")[0]
     assert (w.sum(axis=1) == 9).all()
 
 
@@ -87,9 +90,9 @@ def test_window_counts_match_oracle(window_size, data, scheme):
 @pytest.mark.parametrize("window_size", [0, -1, -9])
 def test_window_size_below_one_is_contract_error(window_size):
     with pytest.raises(ContractError, match="window size"):
-        build_cluster_dataset([Sequence("s", "A" * 18)], window_size)
+        build_cluster_dataset([Sequence("s", "A" * 18)], window_size, SCHEME)
     with pytest.raises(ContractError, match="window size"):
-        build_cluster_dataset([], window_size)
+        build_cluster_dataset([], window_size, SCHEME)
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +160,7 @@ def test_oversized_window_is_refused_before_allocation(window_size):
     seqs = [Sequence("a", "A" * 20), Sequence("b", "C" * 12)]
     with mock.patch.object(featurize.np, "empty") as empty, \
             pytest.raises(ValidationError) as err:
-        build_cluster_dataset(seqs, window_size)
+        build_cluster_dataset(seqs, window_size, SCHEME)
     assert str(err.value) == f"sequence 'a' has length 20 < window size {window_size}"
     empty.assert_not_called()
 
@@ -166,20 +169,20 @@ def test_oversized_window_is_refused_before_allocation(window_size):
 def test_oversized_window_of_no_sequence_is_contract_error(window_size):
     with mock.patch.object(featurize.np, "empty") as empty, \
             pytest.raises(ContractError) as err:
-        build_cluster_dataset([], window_size)
+        build_cluster_dataset([], window_size, SCHEME)
     assert str(err.value) == f"window size {window_size} is too large to allocate"
     empty.assert_not_called()
 
 
 def test_largest_addressable_window_of_no_sequence_is_empty():
     window_size = np.iinfo(np.intp).max // (8 * len(AMINO_ACIDS))
-    assert build_cluster_dataset([], window_size).shape == (0, window_size, 20)
+    assert build_cluster_dataset([], window_size, SCHEME).shape == (0, window_size, 20)
     with pytest.raises(ContractError, match="too large"):
-        build_cluster_dataset([], window_size + 1)
+        build_cluster_dataset([], window_size + 1, SCHEME)
 
 
 def test_normalize_windows_of_nothing_is_empty_matrix():
-    matrix = normalize_windows(build_cluster_dataset([]), "mode")
+    matrix = normalize_windows(build_cluster_dataset([], SIZE, SCHEME), "mode")
     assert matrix.shape == (0, len(AMINO_ACIDS))
 
 
@@ -212,31 +215,33 @@ def test_normalize_mean_mass_preserving():
     rng = np.random.default_rng(9)
     for length in [9, 18, 45]:
         seq = random_sequence(rng, length)
-        row = normalize_windows(build_cluster_dataset([seq]), "mean")[0]
+        row = normalize_windows(build_cluster_dataset([seq], SIZE, SCHEME), "mean")[0]
         assert row.sum() == pytest.approx(length / 9)
 
 
 def test_cluster_dataset_counts():
     rng = np.random.default_rng(10)
     seqs = [random_sequence(rng, 18, seq_id=f"s{i}") for i in range(3)]
-    assert build_cluster_dataset(seqs).shape == (3, 9, 20)
-    assert build_cluster_dataset([]).shape == (0, 9, 20)
+    assert build_cluster_dataset(seqs, SIZE, SCHEME).shape == (3, 9, 20)
+    assert build_cluster_dataset([], SIZE, SCHEME).shape == (0, 9, 20)
 
 
 def test_corpus_scale_shapes():
     rng = np.random.default_rng(11)
     seqs = [random_sequence(rng, 30, seq_id=f"s{i}") for i in range(300)]
-    windows = build_cluster_dataset(seqs)
+    windows = build_cluster_dataset(seqs, SIZE, SCHEME)
     assert windows.shape == (300, 9, 20)
     assert windows.dtype == np.int64
     for k in (0, 150, 299):
-        np.testing.assert_array_equal(windows[k], build_cluster_dataset([seqs[k]])[0])
-    matrix = normalize_windows(windows)
+        np.testing.assert_array_equal(windows[k],
+                                      build_cluster_dataset([seqs[k]], SIZE, SCHEME)[0])
+    matrix = normalize_windows(windows, Settings.normalization)
     assert matrix.shape == (300, 20)
 
 
 def test_bicluster_row_of_pure_sequence():
-    matrix = normalize_windows(build_cluster_dataset([Sequence("s", "L" * 9)]), "mean")
+    windows = build_cluster_dataset([Sequence("s", "L" * 9)], SIZE, SCHEME)
+    matrix = normalize_windows(windows, "mean")
     expected = np.zeros(20)
     expected[AMINO_ACIDS.index("L")] = 1.0
     np.testing.assert_allclose(matrix[0], expected)
@@ -245,8 +250,8 @@ def test_bicluster_row_of_pure_sequence():
 def test_bicluster_matrix_is_row_stack_of_normalized_windows():
     rng = np.random.default_rng(12)
     seqs = [random_sequence(rng, 20 + 3 * i, seq_id=f"s{i}") for i in range(5)]
-    matrix = normalize_windows(build_cluster_dataset(seqs), "range")
+    matrix = normalize_windows(build_cluster_dataset(seqs, SIZE, SCHEME), "range")
     for k, seq in enumerate(seqs):
-        row = normalize_windows(build_cluster_dataset([seq]), "range")[0]
+        row = normalize_windows(build_cluster_dataset([seq], SIZE, SCHEME), "range")[0]
         np.testing.assert_array_equal(matrix[k], row)
 

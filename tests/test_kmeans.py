@@ -12,6 +12,7 @@ from motifswarm.kmeans import (_labelled_l1, _pairwise_l1, _seed_weighted, as_it
                                kmeans_run)
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import pso_kmeans
+from motifswarm.report import Settings
 from motifswarm.seqio import Sequence
 
 from helpers import (cityblock_oracle, intra_cluster_fitness, kmeans_pp_oracle, make_blobs,
@@ -22,7 +23,7 @@ def test_identical_pairs_split_any_seed():
     data = [np.array([0.0, 0.0]), np.array([0.0, 0.0]),
             np.array([10.0, 10.0]), np.array([10.0, 10.0])]
     for seed in range(5):
-        cs = kmeans_run(data, k=2, seed=seed)
+        cs = kmeans_run(data, k=2, seed=seed, max_iter=Settings.max_iter)
         assert cs.final_fitness == 0.0
         assert cs.assignment[0] == cs.assignment[1]
         assert cs.assignment[2] == cs.assignment[3]
@@ -31,7 +32,7 @@ def test_identical_pairs_split_any_seed():
 
 def test_k_equals_n_zero_fitness():
     data = [np.array([float(i), 0.0]) for i in range(6)]
-    cs = kmeans_run(data, k=6, seed=1)
+    cs = kmeans_run(data, k=6, seed=1, max_iter=Settings.max_iter)
     assert cs.final_fitness == 0.0
     assert sorted(cs.assignment) == list(range(6))
 
@@ -42,7 +43,7 @@ def test_blob_recovery_nine_of_ten_seeds():
     items, planted = make_blobs(rng, centers, n_per_blob=20, sigma=0.5)
     hits = 0
     for seed in range(10):
-        cs = kmeans_run(items, k=3, seed=seed)
+        cs = kmeans_run(items, k=3, seed=seed, max_iter=Settings.max_iter)
         if partitions_match(planted, cs.assignment):
             hits += 1
     assert hits >= 9
@@ -52,7 +53,7 @@ def test_returned_fitness_at_most_first_iteration():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(40, 6))
     for seed in range(8):
-        cs = kmeans_run(data, k=4, seed=seed)
+        cs = kmeans_run(data, k=4, seed=seed, max_iter=Settings.max_iter)
         assert cs.final_fitness <= cs.trace[0]
         assert cs.final_fitness == min(cs.trace)
 
@@ -60,7 +61,7 @@ def test_returned_fitness_at_most_first_iteration():
 def test_final_fitness_matches_recompute():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(30, 5))
-    cs = kmeans_run(data, k=3, seed=2)
+    cs = kmeans_run(data, k=3, seed=2, max_iter=Settings.max_iter)
     again = intra_cluster_fitness(data, cs.assignment, cs.centroids)
     assert cs.final_fitness == pytest.approx(again, abs=1e-9)
 
@@ -68,8 +69,8 @@ def test_final_fitness_matches_recompute():
 def test_deterministic_per_seed():
     rng = np.random.default_rng(11)
     data = rng.normal(size=(25, 3))
-    a = kmeans_run(data, k=3, seed=42)
-    b = kmeans_run(data, k=3, seed=42)
+    a = kmeans_run(data, k=3, seed=42, max_iter=Settings.max_iter)
+    b = kmeans_run(data, k=3, seed=42, max_iter=Settings.max_iter)
     assert np.array_equal(a.assignment, b.assignment)
     assert np.array_equal(a.centroids, b.centroids)
     assert a.trace == b.trace
@@ -87,7 +88,7 @@ def test_convergence_flag_and_iteration_bound():
 
 def test_duplicate_items_tie_to_lowest_cluster():
     data = [np.array([5.0]), np.array([5.0]), np.array([5.0])]
-    cs = kmeans_run(data, k=2, seed=3)
+    cs = kmeans_run(data, k=2, seed=3, max_iter=Settings.max_iter)
     assert list(cs.assignment) == [0, 0, 0]
     assert cs.final_fitness == 0.0
 
@@ -95,7 +96,7 @@ def test_duplicate_items_tie_to_lowest_cluster():
 def test_empty_cluster_repair_keeps_labels_valid():
     data = [np.array([0.0])] * 4 + [np.array([10.0])] * 4
     for seed in range(6):
-        cs = kmeans_run(data, k=3, seed=seed)
+        cs = kmeans_run(data, k=3, seed=seed, max_iter=Settings.max_iter)
         assert cs.final_fitness == 0.0
         assert all(0 <= a < 3 for a in cs.assignment)
 
@@ -151,8 +152,9 @@ def test_seeding_picks_what_the_kmeans_pp_oracle_picks(k, duplicates):
 
 
 def test_accepts_frequency_windows():
-    windows = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("b", "V" * 9)])
-    cs = kmeans_run(windows, k=2, seed=0)
+    windows = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("b", "V" * 9)],
+                                    Settings.window_size, Settings.window_scheme)
+    cs = kmeans_run(windows, k=2, seed=0, max_iter=Settings.max_iter)
     assert cs.centroids.shape == (2, 9, 20)
     assert cs.final_fitness == 0.0
 
@@ -160,13 +162,13 @@ def test_accepts_frequency_windows():
 def test_contract_violations():
     data = np.zeros((4, 2))
     with pytest.raises(ContractError):
-        kmeans_run(data, k=0)
+        kmeans_run(data, k=0, max_iter=Settings.max_iter, seed=Settings.seed)
     with pytest.raises(ContractError):
-        kmeans_run(data, k=5)
+        kmeans_run(data, k=5, max_iter=Settings.max_iter, seed=Settings.seed)
     with pytest.raises(ContractError):
-        kmeans_run(data, k=2, max_iter=0)
+        kmeans_run(data, k=2, max_iter=0, seed=Settings.seed)
     with pytest.raises(ContractError):
-        kmeans_run([], k=1)
+        kmeans_run([], k=1, max_iter=Settings.max_iter, seed=Settings.seed)
     with pytest.raises(ContractError):
         as_item_arrays([np.zeros(2), np.zeros(3)])
 
@@ -176,7 +178,7 @@ def test_non_finite_items_are_refused(bad):
     data = np.zeros((5, 2))
     data[3, 1] = bad
     with pytest.raises(ContractError, match="^item 3 holds a non-finite value$"):
-        kmeans_run(data, k=2)
+        kmeans_run(data, k=2, max_iter=Settings.max_iter, seed=Settings.seed)
 
 
 def test_seeding_weights_do_not_overflow():
@@ -186,7 +188,7 @@ def test_seeding_weights_do_not_overflow():
     data[0, 0] = 1e307
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cs = kmeans_run(data, k=2)
+        cs = kmeans_run(data, k=2, max_iter=Settings.max_iter, seed=Settings.seed)
     assert cs.final_fitness == 0.0
     assert cs.assignment[0] != cs.assignment[1]
     assert len(set(cs.assignment[1:])) == 1
@@ -208,7 +210,7 @@ def _three_far_rows():
 @pytest.mark.parametrize("data", [_opposite_extremes(), _three_far_rows()],
                          ids=["opposite-extremes", "three-far-rows"])
 @pytest.mark.parametrize("cluster", [
-    lambda data: kmeans_run(data, k=2),
+    lambda data: kmeans_run(data, k=2, max_iter=Settings.max_iter, seed=Settings.seed),
     lambda data: pso_kmeans(data, k=2, cfg=PsoConfig(n_particles=4, max_iter=5)),
 ], ids=["kmeans", "pso-kmeans"])
 def test_items_whose_l1_costs_overflow_are_refused(cluster, data):
@@ -216,6 +218,21 @@ def test_items_whose_l1_costs_overflow_are_refused(cluster, data):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ContractError, match="^items span too wide a range"):
             cluster(data)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_items_whose_means_overflow_are_refused_by_kmeans_only(sign):
+    """Every range is 0, so the items pass as_item_arrays, but a mean of six
+    ±1e308s sums past the float range. pso_kmeans sums no members: its
+    medians cluster the same items."""
+    data = np.full((6, 3), sign * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContractError, match="^items are too large"):
+            kmeans_run(data, k=2, max_iter=Settings.max_iter, seed=Settings.seed)
+        cs = pso_kmeans(data, k=2, cfg=PsoConfig(n_particles=4, max_iter=5))
+    assert cs.final_fitness == 0.0
+    assert cs.centroids.shape == (2, 3)
 
 
 @settings(max_examples=60, deadline=None)

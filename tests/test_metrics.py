@@ -15,6 +15,7 @@ from motifswarm.metrics import (
 )
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import assignment_fitness, pso_kmeans
+from motifswarm.report import Settings
 
 from helpers import msr_oracle, profile_oracle
 
@@ -51,7 +52,7 @@ class TestIntraClusterFitness:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
-            kmeans_run([], k=1)
+            kmeans_run([], k=1, max_iter=Settings.max_iter, seed=Settings.seed)
         with pytest.raises(ContractError):
             pso_kmeans([], 1, PsoConfig(n_particles=2, max_iter=1))
 

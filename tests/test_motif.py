@@ -12,6 +12,7 @@ from motifswarm.motif import (
     RELATION_DISJOINT,
     RELATION_FULL,
     RELATION_PARTIAL,
+    SAA_THRESHOLD,
     build_motif_report,
     classify_superset,
     logo_columns,
@@ -19,7 +20,10 @@ from motifswarm.motif import (
     render_logo_svg,
     significant_amino_acids,
 )
+from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS, Sequence
+
+SIZE, SCHEME = Settings.window_size, Settings.window_scheme
 
 
 def row(**letter_freqs):
@@ -39,20 +43,22 @@ def freqs_for_saa(letter_sets):
 
 class TestPositionFrequencies:
     def test_single_pure_window(self):
-        w = build_cluster_dataset([Sequence("s", "A" * 9)])[0]
+        w = build_cluster_dataset([Sequence("s", "A" * 9)], SIZE, SCHEME)[0]
         freqs = position_frequencies([w])
         assert np.all(freqs[:, AMINO_ACIDS.index("A")] == 1.0)
         assert freqs.sum() == pytest.approx(9.0)
 
     def test_two_disjoint_letters_split_evenly(self):
-        wa, wv = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("v", "V" * 9)])
+        wa, wv = build_cluster_dataset([Sequence("a", "A" * 9), Sequence("v", "V" * 9)],
+                                       SIZE, SCHEME)
         freqs = position_frequencies([wa, wv])
         assert np.all(freqs[:, AMINO_ACIDS.index("A")] == 0.5)
         assert np.all(freqs[:, AMINO_ACIDS.index("V")] == 0.5)
 
     def test_matches_hand_normalized_sums(self):
         seqs = ["ARNDCQEGH", "ILKMFPSTW", "AAAAAAAAA", "VVVVVVVVV", "ARNARNARN"]
-        windows = build_cluster_dataset([Sequence(str(i), s) for i, s in enumerate(seqs)])
+        windows = build_cluster_dataset([Sequence(str(i), s) for i, s in enumerate(seqs)],
+                                        SIZE, SCHEME)
         freqs = position_frequencies(windows)
         for i in range(9):
             row_total = sum(float(w[i, j]) for w in windows for j in range(20))
@@ -81,17 +87,17 @@ class TestSignificantAminoAcids:
         spread = (1.0 - 0.08) / 19  # about 0.048, below the cutoff
         m = np.full((9, 20), spread)
         m[:, AMINO_ACIDS.index("A")] = 0.08
-        saas = significant_amino_acids(m)
+        saas = significant_amino_acids(m, SAA_THRESHOLD)
         assert saas == [frozenset("A")] * 9
 
     def test_exactly_at_threshold_excluded(self):
         m = np.tile(row(A=0.07, V=0.93), (9, 1))
-        saas = significant_amino_acids(m)
+        saas = significant_amino_acids(m, SAA_THRESHOLD)
         assert saas == [frozenset("V")] * 9
 
     def test_uniform_row_empty(self):
         m = np.full((9, 20), 0.05)
-        assert significant_amino_acids(m) == [frozenset()] * 9
+        assert significant_amino_acids(m, SAA_THRESHOLD) == [frozenset()] * 9
 
     def test_shrinks_as_threshold_grows(self):
         rng = np.random.default_rng(0)
@@ -170,16 +176,17 @@ class TestLogoColumns:
 
     def test_correction_value_and_clamp(self):
         m = np.tile(row(A=1.0), (9, 1))
-        cols = logo_columns(m, n_segments=19)
+        cols = logo_columns(m, n_segments=19, correction=True)
         e_n = 19 / (2 * math.log(2) * 19)
         assert cols[0]["total_bits"] == pytest.approx(MAX_BITS - e_n, abs=1e-9)
         uniform = np.full((9, 20), 0.05)
-        assert all(c["total_bits"] == 0.0 for c in logo_columns(uniform, n_segments=1))
+        cols = logo_columns(uniform, n_segments=1, correction=True)
+        assert all(c["total_bits"] == 0.0 for c in cols)
 
     def test_heights_partition_total_descending(self):
         rng = np.random.default_rng(2)
         m = rng.dirichlet(np.ones(20), size=9)
-        for c in logo_columns(m, n_segments=30):
+        for c in logo_columns(m, n_segments=30, correction=True):
             heights = [h for _, h in c["letters"]]
             assert sum(heights) == pytest.approx(c["total_bits"], abs=1e-9)
             assert heights == sorted(heights, reverse=True)
@@ -188,10 +195,10 @@ class TestLogoColumns:
     def test_zero_row_and_bad_segments(self):
         m = np.zeros((9, 20))
         m[:3, 0] = 1.0
-        cols = logo_columns(m, n_segments=50)
+        cols = logo_columns(m, n_segments=50, correction=True)
         assert cols[8] == {"total_bits": 0.0, "letters": []}
         with pytest.raises(ContractError):
-            logo_columns(m, n_segments=0)
+            logo_columns(m, n_segments=0, correction=True)
 
 
 TABLE2_SAA = ["AGV", "AEFPTV", "EGLTV", "AEKQS", "EQSV", "ADLRV", "LRT", "ATV", "EGIKL"]
@@ -204,7 +211,8 @@ class TestBuildMotifReport:
         # Table 2 pairs each position with one of two motifs; a report holds
         # one, so each position is read off the report built on its motif.
         freqs = freqs_for_saa(TABLE2_SAA)
-        reports = {m: build_motif_report("t2", freqs, frozenset(m), n_segments=300)
+        reports = {m: build_motif_report("t2", freqs, frozenset(m), 300,
+                                         SAA_THRESHOLD, True)
                    for m in set(TABLE2_MOTIFS)}
         records = [reports[m]["positions"][i] for i, m in enumerate(TABLE2_MOTIFS)]
         assert [r["saa"] for r in records] == ["".join(sorted(s)) for s in TABLE2_SAA]
@@ -217,36 +225,37 @@ class TestBuildMotifReport:
 
     def test_all_full_reference_rows(self):
         report = build_motif_report(
-            "t3", freqs_for_saa(TABLE3_SAA), frozenset("ADEGILKTV"), n_segments=300,
-        )
+            "t3", freqs_for_saa(TABLE3_SAA), frozenset("ADEGILKTV"), 300,
+            SAA_THRESHOLD, True)
         assert all(r["relation"] == RELATION_FULL for r in report["positions"])
         assert all(r["motif"] == "ADEGIKLTV" for r in report["positions"])
         assert json.loads(json.dumps(report)) == report
 
     def test_degenerate_flag(self):
-        report = build_motif_report("d", np.zeros((9, 20)), frozenset("AV"), 10)
+        report = build_motif_report("d", np.zeros((9, 20)), frozenset("AV"), 10,
+                                    SAA_THRESHOLD, True)
         assert report["degenerate"]
         assert all(r["relation"] == RELATION_DISJOINT for r in report["positions"])
 
     @pytest.mark.parametrize("window_size", [1, 5, 7, 12])
     def test_window_size_from_frequencies(self, window_size):
         windows = build_cluster_dataset(
-            [Sequence("s", "AVL" * 8), Sequence("t", "GAV" * 8)], window_size)
+            [Sequence("s", "AVL" * 8), Sequence("t", "GAV" * 8)], window_size, SCHEME)
         freqs = position_frequencies(windows)
         assert freqs.shape == (window_size, 20)
-        report = build_motif_report("w", freqs, frozenset("AV"), n_segments=4)
+        report = build_motif_report("w", freqs, frozenset("AV"), 4, SAA_THRESHOLD, True)
         assert [r["position"] for r in report["positions"]] == \
             list(range(1, window_size + 1))
         assert all(r["saa"] and r["relation"] is not None for r in report["positions"])
         with pytest.raises(ContractError):
-            significant_amino_acids(freqs[:, :19])
+            significant_amino_acids(freqs[:, :19], SAA_THRESHOLD)
 
 
 class TestRenderLogoSvg:
     def test_well_formed_and_deterministic(self):
         rng = np.random.default_rng(5)
         m = rng.dirichlet(np.ones(20), size=9)
-        report = build_motif_report("svg", m, frozenset("AV"), n_segments=25)
+        report = build_motif_report("svg", m, frozenset("AV"), 25, SAA_THRESHOLD, True)
         svg = render_logo_svg(report)
         assert svg == render_logo_svg(report)
         root = ET.fromstring(svg)

@@ -8,15 +8,16 @@ from motifswarm import psokmeans
 from motifswarm.errors import ContractError
 from motifswarm.featurize import WINDOW_SCHEMES, build_cluster_dataset, normalize_windows
 from motifswarm.kmeans import _labelled_fitness, _labelled_l1
-from motifswarm.pso import PsoConfig
-from motifswarm.psokmeans import (STALL_ITERATIONS, Lattice, _median_step,
-                                  assignment_fitness, pso_kmeans)
+from motifswarm.pso import STALL_ITERATIONS, PsoConfig
+from motifswarm.psokmeans import Lattice, _median_step, assignment_fitness, pso_kmeans
 from motifswarm.report import Settings
 from motifswarm.seqio import Sequence, load_sample_corpus
 
 from helpers import (adjusted_rand_index, cityblock_oracle, intra_cluster_fitness,
                      lower_median_oracle, make_blobs, partitions_match,
                      planted_family_corpus, pso_oracle)
+
+SIZE, SCHEME = Settings.window_size, Settings.window_scheme
 
 
 class TestAssignmentFitness:
@@ -100,7 +101,8 @@ class TestPsoKmeans:
 
     def test_window_items_supported(self):
         windows = build_cluster_dataset(
-            [Sequence("a", "A" * 9), Sequence("b", "V" * 9), Sequence("c", "VAV" * 3)])
+            [Sequence("a", "A" * 9), Sequence("b", "V" * 9), Sequence("c", "VAV" * 3)],
+            SIZE, SCHEME)
         cs = pso_kmeans(windows, k=2, cfg=PsoConfig(n_particles=6, max_iter=25, seed=0))
         assert cs.centroids.shape == (2, 9, 20)
 
@@ -110,7 +112,7 @@ class TestPsoKmeans:
         # centroid swarm without the median step found the families only at
         # seed 3 (ARI 0.65-0.72 at the others).
         sequences, families = planted_family_corpus(1)
-        windows = build_cluster_dataset(sequences)
+        windows = build_cluster_dataset(sequences, SIZE, SCHEME)
         cs = pso_kmeans(windows, Settings.k, Settings(seed=seed).swarm)
         assert adjusted_rand_index(families, cs.assignment.tolist()) == 1.0
 
@@ -119,7 +121,7 @@ class TestPsoKmeans:
         # The median step reaches its fixed point by iteration 2 or 3, so the
         # stall window ends the search by iteration 2 * STALL_ITERATIONS + 1.
         sequences, _ = planted_family_corpus(1)
-        windows = build_cluster_dataset(sequences)
+        windows = build_cluster_dataset(sequences, SIZE, SCHEME)
         cs = pso_kmeans(windows, Settings.k, Settings(seed=seed).swarm)
         assert cs.converged
         assert cs.iterations_run <= 2 * STALL_ITERATIONS + 1
@@ -350,7 +352,7 @@ def test_lattice_labels_follow_a_drifting_swarm(seed):
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 12, size=(40, 30)) / 9.0
     k = 3
-    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, np.sort(flat, axis=0)), k)
+    labels_of = Lattice(flat, np.sort(flat, axis=0)).labels
     target = flat[rng.integers(0, 40, size=(12, k))].reshape(12, -1)
     positions = rng.uniform(-1.0, 2.0, size=target.shape)
     for step in range(18):
@@ -384,7 +386,7 @@ def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, divisor,
     twice = np.abs(2 * counts[:, None, None, :] - halves[None]).sum(axis=3)
     ties = np.count_nonzero((twice == twice.min(axis=2, keepdims=True)).sum(axis=2) > 1)
 
-    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, np.sort(flat, axis=0)), k)
+    labels_of = Lattice(flat, np.sort(flat, axis=0)).labels
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
         labels = labels_of(centroids)
     want_labels, want = assignment_fitness(flat, centroids.reshape(-1, d), k)
@@ -400,7 +402,7 @@ def test_lattice_labels_equal_assignment_fitness(n, d, k, n_particles, divisor,
 def test_lattice_labels_only_unclear_items_exactly(centroids, exact_rows):
     flat = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
     centroids = np.array(centroids).reshape(1, 2, 1)
-    labels_of = psokmeans.lattice_labels(flat, Lattice(flat, flat), 2)
+    labels_of = Lattice(flat, flat).labels
     with mock.patch.object(psokmeans, "_pairwise_l1", wraps=psokmeans._pairwise_l1) as spy:
         labels = labels_of(centroids)
     assert sum(call.args[0].shape[0] for call in spy.call_args_list) == exact_rows
@@ -412,7 +414,7 @@ def command_input(name):
     cluster windows ("chunked", "sliding"), the normalized bicluster matrix
     ("mean", "range", "mode") or its transpose ("mean T", ...)."""
     scheme = "sliding" if name == "sliding" else "chunked"
-    windows = build_cluster_dataset(load_sample_corpus().sequences, scheme=scheme)
+    windows = build_cluster_dataset(load_sample_corpus().sequences, SIZE, scheme)
     if name in WINDOW_SCHEMES:
         return windows.reshape(windows.shape[0], -1), Settings.k
     method, *transposed = name.split()
@@ -430,8 +432,8 @@ def test_lattice_ranking_matches_exact_ranking(monkeypatch, name, seed):
     flat, k = command_input(name)
     cfg = PsoConfig(n_particles=20, max_iter=30, seed=seed)
     monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: True)
-    with mock.patch.object(psokmeans, "lattice_labels",
-                           wraps=psokmeans.lattice_labels) as spy:
+    with mock.patch.object(Lattice, "labels", autospec=True,
+                           side_effect=Lattice.labels) as spy:
         by_lattice = pso_kmeans(flat, k, cfg)
     assert spy.called
     monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: False)
@@ -445,8 +447,8 @@ def test_lattice_ranking_matches_exact_ranking(monkeypatch, name, seed):
 @pytest.mark.parametrize("name", ["chunked", "mean", "mean T"])
 def test_sample_corpus_inputs_take_the_table(name):
     flat, k = command_input(name)
-    with mock.patch.object(psokmeans, "lattice_labels",
-                           wraps=psokmeans.lattice_labels) as spy:
+    with mock.patch.object(Lattice, "labels", autospec=True,
+                           side_effect=Lattice.labels) as spy:
         pso_kmeans(flat, k, PsoConfig(n_particles=Settings.n_particles, max_iter=2))
     assert spy.called
 
@@ -470,6 +472,6 @@ def test_uniform_noise_keeps_the_direct_kernel(monkeypatch, transpose):
     def no_lattice(*args):
         raise AssertionError("uniform noise took the lattice path")
 
-    monkeypatch.setattr(psokmeans, "lattice_labels", no_lattice)
+    monkeypatch.setattr(Lattice, "labels", no_lattice)
     cs = pso_kmeans(data, 2, PsoConfig(n_particles=10, max_iter=3, seed=0))
     assert cs.assignment.shape == (data.shape[0],)

@@ -35,7 +35,7 @@ class TestTallyHomology:
 
     def test_perfect_groups_count_everywhere(self):
         sims = [similarity_of_profile(1.0) for _ in range(4)]
-        assert tally_homology(sims) == [4, 4, 4]
+        assert tally_homology(sims, Settings.thresholds) == [4, 4, 4]
 
     def test_boundary_is_inclusive(self):
         # 0.75 is exact in binary, so the mean lands exactly on the cutoff

@@ -189,14 +189,14 @@ def test_load_corpus_rejects_a_repeated_sequence_id(tmp_path):
     fasta = tmp_path / "seqs.fasta"
     fasta.write_text(">a\nACDEFGHIK\n>b\nACDEFGHIK\n>a first of two\nACDEFGHIK\n")
     with pytest.raises(ValidationError, match="sequence 'a' is a repeated id"):
-        load_corpus(fasta)
+        load_corpus(fasta, None)
 
 
 def test_load_corpus_requires_window_length(tmp_path):
     fasta = tmp_path / "seqs.fasta"
     fasta.write_text(">tiny\nACDEF\n")
     with pytest.raises(ValidationError, match="tiny"):
-        load_corpus(fasta)
+        load_corpus(fasta, None)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -204,7 +204,7 @@ def test_load_corpus_rejects_a_file_without_records(tmp_path, text):
     fasta = tmp_path / "seqs.fasta"
     fasta.write_text(text)
     with pytest.raises(ValidationError, match=f"{fasta} holds no sequence records"):
-        load_corpus(fasta)
+        load_corpus(fasta, None)
 
 
 def test_load_corpus_requires_matching_id_sets(tmp_path):

@@ -10,7 +10,7 @@ iterations and stops once its best fitness stalls.
 
 from motifswarm import Settings, kmeans_run, load_sample_corpus, pso_kmeans
 from motifswarm.metrics import homology_class, structure_similarity
-from motifswarm.report import corpus_windows, profile_for_members
+from motifswarm.report import corpus_segment_counts, corpus_windows, profile_for_members
 
 # max_iter is a cap: the swarm stops 3 iterations after its last gain
 SETTINGS = Settings(k=3, n_particles=30, max_iter=200, seed=7)
@@ -30,12 +30,14 @@ print(f"pso-k-means: fitness {swarm.final_fitness:8.2f}  "
 print("  " + "  ".join(f"{f:.2f}" for f in swarm.trace))
 
 print("\nswarm clusters, scored by secondary-structure homology:")
+counts = corpus_segment_counts(corpus)  # (n, 9, 3) H/E/C segment counts
 for c in range(swarm.k):
-    members = [ids[i] for i in swarm.members(c)]
+    rows = swarm.members(c)
+    members = [ids[i] for i in rows]
     if not members:
         print(f"  cluster {c}: empty")
         continue
-    sim = structure_similarity(profile_for_members(corpus, members))
+    sim = structure_similarity(profile_for_members(counts, rows))
     print(f"  cluster {c}: {len(members):2d} members, similarity {sim:.3f} "
           f"({homology_class(sim)})  e.g. {', '.join(members[:4])}")
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import shutil
 import sys
 import unicodedata
 from collections import Counter
@@ -27,8 +29,8 @@ from .errors import ContractError, InputError, ValidationError
 from .motif import (SAA_THRESHOLD, build_motif_report, position_frequencies,
                     render_logo_svg)
 from .report import (ENGINES, Settings, bicluster_entries, cluster_corpus, cluster_entries,
-                     compare_pipelines, corpus_windows, csv_field, csv_text, json_text,
-                     tally_to_csv)
+                     compare_pipelines, corpus_segment_counts, corpus_windows, csv_field,
+                     csv_text, json_text, tally_to_csv, windows_csv_text)
 from .seqio import AMINO_ACIDS, Corpus, load_corpus, load_sample_corpus, read_text
 
 VERSION = f"motifswarm-v{__version__}"
@@ -98,16 +100,10 @@ def cmd_prepare(cfg: Settings) -> None:
     matrix = featurize.normalize_windows(windows, cfg.normalization)
     out = Path(cfg.out)
 
-    # .tolist() gives Python int and float cells, which csv_text writes directly.
     letters = list(AMINO_ACIDS)
     ids = [csv_field(seq.id) for seq in corpus.sequences]
-    window_rows = (
-        (sid, i, *row)
-        for sid, window in zip(ids, windows.tolist())
-        for i, row in enumerate(window, start=1)
-    )
-    _write_text(out / "windows.csv",
-                csv_text(["sequence_id", "position", *letters], window_rows))
+    _write_text(out / "windows.csv", windows_csv_text(ids, windows))
+    # .tolist() gives Python float cells, which csv_text writes directly.
     matrix_rows = ((sid, *row) for sid, row in zip(ids, matrix.tolist()))
     _write_text(out / "matrix.csv", csv_text(["sequence_id", *letters], matrix_rows))
     _write_text(out / "manifest.json", _artifact(cfg, {
@@ -130,7 +126,7 @@ def cmd_cluster(cfg: Settings) -> None:
         "fitness": float(cs.final_fitness),
         "iterations_run": cs.iterations_run,
         "converged": cs.converged,
-        "clusters": cluster_entries(corpus, cs),
+        "clusters": cluster_entries(corpus, cs, corpus_segment_counts(corpus)),
     }))
     if cfg.trace:
         rows = ((i, float(f)) for i, f in enumerate(cs.trace))
@@ -281,10 +277,15 @@ def _add_bicluster_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="motifswarm", description=__doc__.splitlines()[0])
+    # argparse's HelpFormatter reads the terminal width each time it is made,
+    # and add_argument makes one per call; read it once, as it would.
+    width = shutil.get_terminal_size().columns - 2
+    parser_class = functools.partial(
+        _Parser, formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+    parser = parser_class(prog="motifswarm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+                                parser_class=parser_class)
 
     p = sub.add_parser("prepare", help="emit frequency windows and the "
                        "normalized matrix as CSV plus a manifest")

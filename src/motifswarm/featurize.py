@@ -70,6 +70,15 @@ def _count_windows(codes: np.ndarray, lengths: np.ndarray, window_size: int,
     return steps.cumsum(axis=1)[:, :ws]
 
 
+def _chunks(lengths: np.ndarray):
+    """(lo, hi) bounds of the chunks of whole texts laid back to back with
+    these lengths: chunk c holds the texts that start in characters
+    [c, c + 1) x CHUNK_RESIDUES."""
+    starts = np.cumsum(lengths) - lengths
+    bounds = np.flatnonzero(np.diff(starts // CHUNK_RESIDUES, prepend=-1, append=-1))
+    return zip(bounds[:-1], bounds[1:])
+
+
 def _column_modes(counts: np.ndarray) -> np.ndarray:
     """Most frequent value of each column of each (ws, 20) window in an
     (n, ws, 20) stack, ties resolved to the smallest value."""
@@ -122,10 +131,7 @@ def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -
     if window_size * len(AMINO_ACIDS) * 8 > np.iinfo(np.intp).max:
         raise ContractError(f"window size {window_size} is too large to allocate")
     windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
-    # Chunk c holds the sequences that start in residues [c, c + 1) x CHUNK_RESIDUES.
-    starts = np.cumsum(lengths) - lengths
-    bounds = np.flatnonzero(np.diff(starts // CHUNK_RESIDUES, prepend=-1, append=-1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _chunks(lengths):
         codes = encode("".join([s.residues for s in seqs[lo:hi]]))
         windows[lo:hi] = _count_windows(codes, lengths[lo:hi], window_size,
                                         len(AMINO_ACIDS), scheme)

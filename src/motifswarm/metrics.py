@@ -13,7 +13,7 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from .errors import ContractError
-from .featurize import WINDOW_SIZE, _count_windows
+from .featurize import WINDOW_SIZE, _chunks, _count_windows
 from .seqio import SS3_CLASSES, encode
 
 HOMOLOGY_IDENTICAL = "Identical"
@@ -58,6 +58,29 @@ def build_profile(structures: Iterable[str]) -> np.ndarray:
     counts = _count_windows(encode(joined, SS3_CLASSES), [len(joined)], WINDOW_SIZE,
                             len(SS3_CLASSES))[0]
     return counts / n_segments
+
+
+def segment_counts(structures: list[str]) -> np.ndarray:
+    """(len(structures), ws, 3) per-position H, E, C counts over each H/E/C
+    string's complete 9-label segments, counted in chunks of strings as
+    featurize counts windows. A group's profile is the sum of its members'
+    rows over their number of segments, which equals build_profile of their
+    strings, as the counts are whole numbers."""
+    ws, n_classes = WINDOW_SIZE, len(SS3_CLASSES)
+    n_segments = np.fromiter(map(len, structures), dtype=np.intp, count=len(structures)) // ws
+    counts = np.empty((len(structures), ws, n_classes), dtype=np.int64)
+    for lo, hi in _chunks(n_segments * ws):
+        joined = "".join([s[: ws * m] for s, m in zip(structures[lo:hi],
+                                                      n_segments[lo:hi].tolist())])
+        # The joined segments, one per row: cell (segment, i) counts label
+        # code c in bin (owner * ws + i) * 3 + c.
+        cells = encode(joined, SS3_CLASSES).reshape(-1, ws)
+        cells += np.arange(0, ws * n_classes, n_classes)
+        cells += np.repeat(np.arange(0, (hi - lo) * ws * n_classes, ws * n_classes),
+                           n_segments[lo:hi])[:, None]
+        counts[lo:hi] = np.bincount(cells.ravel(), minlength=(hi - lo) * ws * n_classes
+                                    ).reshape(hi - lo, ws, n_classes)
+    return counts
 
 
 def structure_similarity(profile: np.ndarray) -> float:

@@ -9,10 +9,12 @@ Note the deliberate asymmetry with metrics.homology_class: the tally uses >=
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .errors import ContractError, InputError, ValidationError
 from . import metrics
@@ -130,10 +132,92 @@ class Settings:
         return data
 
 
+def _json_float(value: float) -> str:
+    """A float as json.dumps(allow_nan=False) writes it, or its ValueError."""
+    text = float.__repr__(value)
+    if text[-1] in "fn":  # inf, -inf or nan
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+#: The JSON text of a scalar, by its exact type, as json.dumps writes it.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+                 bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a number, bool or None as its
+    JSON text in quotes; any other type is a TypeError."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return encode_basestring_ascii(_JSON_SCALARS.get(type(key), _json_scalar)(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a str, int or float subclass, as json.dumps writes
+    it; any other type is a TypeError."""
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_write(value, indent: str, out: list) -> None:
+    """Append the fragments of a list, tuple or dict's JSON text at indent
+    to out. A container whose members are all scalars of exact types is one
+    join; otherwise each member is one fragment, and a container member is
+    written by a recursive call. The payload must be a tree: a container
+    that holds itself is not detected."""
+    is_list = isinstance(value, (list, tuple))
+    opener, closer = ("[", "]") if is_list else ("{", "}")
+    if not value:
+        out.append(opener + closer)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    items = value if is_list else sorted(value.items())
+    # Another member type (a container or a subclass) raises KeyError.
+    try:
+        if is_list:
+            texts = [_JSON_SCALARS[type(v)](v) for v in items]
+        else:
+            texts = [f"{_json_key(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in items]
+        out.append(f"{opener}\n{inner}{sep.join(texts)}\n{indent}{closer}")
+        return
+    except KeyError:
+        pass
+    head = opener + "\n" + inner
+    for item in items:
+        if not is_list:
+            head += _json_key(item[0]) + ": "
+            item = item[1]
+        scalar = _JSON_SCALARS.get(type(item))
+        if scalar is None and isinstance(item, (list, tuple, dict)):
+            out.append(head)
+            _json_write(item, inner, out)
+        else:
+            out.append(head + (scalar or _json_scalar)(item))
+        head = sep
+    out.append("\n" + indent + closer)
+
+
 def json_text(payload) -> str:
-    """The artifact form of a JSON payload: sorted keys, two-space indent,
-    newline-terminated."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The artifact form of a JSON payload: exactly the text of
+    json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) plus a
+    newline, and the same ValueError or TypeError where it refuses the
+    payload. Scalars are written by json's own functions. A payload that
+    contains itself, which json refuses with a ValueError, recurses until
+    RecursionError; artifact payloads are built fresh as trees."""
+    if not isinstance(payload, (list, tuple, dict)):
+        scalar = _JSON_SCALARS.get(type(payload), _json_scalar)
+        return scalar(payload) + "\n"
+    out = []
+    _json_write(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def csv_field(text: str) -> str:
@@ -155,6 +239,48 @@ def csv_text(header: list, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: windows_csv_text lays out about this many cells at a time, so its
+#: temporaries stay bounded whatever the corpus size.
+CSV_CHUNK_CELLS = 2**14
+
+
+def _count_table(windows: np.ndarray):
+    """(table, codes): an object array of ",<count>" texts and an array of
+    windows' shape indexing it, so table[codes] spells every count. The
+    table holds each count up to the largest, or, when that would outgrow
+    the window array, only the counts that occur."""
+    top = int(windows.max(initial=0))
+    if top < windows.size:
+        values, codes = range(top + 1), windows
+    else:
+        values, codes = np.unique(windows, return_inverse=True)
+        values, codes = values.tolist(), codes.reshape(windows.shape)
+    return np.array([f",{v}" for v in values], dtype=object), codes
+
+
+def windows_csv_text(ids: list, windows: np.ndarray) -> str:
+    """The windows.csv text of an (n, ws, 20) stack of non-negative counts
+    and the n CSV id fields of its sequences: a header, then one row per
+    sequence and 1-based window position, "id,position,count,...", with
+    each count written as str(count). The rows of a chunk of sequences are
+    laid out as one object array of texts and joined at once."""
+    n, ws, n_letters = windows.shape
+    table, codes = _count_table(windows)
+    positions = np.array([f",{p}" for p in range(1, ws + 1)], dtype=object)
+    step = max(1, CSV_CHUNK_CELLS // (ws * (n_letters + 2)))
+    parts = [",".join(["sequence_id", "position", *AMINO_ACIDS])]
+    for lo in range(0, n, step):
+        chunk = codes[lo:lo + step].reshape(-1, n_letters)
+        cells = np.empty((len(chunk), n_letters + 2), dtype=object)
+        cells[:, 0] = np.repeat(np.array(["\n" + sid for sid in ids[lo:lo + step]],
+                                         dtype=object), ws)
+        cells[:, 1] = np.tile(positions, len(chunk) // ws)
+        cells[:, 2:] = table[chunk]
+        parts.append("".join(cells.ravel().tolist()))
+    parts.append("\n")
+    return "".join(parts)
+
+
 def _check_descending(thresholds) -> None:
     """Refuse homology cutoffs that are not sorted descending; Settings runs
     this before any work, and tally_homology again for direct callers."""
@@ -170,28 +296,45 @@ def tally_homology(similarities, thresholds):
     return [sum(1 for s in similarities if s >= t) for t in thresholds]
 
 
-def profile_for_members(corpus: Corpus, member_ids):
+def corpus_segment_counts(corpus: Corpus):
+    """metrics.segment_counts of the corpus's structures, row i for
+    corpus.sequences[i]; None when the corpus carries no structures."""
     if corpus.structures is None:
+        return None
+    return metrics.segment_counts([corpus.structures[s.id] for s in corpus.sequences])
+
+
+def profile_for_members(counts, rows) -> np.ndarray:
+    """metrics.build_profile of the structures of the sequences at rows,
+    from their corpus_segment_counts: the summed counts over the members'
+    number of segments, which every segment adds once to position 0."""
+    if counts is None:
         raise ValidationError("corpus carries no structure annotations")
-    return metrics.build_profile(corpus.structures[mid] for mid in member_ids)
+    total = counts[rows].sum(axis=0)
+    n_segments = int(total[0].sum())
+    if not n_segments:
+        raise ContractError("cannot build a profile from zero segments")
+    return total / n_segments
 
 
-def _group_entry(corpus: Corpus, gid: str, member_ids: list) -> dict:
-    """id, member ids and size of a group, plus its structure similarity and
-    homology class when the corpus carries structures and the group has
-    members."""
+def _group_entry(ids: list, counts, gid: str, rows) -> dict:
+    """id, member ids and size of the group of the sequences at rows, plus
+    its structure similarity and homology class when counts is not None
+    (the corpus carries structures) and the group has members."""
+    member_ids = [ids[i] for i in rows]
     entry = {"id": gid, "members": member_ids, "size": len(member_ids)}
-    if corpus.structures is not None and member_ids:
-        similarity = metrics.structure_similarity(profile_for_members(corpus, member_ids))
+    if counts is not None and member_ids:
+        similarity = metrics.structure_similarity(profile_for_members(counts, rows))
         entry["similarity"] = similarity
         entry["homology"] = metrics.homology_class(similarity)
     return entry
 
 
-def cluster_entries(corpus: Corpus, cs) -> list:
-    """One group entry per cluster of cs, empty clusters included."""
+def cluster_entries(corpus: Corpus, cs, counts) -> list:
+    """One group entry per cluster of cs, empty clusters included; counts is
+    the corpus's corpus_segment_counts."""
     ids = [s.id for s in corpus.sequences]
-    return [_group_entry(corpus, f"cluster-{c:02d}", [ids[i] for i in cs.members(c)])
+    return [_group_entry(ids, counts, f"cluster-{c:02d}", cs.members(c))
             for c in range(cs.k)]
 
 
@@ -253,10 +396,13 @@ def compare_pipelines(corpus: Corpus, settings: Settings) -> dict:
         raise ValidationError("corpus has no structure annotations")
     thresholds = settings.thresholds
     windows = corpus_windows(corpus, settings)
-    clusters = [e for e in cluster_entries(corpus, cluster_corpus(windows, settings))
+    counts = corpus_segment_counts(corpus)
+    clusters = [e for e in cluster_entries(corpus, cluster_corpus(windows, settings), counts)
                 if e["size"]]
     entries, lam = bicluster_entries(corpus, windows, settings)
-    biclusters = [{**_group_entry(corpus, e["id"], e["rows"]),
+    ids = [s.id for s in corpus.sequences]
+    row_of = {sid: i for i, sid in enumerate(ids)}
+    biclusters = [{**_group_entry(ids, counts, e["id"], [row_of[r] for r in e["rows"]]),
                    "amino_acids": "".join(sorted(e["cols"])),
                    "msr": e["msr"], "volume": e["volume"]}
                   for e in entries]

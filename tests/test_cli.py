@@ -11,6 +11,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from motifswarm.motif import render_logo_svg
 from motifswarm.report import Settings
 from motifswarm.seqio import AMINO_ACIDS, sample_corpus_paths
 
-from helpers import csv_oracle
+from helpers import csv_oracle, window_counts_oracle
 
 
 def run_cli(*argv):
@@ -111,6 +112,65 @@ class TestPrepare:
         digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("windows.csv", "matrix.csv")]
         assert digests == [windows_sha, matrix_sha]
+
+
+class TestWindowsCsv:
+    """windows.csv is the csv_oracle text of its rows: the CSV id, the
+    1-based position and the window's counts, one residue at a time."""
+
+    QUOTED_ID = 'q,"x'
+
+    def write_fasta(self, path, seed, n, extra=()):
+        rng = np.random.default_rng(seed)
+        records = [(f"s{i}", "".join(rng.choice(list(AMINO_ACIDS), size=int(rng.integers(9, 81)))))
+                   for i in range(n)]
+        records += list(extra)
+        path.write_text("".join(f">{sid}\n{residues}\n" for sid, residues in records))
+        return records
+
+    def expected(self, records, window_size, scheme):
+        rows = []
+        for sid, residues in records:
+            field = '"' + sid.replace('"', '""') + '"' if "," in sid or '"' in sid else sid
+            counts = window_counts_oracle(residues, window_size, scheme)
+            rows.extend((field, i, *counts[i - 1]) for i in range(1, window_size + 1))
+        return csv_oracle(["sequence_id", "position", *AMINO_ACIDS], rows)
+
+    @pytest.mark.parametrize("scheme,window_size", [("chunked", 9), ("sliding", 9),
+                                                    ("chunked", 4), ("sliding", 5)])
+    def test_equals_the_oracle_rows(self, tmp_path, scheme, window_size):
+        # 200 sequences fill more than one chunk of rows; the poly-A
+        # sequence has counts above 255 in either scheme.
+        step = report.CSV_CHUNK_CELLS // (window_size * (len(AMINO_ACIDS) + 2))
+        assert 200 > step
+        records = self.write_fasta(tmp_path / "seqs.fasta", 5, 200,
+                                   [(self.QUOTED_ID, "ACDEFGHIK" * 3), ("polyA", "A" * 2400)])
+        assert run_cli("prepare", "--sequences", tmp_path / "seqs.fasta", "--out", tmp_path,
+                       "--window-scheme", scheme, "--window-size", window_size) == 0
+        text = (tmp_path / "windows.csv").read_text()
+        assert text == self.expected(records, window_size, scheme)
+        assert max(int(v) for line in text.splitlines()[1:] for v in line.split(",")[-20:]) > 255
+
+    def test_table_never_outgrows_the_windows(self, tmp_path, monkeypatch):
+        # One window of one position holds counts up to the sequence length,
+        # far more than the window array's 20 cells.
+        sizes = []
+        count_table = report._count_table
+
+        def spy(windows):
+            table, codes = count_table(windows)
+            sizes.append((len(table), windows.size))
+            return table, codes
+
+        monkeypatch.setattr(report, "_count_table", spy)
+        records = [("long", "A" * 50_000 + "C" * 3000 + "W"), ("short", "ACDEFGHIK")]
+        (tmp_path / "seqs.fasta").write_text("".join(f">{i}\n{r}\n" for i, r in records))
+        for window_size in (1, 9):
+            assert run_cli("prepare", "--sequences", tmp_path / "seqs.fasta", "--out", tmp_path,
+                           "--window-size", window_size) == 0
+            text = (tmp_path / "windows.csv").read_text()
+            assert text == self.expected(records, window_size, "chunked")
+        assert len(sizes) == 2 and all(entries <= cells for entries, cells in sizes)
 
 
 def test_csv_cells_match_str():

@@ -1,15 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from motifswarm import featurize
 from motifswarm.errors import ContractError, ValidationError
 from motifswarm.featurize import normalize_windows
-from motifswarm.metrics import msr, structure_similarity
+from motifswarm.metrics import build_profile, msr, structure_similarity
 from motifswarm.psobiclust import seed_biclusters
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
     Settings,
     bicluster_corpus,
     compare_pipelines,
+    corpus_segment_counts,
     corpus_windows,
     json_text,
     profile_for_members,
@@ -18,7 +23,7 @@ from motifswarm.report import (
 )
 from motifswarm.seqio import Corpus, Sequence, load_sample_corpus
 
-from helpers import planted_structure_corpus
+from helpers import planted_structure_corpus, profile_oracle
 
 
 def similarity_of_profile(s):
@@ -75,9 +80,63 @@ def test_biclusters_are_the_crossings_in_fitness_order(seed):
 def test_profile_for_members_pure_helix():
     seqs = [Sequence("a", "A" * 18)]
     corpus = Corpus(sequences=seqs, structures={"a": "H" * 18})
-    profile = profile_for_members(corpus, ["a"])
+    profile = profile_for_members(corpus_segment_counts(corpus), [0])
     np.testing.assert_array_equal(profile, [[1.0, 0.0, 0.0]] * 9)
     assert structure_similarity(profile) == 1.0
+
+
+def ragged_structure_corpus(seed, n=150):
+    """n sequences of 9 to 400 residues, so most structure strings end in
+    an incomplete segment, and the corpus spans more than one counting
+    chunk."""
+    rng = np.random.default_rng(seed)
+    seqs, structures = [], {}
+    for i in range(n):
+        length = int(rng.integers(9, 401))
+        seqs.append(Sequence(f"s{i}", "A" * length))
+        structures[f"s{i}"] = "".join(rng.choice(list("HEC"), size=length,
+                                                 p=rng.dirichlet([1, 1, 1])))
+    return Corpus(sequences=seqs, structures=structures)
+
+
+class TestProfileForMembers:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_build_profile_bit_for_bit(self, seed):
+        corpus = ragged_structure_corpus(seed)
+        assert sum(len(s) for s in corpus.structures.values()) > featurize.CHUNK_RESIDUES
+        counts = corpus_segment_counts(corpus)
+        rng = np.random.default_rng(100 + seed)
+        ids = [s.id for s in corpus.sequences]
+        for size in (1, 2, 7, 40, len(ids)):
+            rows = rng.choice(len(ids), size=size, replace=False).tolist()
+            expected = build_profile([corpus.structures[ids[i]] for i in rows])
+            got = profile_for_members(counts, rows)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_counts_match_the_per_string_oracle(self):
+        corpus = ragged_structure_corpus(9, n=40)
+        counts = corpus_segment_counts(corpus)
+        for i, seq in enumerate(corpus.sequences):
+            text = corpus.structures[seq.id]
+            segments = [text[j:j + 9] for j in range(0, len(text) - 8, 9)]
+            np.testing.assert_array_equal(counts[i] / len(segments), profile_oracle(segments))
+
+    def test_zero_segments_is_a_contract_error(self):
+        corpus = Corpus(sequences=[Sequence("a", "A" * 9), Sequence("b", "A" * 8)],
+                        structures={"a": "H" * 9, "b": "E" * 8})
+        counts = corpus_segment_counts(corpus)
+        for rows in ([], [1]):
+            with pytest.raises(ContractError, match="^cannot build a profile from zero segments$"):
+                profile_for_members(counts, rows)
+        np.testing.assert_array_equal(profile_for_members(counts, [0, 1]),
+                                      build_profile(["H" * 9, "E" * 8]))
+
+    def test_no_structures_is_a_validation_error(self):
+        corpus = Corpus(sequences=[Sequence("a", "A" * 9)], structures=None)
+        assert corpus_segment_counts(corpus) is None
+        with pytest.raises(ValidationError, match="^corpus carries no structure annotations$"):
+            profile_for_members(corpus_segment_counts(corpus), [0])
 
 
 def planted_corpus(seed=2024, n_per_class=10):
@@ -171,3 +230,69 @@ class TestEmitters:
     def test_json_refuses_non_finite_numbers(self, number):
         with pytest.raises(ValueError):
             json_text({"tally": {"thresholds": [number]}})
+
+
+def json_dumps_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# st.characters() draws no surrogates, so lone ones are sampled in.
+_json_strings = st.text(st.one_of(
+    st.characters(), st.sampled_from("\ud800\udbff\udc00\udfff\"\\\n\x00\x7f\u00e9\u2028")))
+_json_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**63]))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), _json_strings, _json_floats,
+    st.integers(), st.integers(min_value=-2**80, max_value=2**80),
+    _json_floats.map(np.float64))
+# one key type per dict, as sort_keys needs keys that compare
+_json_keys = st.sampled_from([st.integers(), _json_floats, st.booleans(), st.none()])
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_json_strings, inner, max_size=5),
+        _json_keys.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=3))),
+    max_leaves=30)
+
+
+class TestJsonText:
+    """json_text is json.dumps(sort_keys=True, indent=2, allow_nan=False)
+    plus a newline, byte for byte, and refuses what json.dumps refuses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_payloads)
+    def test_equals_json_dumps(self, payload):
+        assert json_text(payload) == json_dumps_text(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}], -0.0, 5e-324, 1e16, 1e-7,
+        2**64 + 1, -(2**100), True, None, "\ud800x\u00e9", np.float64(0.1),
+        {True: 1, 2: "two", 0.5: [False]}, {None: None}, {"k": [1, "a", 2.5, None, True]},
+        [np.float64(1e300), {"z": np.float64(-0.0)}],
+    ])
+    def test_edge_payloads(self, payload):
+        assert json_text(payload) == json_dumps_text(payload)
+
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf"),
+                                        np.float64("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [x], lambda x: {"a": [1, {"b": x}]},
+                                      lambda x: {x: 1}, lambda x: [[], (x, "s")]])
+    def test_non_finite_numbers_raise_value_error(self, number, wrap):
+        with pytest.raises(ValueError) as expected:
+            json_dumps_text(wrap(number))
+        with pytest.raises(ValueError) as got:
+            json_text(wrap(number))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("payload", [
+        object(), {1, 2}, [b"bytes"], {"a": np.int64(3)}, [np.bool_(True)],
+        {(1, 2): "tuple key"}, {"a": 1, 2: "mixed keys"}, [1.5, {"x": [complex(1, 2)]}],
+    ])
+    def test_unsupported_objects_raise_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json_dumps_text(payload)
+        with pytest.raises(TypeError) as got:
+            json_text(payload)
+        assert str(got.value) == str(expected.value)

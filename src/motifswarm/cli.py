@@ -276,7 +276,47 @@ def _add_bicluster_flags(p) -> None:
                    help="volume reward weight (default: 0.1 x full-matrix MSR)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_cluster_flags(p) -> None:
+    p.add_argument("--engine", choices=ENGINES)
+    p.add_argument("--k", type=int, help="number of clusters")
+    p.add_argument("--trace", metavar="CSV",
+                   help="also write the per-iteration fitness trace")
+
+
+def _add_motif_flags(p) -> None:
+    p.add_argument("--biclusters", metavar="JSON",
+                   help="reuse an existing bicluster report instead of rerunning")
+    p.add_argument("--saa-threshold", type=float,
+                   help=f"positional frequency cutoff (default: {SAA_THRESHOLD})")
+    p.add_argument("--no-logo-correction", dest="logo_correction",
+                   action="store_const", const=False, default=None,
+                   help="skip the small-sample information correction")
+
+
+def _add_compare_flags(p) -> None:
+    p.add_argument("--k", type=int, help="number of clusters")
+    p.add_argument("--thresholds", help="comma-separated descending cutoffs")
+
+
+#: Each command's function, help line and flag groups, in --help order.
+COMMANDS = {
+    "prepare": (cmd_prepare, "emit frequency windows and the normalized matrix as "
+                "CSV plus a manifest", (_add_io_flags,)),
+    "cluster": (cmd_cluster, "group sequences by their windows",
+                (_add_io_flags, _add_swarm_flags, _add_cluster_flags)),
+    "bicluster": (cmd_bicluster, "select coherent sequence/amino-acid submatrices",
+                  (_add_io_flags, _add_swarm_flags, _add_bicluster_flags)),
+    "motifs": (cmd_motifs, "emit SAA/motif reports and logos per group",
+               (_add_io_flags, _add_swarm_flags, _add_bicluster_flags, _add_motif_flags)),
+    "compare": (cmd_compare, "tally structure homology of clusters vs biclusters",
+                (_add_io_flags, _add_swarm_flags, _add_bicluster_flags, _add_compare_flags)),
+}
+
+
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of command alone (None
+    for none): the others are registered with their help line, which is all
+    the top-level --help and its usage errors show."""
     # argparse's HelpFormatter reads the terminal width each time it is made,
     # and add_argument makes one per call; read it once, as it would.
     width = shutil.get_terminal_size().columns - 2
@@ -286,55 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=parser_class)
-
-    p = sub.add_parser("prepare", help="emit frequency windows and the "
-                       "normalized matrix as CSV plus a manifest")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("cluster", help="group sequences by their windows")
-    _add_io_flags(p)
-    _add_swarm_flags(p)
-    p.add_argument("--engine", choices=ENGINES)
-    p.add_argument("--k", type=int, help="number of clusters")
-    p.add_argument("--trace", metavar="CSV",
-                   help="also write the per-iteration fitness trace")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("bicluster", help="select coherent sequence/amino-acid "
-                       "submatrices")
-    _add_io_flags(p)
-    _add_swarm_flags(p)
-    _add_bicluster_flags(p)
-    p.set_defaults(func=cmd_bicluster)
-
-    p = sub.add_parser("motifs", help="emit SAA/motif reports and logos per group")
-    _add_io_flags(p)
-    _add_swarm_flags(p)
-    _add_bicluster_flags(p)
-    p.add_argument("--biclusters", metavar="JSON",
-                   help="reuse an existing bicluster report instead of rerunning")
-    p.add_argument("--saa-threshold", type=float,
-                   help=f"positional frequency cutoff (default: {SAA_THRESHOLD})")
-    p.add_argument("--no-logo-correction", dest="logo_correction",
-                   action="store_const", const=False, default=None,
-                   help="skip the small-sample information correction")
-    p.set_defaults(func=cmd_motifs)
-
-    p = sub.add_parser("compare", help="tally structure homology of clusters "
-                       "vs biclusters")
-    _add_io_flags(p)
-    _add_swarm_flags(p)
-    _add_bicluster_flags(p)
-    p.add_argument("--k", type=int, help="number of clusters")
-    p.add_argument("--thresholds", help="comma-separated descending cutoffs")
-    p.set_defaults(func=cmd_compare)
-
+    for name, (func, help_line, flag_groups) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            for add_flags in flag_groups:
+                add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so the first argument that
+    # names a command is the one argparse runs.
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         cfg = build_config(args)
         args.func(cfg)

@@ -3,11 +3,12 @@
 Each sequence is folded into consecutive 9-residue blocks; counting how often
 each amino acid occupies each of the 9 block positions gives one 9x20
 frequency window per sequence (the clustering unit). A corpus is encoded as
-column indices and counted by one np.bincount call per chunk of whole
-sequences; its windows are one (n, 9, 20) int64 array whose row i belongs to
-sequence i. For biclustering, every window is collapsed into a single
+column indices, each sequence padded to whole blocks, and counted by one
+np.bincount call per chunk of whole sequences over (sequence, position,
+letter) bins; its windows are one (n, 9, 20) int64 array whose row i belongs
+to sequence i. For biclustering, every window is collapsed into a single
 20-element row by a per-column normalization, giving an n_sequences x 20
-matrix.
+matrix; the mode is the argmax of a (window, letter, value) count table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .seqio import AMINO_ACIDS, Sequence, encode
+from .seqio import AMINO_ACIDS, Sequence, _codes, encode
 
 WINDOW_SIZE = 9
 
@@ -31,29 +32,38 @@ WINDOW_SCHEMES = ("chunked", "sliding")
 #: corpus size.
 CHUNK_RESIDUES = 2**14
 
+#: _column_modes counts values in tables of about this many cells.
+MODE_CELLS = 2**14
 
-def _count_windows(codes: np.ndarray, lengths: np.ndarray, window_size: int,
-                   n_symbols: int, scheme: str = "chunked") -> np.ndarray:
-    """(len(lengths), window_size, n_symbols) counts of the sequences whose
-    codes lie back to back in codes, lengths[s] codes for sequence s, by one
-    np.bincount call. The sliding scheme needs every length >= window_size.
 
-    Chunked: the code at position p of sequence s counts in row p mod
-    window_size. Sliding: it counts in every row i with 0 <= p - i <= L -
-    window_size, a run of rows added as +1 at its first row and -1 one past
-    its last (a spill row), then summed along the window axis.
+def _count_segments(codes: np.ndarray, n_segments, n_symbols: int) -> np.ndarray:
+    """(len(n_segments), ws, n_symbols) counts of codes, the (segments, ws)
+    codes of texts cut into ws-code segments and laid back to back,
+    n_segments[s] of them for text s, by one np.bincount call. Code
+    n_symbols pads a text's last segment and is not counted."""
+    n, ws = len(n_segments), codes.shape[1]
+    bins = n_symbols + 1
+    # Code c at column i of a segment of text s counts in bin (s ws + i) bins + c.
+    cells = np.arange(0, ws * bins, bins) + codes
+    cells += np.repeat(np.arange(0, n * ws * bins, ws * bins), n_segments)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n * ws * bins)
+    return counts.reshape(n, ws, bins)[:, :, :n_symbols]
+
+
+def _count_sliding(codes: np.ndarray, lengths: np.ndarray, window_size: int,
+                   n_symbols: int) -> np.ndarray:
+    """(len(lengths), window_size, n_symbols) counts of every stride-1
+    window of the sequences whose codes lie back to back in codes,
+    lengths[s] >= window_size codes for sequence s, by one np.bincount call.
+
+    The code at position p of a sequence of length L counts in every row i
+    with 0 <= p - i <= L - window_size, a run of rows added as +1 at its
+    first row and -1 one past its last (a spill row), then summed along the
+    window axis.
     """
-    lengths = np.asarray(lengths)
     n, ws = len(lengths), window_size
     pos = np.arange(codes.size)
     pos -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    if scheme == "chunked":
-        pos %= ws
-        pos += np.repeat(np.arange(0, n * ws, ws), lengths)
-        pos *= n_symbols
-        pos += codes
-        counts = np.bincount(pos, minlength=n * ws * n_symbols)
-        return counts.reshape(n, ws, n_symbols)
     # cells[0] marks each residue's first row, cells[1] one past its last
     # row, in a second half of the count table.
     cells = np.empty((2, codes.size), dtype=np.intp)
@@ -79,17 +89,39 @@ def _chunks(lengths: np.ndarray):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _table_modes(codes: np.ndarray, n_values: int) -> np.ndarray:
+    """(n, d) most frequent code of each column of each window of an (n, ws,
+    d) stack of codes in [0, n_values), ties to the smallest: the argmax of
+    a (window, column, code) count table, counted by one np.bincount per
+    chunk of windows. A chunk's table holds about MODE_CELLS cells, or one
+    window's d x n_values if that is more."""
+    n, _, d = codes.shape
+    step = max(1, MODE_CELLS // (d * n_values))
+    offsets = np.arange(0, step * d * n_values, n_values).reshape(step, 1, d)
+    modes = np.empty((n, d), dtype=np.intp)
+    for lo in range(0, n, step):
+        cells = codes[lo:lo + step] + offsets[:n - lo]
+        table = np.bincount(cells.ravel(), minlength=cells.shape[0] * d * n_values)
+        modes[lo:lo + step] = table.reshape(-1, d, n_values).argmax(axis=2)
+    return modes
+
+
 def _column_modes(counts: np.ndarray) -> np.ndarray:
     """Most frequent value of each column of each (ws, 20) window in an
     (n, ws, 20) stack, ties resolved to the smallest value."""
-    # freq[t, r, j]: how many rows of column j of window t equal row r's
-    # value. One broadcast comparison per row keeps the temporaries at the
-    # size of the stack, whatever the window size.
-    freq = np.zeros(counts.shape, dtype=np.intp)
-    for r in range(counts.shape[1]):
-        freq += counts == counts[:, r : r + 1, :]
-    top = freq == freq.max(axis=1, keepdims=True)
-    return np.where(top, counts, np.inf).min(axis=1)
+    if counts.dtype.kind in "iu" and counts.min(initial=0) >= 0:
+        n_values = int(counts.max(initial=0)) + 1
+        if counts.shape[2] * n_values <= MODE_CELLS:
+            return _table_modes(counts, n_values).astype(float)
+    # Larger or other values: each column counts the ranks of its values in
+    # its window, fewer than ws, so a window's table is no larger than it.
+    ordered = np.sort(counts, axis=1)
+    new = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = new.cumsum(axis=1) - 1
+    top_rank = _table_modes(ranks, counts.shape[1])[:, None]
+    first = np.argmax(ranks == top_rank, axis=1)[:, None]
+    return np.take_along_axis(ordered, first, axis=1)[:, 0].astype(float)
 
 
 def normalize_windows(windows: np.ndarray, method: str) -> np.ndarray:
@@ -131,8 +163,18 @@ def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -
     if window_size * len(AMINO_ACIDS) * 8 > np.iinfo(np.intp).max:
         raise ContractError(f"window size {window_size} is too large to allocate")
     windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
-    for lo, hi in _chunks(lengths):
-        codes = encode("".join([s.residues for s in seqs[lo:hi]]))
-        windows[lo:hi] = _count_windows(codes, lengths[lo:hi], window_size,
-                                        len(AMINO_ACIDS), scheme)
+    if scheme == "sliding":
+        for lo, hi in _chunks(lengths):
+            codes = encode("".join([s.residues for s in seqs[lo:hi]]))
+            windows[lo:hi] = _count_sliding(codes, lengths[lo:hi], window_size,
+                                            len(AMINO_ACIDS))
+        return windows
+    n_segments = -(-lengths // window_size)
+    for lo, hi in _chunks(n_segments * window_size):
+        # Each sequence padded to whole segments by a character outside the
+        # alphabet, whose code _count_segments drops.
+        padded = "".join([s.residues.ljust(m, "-") for s, m in
+                          zip(seqs[lo:hi], (n_segments[lo:hi] * window_size).tolist())])
+        codes = _codes(padded, AMINO_ACIDS).reshape(-1, window_size)
+        windows[lo:hi] = _count_segments(codes, n_segments[lo:hi], len(AMINO_ACIDS))
     return windows

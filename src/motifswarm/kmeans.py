@@ -99,7 +99,8 @@ def assignment_fitness(flat, centroids, k: int):
     the lowest index) and the (P,) penalty-free fitness of _labelled_fitness."""
     dist = _pairwise_l1(flat, centroids).reshape(flat.shape[0], -1, k)
     labels = dist.argmin(axis=2)
-    return labels, _labelled_fitness(dist.min(axis=2), labels, k, 0.0)
+    nearest = np.take_along_axis(dist, labels[:, :, None], axis=2)[:, :, 0]
+    return labels, _labelled_fitness(nearest, labels, k, 0.0)
 
 
 def _labelled_fitness(nearest, labels, k: int, empty_penalty: float):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence as Seq
 import numpy as np
 
 from .errors import ContractError
-from .featurize import WINDOW_SIZE, _chunks, _count_windows
+from .featurize import WINDOW_SIZE, _chunks, _count_segments
 from .seqio import SS3_CLASSES, encode
 
 HOMOLOGY_IDENTICAL = "Identical"
@@ -55,9 +55,8 @@ def build_profile(structures: Iterable[str]) -> np.ndarray:
     n_segments = len(joined) // WINDOW_SIZE
     if not n_segments:
         raise ContractError("cannot build a profile from zero segments")
-    counts = _count_windows(encode(joined, SS3_CLASSES), [len(joined)], WINDOW_SIZE,
-                            len(SS3_CLASSES))[0]
-    return counts / n_segments
+    codes = encode(joined, SS3_CLASSES).reshape(-1, WINDOW_SIZE)
+    return _count_segments(codes, [n_segments], len(SS3_CLASSES))[0] / n_segments
 
 
 def segment_counts(structures: list[str]) -> np.ndarray:
@@ -72,14 +71,8 @@ def segment_counts(structures: list[str]) -> np.ndarray:
     for lo, hi in _chunks(n_segments * ws):
         joined = "".join([s[: ws * m] for s, m in zip(structures[lo:hi],
                                                       n_segments[lo:hi].tolist())])
-        # The joined segments, one per row: cell (segment, i) counts label
-        # code c in bin (owner * ws + i) * 3 + c.
-        cells = encode(joined, SS3_CLASSES).reshape(-1, ws)
-        cells += np.arange(0, ws * n_classes, n_classes)
-        cells += np.repeat(np.arange(0, (hi - lo) * ws * n_classes, ws * n_classes),
-                           n_segments[lo:hi])[:, None]
-        counts[lo:hi] = np.bincount(cells.ravel(), minlength=(hi - lo) * ws * n_classes
-                                    ).reshape(hi - lo, ws, n_classes)
+        codes = encode(joined, SS3_CLASSES).reshape(-1, ws)
+        counts[lo:hi] = _count_segments(codes, n_segments[lo:hi], n_classes)
     return counts
 
 

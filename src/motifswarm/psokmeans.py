@@ -185,8 +185,8 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
         lattice = Lattice(flat, ordered)
         nearest, snap = lattice.labels, lattice.medians
     else:
-        nearest = lambda centroids: assignment_fitness(
-            flat, centroids.reshape(-1, flat.shape[1]), k)[0]
+        nearest = lambda centroids: _pairwise_l1(
+            flat, centroids.reshape(-1, flat.shape[1])).reshape(n, -1, k).argmin(axis=2)
         snap = lambda centroids, labels: _median_step(flat, centroids, labels)
 
     every = np.arange(cfg.n_particles)

@@ -168,9 +168,10 @@ def _json_scalar(value) -> str:
 def _json_write(value, indent: str, out: list) -> None:
     """Append the fragments of a list, tuple or dict's JSON text at indent
     to out. A container whose members are all scalars of exact types is one
-    join; otherwise each member is one fragment, and a container member is
-    written by a recursive call. The payload must be a tree: a container
-    that holds itself is not detected."""
+    join, and so is a list whose members are all non-empty lists of them;
+    otherwise each member is one fragment, and a container member is written
+    by a recursive call. The payload must be a tree: a container that holds
+    itself is not detected."""
     is_list = isinstance(value, (list, tuple))
     opener, closer = ("[", "]") if is_list else ("{", "}")
     if not value:
@@ -181,10 +182,15 @@ def _json_write(value, indent: str, out: list) -> None:
     items = value if is_list else sorted(value.items())
     # Another member type (a container or a subclass) raises KeyError.
     try:
-        if is_list:
-            texts = [_JSON_SCALARS[type(v)](v) for v in items]
-        else:
+        if not is_list:
             texts = [f"{_json_key(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in items]
+        elif all(type(v) is list and v for v in items):
+            pad = "\n" + inner + "  "
+            comma = "," + pad
+            texts = [f"[{pad}{comma.join([_JSON_SCALARS[type(x)](x) for x in v])}\n{inner}]"
+                     for v in items]
+        else:
+            texts = [_JSON_SCALARS[type(v)](v) for v in items]
         out.append(f"{opener}\n{inner}{sep.join(texts)}\n{indent}{closer}")
         return
     except KeyError:

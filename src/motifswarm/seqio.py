@@ -41,8 +41,12 @@ class Sequence:
     def __post_init__(self):
         # str.upper turns some non-ASCII letters into legal ones ('ß' -> 'SS',
         # 'ı' -> 'I'), so they become '?' first, which keeps every position; the
-        # check then deletes the 20 letters from the bytes in one C pass.
-        residues = self.residues.encode("ascii", "replace").upper()
+        # check then deletes the 20 letters from the bytes in one C pass. A str
+        # of upper-case letters alone leaves nothing and is kept as it is.
+        residues = self.residues.encode("ascii", "replace")
+        if type(self.residues) is str and not residues.translate(None, _RESIDUE_BYTES):
+            return
+        residues = residues.upper()
         illegal = residues.translate(None, _RESIDUE_BYTES)
         if illegal:
             pos = residues.index(illegal[0])
@@ -79,26 +83,33 @@ def _sequence(seq_id: str, header_line: int, body: list[str]) -> Sequence:
     return Sequence(seq_id, body)
 
 
-def _byte_codes(alphabet: str) -> np.ndarray:
-    """256-entry lookup from an ASCII byte to its index in alphabet; every
-    other byte maps to len(alphabet)."""
-    table = np.full(256, len(alphabet), dtype=np.intp)
-    table[list(alphabet.encode("ascii"))] = np.arange(len(alphabet))
-    return table
+def _byte_codes(alphabet: str) -> bytes:
+    """bytes.translate table from an ASCII byte to its index in alphabet;
+    every other byte maps to len(alphabet)."""
+    table = bytearray([len(alphabet)]) * 256
+    for code, byte in enumerate(alphabet.encode("ascii")):
+        table[byte] = code
+    return bytes(table)
 
 
 _CODE_TABLES = {AMINO_ACIDS: _byte_codes(AMINO_ACIDS),
                 SS3_CLASSES: _byte_codes(SS3_CLASSES)}
 
 
+def _codes(text: str, alphabet: str) -> np.ndarray:
+    """The uint8 index of each character of text in alphabet (AMINO_ACIDS or
+    SS3_CLASSES), len(alphabet) for any other character, by one translate
+    of the ASCII bytes of text. The array is read-only."""
+    return np.frombuffer(text.encode("ascii", "replace").translate(_CODE_TABLES[alphabet]),
+                         dtype=np.uint8)
+
+
 def encode(text: str, alphabet: str = AMINO_ACIDS) -> np.ndarray:
-    """Index of each character of text in alphabet (AMINO_ACIDS or
-    SS3_CLASSES), by one table lookup on the ASCII bytes of text.
+    """_codes of text in alphabet (AMINO_ACIDS or SS3_CLASSES).
 
     Raises ContractError naming the first character outside the alphabet.
     """
-    codes = _CODE_TABLES[alphabet][
-        np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    codes = _codes(text, alphabet)
     if codes.size and codes.max() == len(alphabet):
         pos = int(np.argmax(codes == len(alphabet)))
         raise ContractError(

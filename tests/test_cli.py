@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -904,6 +905,51 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 64
+
+    # Every flag each command accepts, as listed by its --help.
+    IO = ["--config", "--sequences", "--structures", "--sample-corpus", "--out", "--seed",
+          "--window-size", "--window-scheme", "--normalization"]
+    SWARM = ["--n-particles", "--max-iter", "--w", "--c1", "--c2"]
+    BICLUSTER = ["--k-rows", "--k-cols", "--lambda"]
+    FLAGS = {
+        "prepare": IO,
+        "cluster": [*IO, *SWARM, "--engine", "--k", "--trace"],
+        "bicluster": [*IO, *SWARM, *BICLUSTER],
+        "motifs": [*IO, *SWARM, *BICLUSTER, "--biclusters", "--saa-threshold",
+                   "--no-logo-correction"],
+        "compare": [*IO, *SWARM, *BICLUSTER, "--k", "--thresholds"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_command_help_names_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: motifswarm {command} ")
+        assert set(re.findall(r"--[a-z0-9-]+", out)) == {"--help", *self.FLAGS[command]}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_usage_errors_of_each_command_exit_64(self, capsys, command):
+        # argparse leaves a subcommand's unknown flags to the top level,
+        # and the subcommand's own parser refuses a bad value.
+        for argv, message in [(["--bogus"], "motifswarm: error: unrecognized arguments: "
+                                "--bogus\n"),
+                              (["--seed", "x"], f"motifswarm {command}: error: argument "
+                               "--seed: invalid int value: 'x'\n")]:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, *argv)
+            assert exc.value.code == 64
+            assert capsys.readouterr().err.endswith(message)
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{prepare,cluster,bicluster,motifs,compare}" in out
+        for command in self.FLAGS:
+            assert re.search(rf"^\s+{command}\s+\S", out, re.MULTILINE), command
 
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(

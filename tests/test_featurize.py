@@ -95,18 +95,50 @@ def test_window_size_below_one_is_contract_error(window_size):
         build_cluster_dataset([], window_size, SCHEME)
 
 
-@settings(max_examples=150, deadline=None)
-@given(window_size=st.integers(1, 12), n=st.integers(1, 6), top=st.integers(1, 6),
-       seed=st.integers(0, 2**16), method=st.sampled_from(NORMALIZATION_METHODS))
-def test_normalized_rows_match_oracle(window_size, n, top, seed, method):
-    # Small count values make tied modes common.
+@settings(max_examples=300, deadline=None)
+@given(window_size=st.integers(1, 12), n=st.integers(1, 6),
+       top=st.one_of(st.integers(1, 6),
+                     st.sampled_from([100, featurize.MODE_CELLS // 20 - 1,
+                                      featurize.MODE_CELLS // 20, 5000, 2**40])),
+       n_distinct=st.integers(1, 7), seed=st.integers(0, 2**16),
+       method=st.sampled_from(NORMALIZATION_METHODS))
+def test_normalized_rows_match_oracle(window_size, n, top, n_distinct, seed, method):
+    # Counts drawn from a few values make tied modes common, whether they
+    # are small or far above the window size, up to the modes' value-table
+    # limit and past it.
     rng = np.random.default_rng(seed)
-    windows = rng.integers(0, top + 1, size=(n, window_size, 20))
+    values = rng.integers(0, top + 1, size=n_distinct)
+    windows = rng.choice(values, size=(n, window_size, 20))
     matrix = normalize_windows(windows, method)
     assert matrix.shape == (n, len(AMINO_ACIDS))
     for t, w in enumerate(windows):
         np.testing.assert_array_equal(matrix[t], normalize_oracle(w, method))
         np.testing.assert_array_equal(normalize_windows(w[None], method)[0], matrix[t])
+
+
+@pytest.mark.parametrize("window_size", [1, 9, 2000])
+def test_mode_tables_stay_bounded(window_size):
+    """Every count table of the modes holds at most MODE_CELLS cells or one
+    window's, whatever the counts: at window size 1, the 53 001-residue
+    poly-A sequence has counts above 30 000."""
+    rng = np.random.default_rng(3)
+    seqs = [random_sequence(rng, 23_001, seq_id="long"),
+            Sequence("polyA", "A" * 30_000 + random_sequence(rng, 23_001).residues),
+            *(random_sequence(rng, 2000 + 50 * i, seq_id=f"s{i}") for i in range(40))]
+    windows = build_cluster_dataset(seqs, window_size, SCHEME)
+    sizes = []
+    bincount = np.bincount
+
+    def spy(*args, **kwargs):
+        table = bincount(*args, **kwargs)
+        sizes.append(table.size)
+        return table
+
+    with mock.patch.object(featurize.np, "bincount", spy):
+        matrix = normalize_windows(windows, "mode")
+    assert sizes and max(sizes) <= max(featurize.MODE_CELLS, windows[0].size)
+    for t in (0, 1, 2, len(seqs) - 1):
+        np.testing.assert_array_equal(matrix[t], normalize_oracle(windows[t], "mode"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -453,7 +453,12 @@ def test_sample_corpus_inputs_take_the_table(name):
     assert spy.called
 
 
-def test_swarm_scores_only_its_final_labels_with_assignment_fitness():
+@pytest.mark.parametrize("kernel", ["table", "direct"])
+def test_swarm_scores_only_its_final_labels_with_assignment_fitness(monkeypatch, kernel):
+    """Neither kernel labels the swarm through assignment_fitness, whose
+    fitness it would throw away."""
+    if kernel == "direct":
+        monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: False)
     flat, k = command_input("chunked")
     with mock.patch.object(psokmeans, "assignment_fitness",
                            wraps=psokmeans.assignment_fitness) as spy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifswarm import featurize
+from motifswarm import featurize, report
 from motifswarm.errors import ContractError, ValidationError
 from motifswarm.featurize import normalize_windows
 from motifswarm.metrics import build_profile, msr, structure_similarity
@@ -256,6 +256,21 @@ _json_payloads = st.recursive(
         _json_keys.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=3))),
     max_leaves=30)
 
+# Lists of short lists, as the motif reports' [letter, height] pairs: a list
+# whose members are all non-empty lists of exact scalars (bool included) is
+# one join, and a member of another kind (np.float64, dict, tuple, an empty
+# list, or a list holding one of these) sends it down the recursive path.
+_json_exact_scalars = st.one_of(st.none(), _json_strings, _json_floats, st.integers())
+# Half the members are lists of exact scalars, so whole lists of them occur.
+_json_short_lists = st.lists(
+    st.one_of(
+        st.lists(_json_exact_scalars, min_size=1, max_size=3),
+        st.one_of(
+            st.lists(st.one_of(_json_exact_scalars, st.booleans(), _json_floats.map(np.float64),
+                               st.just({}), st.just(()), st.just([])), min_size=1, max_size=3),
+            st.sampled_from([[], (), {}, {"a": 1}, ("A", 0.5), True, np.float64(0.5)]))),
+    max_size=8)
+
 
 class TestJsonText:
     """json_text is json.dumps(sort_keys=True, indent=2, allow_nan=False)
@@ -265,6 +280,27 @@ class TestJsonText:
     @given(_json_payloads)
     def test_equals_json_dumps(self, payload):
         assert json_text(payload) == json_dumps_text(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_short_lists)
+    def test_lists_of_short_lists_equal_json_dumps(self, payload):
+        assert json_text(payload) == json_dumps_text(payload)
+        assert json_text({"pairs": payload}) == json_dumps_text({"pairs": payload})
+
+    @pytest.mark.parametrize("payload,one_join", [
+        ([["A", 1.5], ["C", 0], ["W", None, "x"]], True),
+        ([["A", 1.5], ["C", np.float64(0.25)]], False),
+        ([["A", 1.5], ["C", True]], True),
+        ([["A", 1.5], []], False),
+        ([["A", 1.5], ("C", 0.5)], False),
+        ([["A", 1.5], {"C": 0.5}], False),
+        ([["A", 1.5], ["C", [0.5]]], False),
+    ])
+    def test_lists_of_scalar_lists_are_one_join(self, payload, one_join):
+        out = []
+        report._json_write(payload, "", out)
+        assert (len(out) == 1) == one_join
+        assert "".join(out) + "\n" == json_dumps_text(payload)
 
     @pytest.mark.parametrize("payload", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}], -0.0, 5e-324, 1e16, 1e-7,

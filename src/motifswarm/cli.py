@@ -331,15 +331,19 @@ def build_parser(command) -> argparse.ArgumentParser:
         if name == command:
             for add_flags in flag_groups:
                 add_flags(p)
-            p.set_defaults(func=func)
+            p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # The top level takes no option with a value, so the first argument that
-    # names a command is the one argparse runs.
-    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+    # names a command is the one argparse runs. argparse leaves a command's
+    # unknown arguments to the top level; the command's parser refuses them.
+    args, unknown = build_parser(next((a for a in argv if a in COMMANDS), None)
+                                 ).parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = build_config(args)
         args.func(cfg)
@@ -349,10 +353,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"motifswarm: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except InputError as exc:
-        print(f"motifswarm: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"motifswarm: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

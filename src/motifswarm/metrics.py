@@ -8,7 +8,7 @@ kmeans._pairwise_l1 and psokmeans.Lattice.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence as Seq
+from typing import Sequence as Seq
 
 import numpy as np
 
@@ -46,25 +46,12 @@ def msr(matrix: np.ndarray, rows: Seq[int], cols: Seq[int]) -> float:
     return float(np.mean(residue**2))
 
 
-def build_profile(structures: Iterable[str]) -> np.ndarray:
-    """The ws x 3 per-position H, E, C frequencies (rows sum to 1) over the
-    complete 9-label segments of the members' H/E/C strings; each string's
-    incomplete tail is dropped, so a string of length L gives floor(L / 9)
-    segments."""
-    joined = "".join(s[: len(s) - len(s) % WINDOW_SIZE] for s in structures)
-    n_segments = len(joined) // WINDOW_SIZE
-    if not n_segments:
-        raise ContractError("cannot build a profile from zero segments")
-    codes = encode(joined, SS3_CLASSES).reshape(-1, WINDOW_SIZE)
-    return _count_segments(codes, [n_segments], len(SS3_CLASSES))[0] / n_segments
-
-
 def segment_counts(structures: list[str]) -> np.ndarray:
     """(len(structures), ws, 3) per-position H, E, C counts over each H/E/C
     string's complete 9-label segments, counted in chunks of strings as
-    featurize counts windows. A group's profile is the sum of its members'
-    rows over their number of segments, which equals build_profile of their
-    strings, as the counts are whole numbers."""
+    featurize counts windows. A group's ws x 3 H, E, C profile (rows sum to
+    1) is the sum of its members' rows over their number of segments: see
+    report.profile_for_members."""
     ws, n_classes = WINDOW_SIZE, len(SS3_CLASSES)
     n_segments = np.fromiter(map(len, structures), dtype=np.intp, count=len(structures)) // ws
     counts = np.empty((len(structures), ws, n_classes), dtype=np.int64)
@@ -77,7 +64,8 @@ def segment_counts(structures: list[str]) -> np.ndarray:
 
 
 def structure_similarity(profile: np.ndarray) -> float:
-    """Average, over positions, of a build_profile's dominant class frequency."""
+    """Average, over positions, of a ws x 3 profile's dominant class frequency
+    (report.profile_for_members)."""
     return float(profile.max(axis=1).mean())
 
 

@@ -165,49 +165,28 @@ def _json_scalar(value) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _json_write(value, indent: str, out: list) -> None:
-    """Append the fragments of a list, tuple or dict's JSON text at indent
-    to out. A container whose members are all scalars of exact types is one
-    join, and so is a list whose members are all non-empty lists of them;
-    otherwise each member is one fragment, and a container member is written
-    by a recursive call. The payload must be a tree: a container that holds
-    itself is not detected."""
-    is_list = isinstance(value, (list, tuple))
-    opener, closer = ("[", "]") if is_list else ("{", "}")
+def _json_write(value, indent: str) -> str:
+    """The JSON text of a list, tuple or dict at indent. A member whose
+    exact type is in _JSON_SCALARS is written inline and any other member by
+    a recursive call, which writes a container member by member and sends
+    any other value to _json_scalar. The payload must be a tree: a container
+    that holds itself is not detected."""
+    if isinstance(value, (list, tuple)):
+        opener, closer, items = "[", "]", value
+    elif isinstance(value, dict):
+        opener, closer, items = "{", "}", sorted(value.items())
+    else:
+        return _json_scalar(value)
     if not value:
-        out.append(opener + closer)
-        return
+        return opener + closer
     inner = indent + "  "
-    sep = ",\n" + inner
-    items = value if is_list else sorted(value.items())
-    # Another member type (a container or a subclass) raises KeyError.
-    try:
-        if not is_list:
-            texts = [f"{_json_key(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in items]
-        elif all(type(v) is list and v for v in items):
-            pad = "\n" + inner + "  "
-            comma = "," + pad
-            texts = [f"[{pad}{comma.join([_JSON_SCALARS[type(x)](x) for x in v])}\n{inner}]"
-                     for v in items]
-        else:
-            texts = [_JSON_SCALARS[type(v)](v) for v in items]
-        out.append(f"{opener}\n{inner}{sep.join(texts)}\n{indent}{closer}")
-        return
-    except KeyError:
-        pass
-    head = opener + "\n" + inner
-    for item in items:
-        if not is_list:
-            head += _json_key(item[0]) + ": "
-            item = item[1]
-        scalar = _JSON_SCALARS.get(type(item))
-        if scalar is None and isinstance(item, (list, tuple, dict)):
-            out.append(head)
-            _json_write(item, inner, out)
-        else:
-            out.append(head + (scalar or _json_scalar)(item))
-        head = sep
-    out.append("\n" + indent + closer)
+    if opener == "[":
+        texts = [s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_write(v, inner)
+                 for v in items]
+    else:
+        texts = [_json_key(k) + ": " + (s(v) if (s := _JSON_SCALARS.get(type(v)))
+                                        else _json_write(v, inner)) for k, v in items]
+    return opener + "\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + closer
 
 
 def json_text(payload) -> str:
@@ -217,13 +196,8 @@ def json_text(payload) -> str:
     payload. Scalars are written by json's own functions. A payload that
     contains itself, which json refuses with a ValueError, recurses until
     RecursionError; artifact payloads are built fresh as trees."""
-    if not isinstance(payload, (list, tuple, dict)):
-        scalar = _JSON_SCALARS.get(type(payload), _json_scalar)
-        return scalar(payload) + "\n"
-    out = []
-    _json_write(payload, "", out)
-    out.append("\n")
-    return "".join(out)
+    scalar = _JSON_SCALARS.get(type(payload))
+    return (scalar(payload) if scalar else _json_write(payload, "")) + "\n"
 
 
 def csv_field(text: str) -> str:
@@ -311,9 +285,12 @@ def corpus_segment_counts(corpus: Corpus):
 
 
 def profile_for_members(counts, rows) -> np.ndarray:
-    """metrics.build_profile of the structures of the sequences at rows,
+    """The ws x 3 per-position H, E, C frequencies (rows sum to 1) over the
+    complete 9-label segments of the structures of the sequences at rows,
     from their corpus_segment_counts: the summed counts over the members'
-    number of segments, which every segment adds once to position 0."""
+    number of segments, which every segment adds once to position 0. Each
+    string's incomplete tail is dropped, so a string of length L gives
+    floor(L / 9) segments."""
     if counts is None:
         raise ValidationError("corpus carries no structure annotations")
     total = counts[rows].sum(axis=0)

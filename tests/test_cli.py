@@ -931,16 +931,17 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_usage_errors_of_each_command_exit_64(self, capsys, command):
-        # argparse leaves a subcommand's unknown flags to the top level,
-        # and the subcommand's own parser refuses a bad value.
-        for argv, message in [(["--bogus"], "motifswarm: error: unrecognized arguments: "
-                                "--bogus\n"),
+        # The command's own parser refuses an unknown flag and a bad value.
+        for argv, message in [(["--bogus"], f"motifswarm {command}: error: unrecognized "
+                                "arguments: --bogus\n"),
                               (["--seed", "x"], f"motifswarm {command}: error: argument "
                                "--seed: invalid int value: 'x'\n")]:
             with pytest.raises(SystemExit) as exc:
                 run_cli(command, *argv)
             assert exc.value.code == 64
-            assert capsys.readouterr().err.endswith(message)
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: motifswarm {command} ")
+            assert err.endswith(message)
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

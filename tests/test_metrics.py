@@ -8,14 +8,14 @@ from motifswarm.metrics import (
     HOMOLOGY_IDENTICAL,
     HOMOLOGY_NONE,
     HOMOLOGY_WEAK,
-    build_profile,
     homology_class,
     msr,
+    segment_counts,
     structure_similarity,
 )
 from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import assignment_fitness, pso_kmeans
-from motifswarm.report import Settings
+from motifswarm.report import Settings, profile_for_members
 
 from helpers import msr_oracle, profile_oracle
 
@@ -146,18 +146,27 @@ class TestHomologyClass:
         assert grades == sorted(grades)
 
 
+def group_profile(structures):
+    """The profile of a group whose members have these structure strings,
+    as the commands build it."""
+    return profile_for_members(segment_counts(structures), list(range(len(structures))))
+
+
 class TestBuildProfile:
+    """A group's structure profile: profile_for_members over the members'
+    metrics.segment_counts."""
+
     def test_all_helix_segments(self):
-        prof = build_profile(["H" * 9, "H" * 9])
+        prof = group_profile(["H" * 9, "H" * 9])
         np.testing.assert_allclose(prof, [[1, 0, 0]] * 9)
 
     def test_half_helix_half_sheet(self):
-        prof = build_profile(["H" * 9 + "E" * 9])
+        prof = group_profile(["H" * 9 + "E" * 9])
         np.testing.assert_allclose(prof, [[0.5, 0.5, 0]] * 9)
 
     def test_mixed_hand_tally(self):
         segs = ["HHHHEEEEC", "HHEEEECCC", "HHHHHHHHH", "CCCCCCCCC"]
-        prof = build_profile(["".join(segs)])
+        prof = group_profile(["".join(segs)])
         # position 1: H,H,H,C -> (0.75, 0, 0.25)
         np.testing.assert_allclose(prof[0], [0.75, 0.0, 0.25])
         # position 5: E,E,H,C -> (0.25, 0.5, 0.25)
@@ -166,27 +175,27 @@ class TestBuildProfile:
 
     def test_zero_segments_rejected(self):
         with pytest.raises(ContractError):
-            build_profile([])
+            group_profile([])
         with pytest.raises(ContractError):
-            build_profile(["H" * 8, "E" * 3])
+            group_profile(["H" * 8, "E" * 3])
 
     def test_chunks_each_structure_into_blocks(self):
         mixed = "HHHEEECCC" + "EEEEEEEEE" + "CHCHCHCHC"
         np.testing.assert_array_equal(
-            build_profile([mixed]),
+            group_profile([mixed]),
             profile_oracle(["HHHEEECCC", "EEEEEEEEE", "CHCHCHCHC"]))
 
     def test_each_tail_is_dropped_on_its_own(self):
         # The tails "EEEE" and "CCCCC" together would fill a block; neither
         # may join the other member's labels.
-        prof = build_profile(["H" * 9 + "EEEE", "C" * 9 + "CCCCC"])
+        prof = group_profile(["H" * 9 + "EEEE", "C" * 9 + "CCCCC"])
         np.testing.assert_array_equal(prof, profile_oracle(["H" * 9, "C" * 9]))
 
     def test_segment_count_is_floor(self):
         # one helix block, then sheet labels: the helix share of position 1
         # is one over the segment count
         for n in [9, 10, 17, 18, 26, 27, 35]:
-            prof = build_profile(["H" * 9 + "E" * (n - 9)])
+            prof = group_profile(["H" * 9 + "E" * (n - 9)])
             assert prof[0, 0] == 1 / (n // 9)
 
     @settings(max_examples=100, deadline=None)
@@ -195,6 +204,6 @@ class TestBuildProfile:
         structures = data.draw(st.lists(
             st.text(alphabet="HEC", max_size=40), min_size=1, max_size=4).filter(
                 lambda ss: any(len(s) >= 9 for s in ss)))
-        prof = build_profile(structures)
+        prof = group_profile(structures)
         segments = [s[t : t + 9] for s in structures for t in range(0, len(s) - 8, 9)]
         np.testing.assert_array_equal(prof, profile_oracle(segments))

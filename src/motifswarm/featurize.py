@@ -5,10 +5,13 @@ each amino acid occupies each of the 9 block positions gives one 9x20
 frequency window per sequence (the clustering unit). A corpus is encoded as
 column indices, each sequence padded to whole blocks, and counted by one
 np.bincount call per chunk of whole sequences over (sequence, position,
-letter) bins; its windows are one (n, 9, 20) int64 array whose row i belongs
-to sequence i. For biclustering, every window is collapsed into a single
-20-element row by a per-column normalization, giving an n_sequences x 20
-matrix; the mode is the argmax of a (window, letter, value) count table.
+letter) bins; its windows are one (n, 9, 20) array whose row i belongs to
+sequence i, in the narrowest unsigned type that holds the largest count any
+window can reach (uint8 unless a sequence holds 256 or more blocks), so
+callers convert before they subtract. For biclustering, every window is
+collapsed into a single 20-element row by a per-column normalization, giving
+an n_sequences x 20 matrix; the mode is the argmax of a (window, letter,
+value) count table.
 """
 
 from __future__ import annotations
@@ -143,10 +146,13 @@ def normalize_windows(windows: np.ndarray, method: str) -> np.ndarray:
 def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -> np.ndarray:
     """The (len(seqs), window_size, 20) windows of seqs, in input order.
 
-    A sequence shorter than window_size is a ValidationError naming the first
-    one, raised before the window array is allocated. A window size whose
-    (window_size, 20) int64 counts exceed what numpy can address is a
-    ContractError; only an empty seqs reaches it, as any sequence is shorter.
+    The counts are of the narrowest unsigned type that holds the most
+    segments (chunked) or stride-1 windows (sliding) of any sequence, the
+    largest count a window can reach. A sequence shorter than window_size is
+    a ValidationError naming the first one, raised before the window array is
+    allocated. A window size whose (window_size, 20) counts of that type
+    exceed what numpy can address is a ContractError; only an empty seqs
+    reaches it, as any sequence is shorter.
     """
     if window_size < 1:
         raise ContractError(f"window size must be >= 1, got {window_size}")
@@ -159,10 +165,14 @@ def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -
         raise ValidationError(
             f"sequence '{seq.id}' has length {len(seq)} < window size {window_size}"
         )
+    longest = int(lengths.max(initial=0))
+    most = (max(longest - window_size + 1, 0) if scheme == "sliding"
+            else -(-longest // window_size))
+    dtype = np.min_scalar_type(most)
     # numpy refuses a shape of more bytes than it can address, even an empty one.
-    if window_size * len(AMINO_ACIDS) * 8 > np.iinfo(np.intp).max:
+    if window_size * len(AMINO_ACIDS) * dtype.itemsize > np.iinfo(np.intp).max:
         raise ContractError(f"window size {window_size} is too large to allocate")
-    windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=np.int64)
+    windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=dtype)
     if scheme == "sliding":
         for lo, hi in _chunks(lengths):
             codes = encode("".join([s.residues for s in seqs[lo:hi]]))

@@ -49,12 +49,14 @@ def msr(matrix: np.ndarray, rows: Seq[int], cols: Seq[int]) -> float:
 def segment_counts(structures: list[str]) -> np.ndarray:
     """(len(structures), ws, 3) per-position H, E, C counts over each H/E/C
     string's complete 9-label segments, counted in chunks of strings as
-    featurize counts windows. A group's ws x 3 H, E, C profile (rows sum to
-    1) is the sum of its members' rows over their number of segments: see
+    featurize counts windows, in the narrowest unsigned type that holds the
+    most segments of any string. A group's ws x 3 H, E, C profile (rows sum
+    to 1) is the sum of its members' rows over their number of segments: see
     report.profile_for_members."""
     ws, n_classes = WINDOW_SIZE, len(SS3_CLASSES)
     n_segments = np.fromiter(map(len, structures), dtype=np.intp, count=len(structures)) // ws
-    counts = np.empty((len(structures), ws, n_classes), dtype=np.int64)
+    dtype = np.min_scalar_type(int(n_segments.max(initial=0)))
+    counts = np.empty((len(structures), ws, n_classes), dtype=dtype)
     for lo, hi in _chunks(n_segments * ws):
         joined = "".join([s[: ws * m] for s, m in zip(structures[lo:hi],
                                                       n_segments[lo:hi].tolist())])

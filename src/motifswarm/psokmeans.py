@@ -188,6 +188,7 @@ def pso_kmeans(data, k: int, cfg: PsoConfig) -> ClusterSet:
         nearest = lambda centroids: _pairwise_l1(
             flat, centroids.reshape(-1, flat.shape[1])).reshape(n, -1, k).argmin(axis=2)
         snap = lambda centroids, labels: _median_step(flat, centroids, labels)
+    del ordered  # as large as the items, and the swarm never reads it
 
     every = np.arange(cfg.n_particles)
     last_labels = np.full((n, cfg.n_particles), -1)

@@ -269,6 +269,16 @@ def profile_oracle(segments):
     return np.array(counts) / len(segments)
 
 
+def segment_counts_oracle(structure, window_size=9):
+    """window_size x 3 per-position H/E/C counts over a structure string's
+    complete segments, one label at a time."""
+    counts = [[0] * len(SS3_CLASSES) for _ in range(window_size)]
+    for start in range(0, len(structure) - window_size + 1, window_size):
+        for i, label in enumerate(structure[start : start + window_size]):
+            counts[i][SS3_CLASSES.index(label)] += 1
+    return np.array(counts)
+
+
 def csv_oracle(header, rows):
     """CSV text with every cell written by str, one row at a time."""
     text = ",".join(header) + "\n"

@@ -207,7 +207,8 @@ def test_oversized_window_of_no_sequence_is_contract_error(window_size):
 
 
 def test_largest_addressable_window_of_no_sequence_is_empty():
-    window_size = np.iinfo(np.intp).max // (8 * len(AMINO_ACIDS))
+    # No sequence holds a segment, so the counts are one-byte uint8.
+    window_size = np.iinfo(np.intp).max // len(AMINO_ACIDS)
     assert build_cluster_dataset([], window_size, SCHEME).shape == (0, window_size, 20)
     with pytest.raises(ContractError, match="too large"):
         build_cluster_dataset([], window_size + 1, SCHEME)
@@ -263,12 +264,36 @@ def test_corpus_scale_shapes():
     seqs = [random_sequence(rng, 30, seq_id=f"s{i}") for i in range(300)]
     windows = build_cluster_dataset(seqs, SIZE, SCHEME)
     assert windows.shape == (300, 9, 20)
-    assert windows.dtype == np.int64
+    assert windows.dtype == np.uint8  # 30 residues make 4 blocks at most
     for k in (0, 150, 299):
         np.testing.assert_array_equal(windows[k],
                                       build_cluster_dataset([seqs[k]], SIZE, SCHEME)[0])
     matrix = normalize_windows(windows, Settings.normalization)
     assert matrix.shape == (300, 20)
+
+
+@pytest.mark.parametrize("scheme, lengths, dtype", [
+    ("chunked", [9, 2295], np.uint8),     # 255 blocks
+    ("chunked", [2296, 9], np.uint16),    # 256 blocks
+    ("chunked", [30, 2400], np.uint16),   # 267 blocks
+    ("sliding", [9, 263], np.uint8),      # 255 windows
+    ("sliding", [264, 40], np.uint16),    # 256 windows
+    ("sliding", [2400], np.uint16),       # 2392 windows
+])
+def test_windows_take_the_narrowest_unsigned_type(scheme, lengths, dtype):
+    """The largest count a window can reach is the most blocks (chunked) or
+    stride-1 windows (sliding) of any sequence; one letter repeated reaches
+    it, so a narrower type would wrap."""
+    rng = np.random.default_rng(13)
+    seqs = [Sequence("a", "A" * lengths[0])]
+    seqs += [random_sequence(rng, m, seq_id=f"s{i}") for i, m in enumerate(lengths[1:])]
+    windows = build_cluster_dataset(seqs, SIZE, scheme)
+    assert windows.dtype == dtype
+    for w, seq in zip(windows, seqs):
+        np.testing.assert_array_equal(w, window_counts_oracle(seq.residues, SIZE, scheme))
+    for method in NORMALIZATION_METHODS:
+        np.testing.assert_array_equal(normalize_windows(windows, method),
+                                      normalize_windows(windows.astype(np.int64), method))
 
 
 def test_bicluster_row_of_pure_sequence():

@@ -17,7 +17,7 @@ from motifswarm.pso import PsoConfig
 from motifswarm.psokmeans import assignment_fitness, pso_kmeans
 from motifswarm.report import Settings, profile_for_members
 
-from helpers import msr_oracle, profile_oracle
+from helpers import msr_oracle, profile_oracle, segment_counts_oracle
 
 
 class TestIntraClusterFitness:
@@ -207,3 +207,22 @@ class TestBuildProfile:
         prof = group_profile(structures)
         segments = [s[t : t + 9] for s in structures for t in range(0, len(s) - 8, 9)]
         np.testing.assert_array_equal(prof, profile_oracle(segments))
+
+
+@pytest.mark.parametrize("lengths, dtype", [
+    ([], np.uint8),
+    ([8, 2303], np.uint8),     # 0 and 255 segments
+    ([2304, 20], np.uint16),   # 256 segments
+    ([2400, 9], np.uint16),    # 266 segments
+])
+def test_segment_counts_take_the_narrowest_unsigned_type(lengths, dtype):
+    """A position's count reaches the most complete segments of any string
+    when one label fills it, so a narrower type would wrap."""
+    rng = np.random.default_rng(14)
+    structures = ["H" * lengths[0]] if lengths else []
+    structures += ["".join(rng.choice(list("HEC"), size=m)) for m in lengths[1:]]
+    counts = segment_counts(structures)
+    assert counts.dtype == dtype
+    assert counts.shape == (len(structures), 9, 3)
+    for row, structure in zip(counts, structures):
+        np.testing.assert_array_equal(row, segment_counts_oracle(structure))

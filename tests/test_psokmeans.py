@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -451,6 +452,34 @@ def test_sample_corpus_inputs_take_the_table(name):
                            side_effect=Lattice.labels) as spy:
         pso_kmeans(flat, k, PsoConfig(n_particles=Settings.n_particles, max_iter=2))
     assert spy.called
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_no_sorted_copy_of_the_items_outlives_the_set_up(monkeypatch, table):
+    """The sorted items give the ranges, the value count and the table; the
+    swarm reads none of them, so no copy that size is alive when it starts."""
+    flat, k = command_input("chunked")
+    monkeypatch.setattr(psokmeans, "lattice_pays", lambda *args: table)
+    sort, engine = np.sort, psokmeans.pso_optimize
+    copies, alive = [], []
+
+    def spy_sort(a, *args, **kwargs):
+        result = sort(a, *args, **kwargs)
+        if result.shape == flat.shape:
+            copies.append(weakref.ref(result))
+        return result
+
+    def spy_engine(*args, **kwargs):
+        alive.extend(ref() is not None for ref in copies)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy_sort)
+    monkeypatch.setattr(psokmeans, "pso_optimize", spy_engine)
+    with mock.patch.object(Lattice, "labels", autospec=True,
+                           side_effect=Lattice.labels) as by_table:
+        pso_kmeans(flat, k, PsoConfig(n_particles=4, max_iter=2, seed=0))
+    assert by_table.called == table
+    assert alive and not any(alive)
 
 
 @pytest.mark.parametrize("kernel", ["table", "direct"])

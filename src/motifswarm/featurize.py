@@ -3,12 +3,13 @@
 Each sequence is folded into consecutive 9-residue blocks; counting how often
 each amino acid occupies each of the 9 block positions gives one 9x20
 frequency window per sequence (the clustering unit). A corpus is encoded as
-column indices, each sequence padded to whole blocks, and counted by one
-np.bincount call per chunk of whole sequences over (sequence, position,
-letter) bins; its windows are one (n, 9, 20) array whose row i belongs to
-sequence i, in the narrowest unsigned type that holds the largest count any
-window can reach (uint8 unless a sequence holds 256 or more blocks), so
-callers convert before they subtract. For biclustering, every window is
+column indices and counted per chunk of whole sequences by _count_segments:
+each sequence's blocks, padded to whole ones, or, for stride-1 windows, its
+letter totals and first and last window-size residues, from which a row
+recurrence gives every row. Its windows are one (n, 9, 20) array whose row i
+belongs to sequence i, in the narrowest unsigned type that holds the largest
+count any window can reach (uint8 unless a sequence holds 256 or more blocks),
+so callers convert before they subtract. For biclustering, every window is
 collapsed into a single 20-element row by a per-column normalization, giving
 an n_sequences x 20 matrix; the mode is the argmax of a (window, letter,
 value) count table.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .seqio import AMINO_ACIDS, Sequence, _codes, encode
+from .seqio import AMINO_ACIDS, Sequence, _codes
 
 WINDOW_SIZE = 9
 
@@ -51,36 +52,6 @@ def _count_segments(codes: np.ndarray, n_segments, n_symbols: int) -> np.ndarray
     cells += np.repeat(np.arange(0, n * ws * bins, ws * bins), n_segments)[:, None]
     counts = np.bincount(cells.ravel(), minlength=n * ws * bins)
     return counts.reshape(n, ws, bins)[:, :, :n_symbols]
-
-
-def _count_sliding(codes: np.ndarray, lengths: np.ndarray, window_size: int,
-                   n_symbols: int) -> np.ndarray:
-    """(len(lengths), window_size, n_symbols) counts of every stride-1
-    window of the sequences whose codes lie back to back in codes,
-    lengths[s] >= window_size codes for sequence s, by one np.bincount call.
-
-    The code at position p of a sequence of length L counts in every row i
-    with 0 <= p - i <= L - window_size, a run of rows added as +1 at its
-    first row and -1 one past its last (a spill row), then summed along the
-    window axis.
-    """
-    n, ws = len(lengths), window_size
-    pos = np.arange(codes.size)
-    pos -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # cells[0] marks each residue's first row, cells[1] one past its last
-    # row, in a second half of the count table.
-    cells = np.empty((2, codes.size), dtype=np.intp)
-    np.subtract(pos, np.repeat(lengths - ws, lengths), out=cells[0])
-    np.maximum(cells[0], 0, out=cells[0])
-    np.minimum(pos, ws - 1, out=cells[1])
-    cells[1] += 1 + n * (ws + 1)
-    cells += np.repeat(np.arange(0, n * (ws + 1), ws + 1), lengths)
-    cells *= n_symbols
-    cells += codes
-    half = n * (ws + 1) * n_symbols
-    counts = np.bincount(cells.ravel(), minlength=2 * half)
-    steps = (counts[:half] - counts[half:]).reshape(n, ws + 1, n_symbols)
-    return steps.cumsum(axis=1)[:, :ws]
 
 
 def _chunks(lengths: np.ndarray):
@@ -146,6 +117,8 @@ def normalize_windows(windows: np.ndarray, method: str) -> np.ndarray:
 def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -> np.ndarray:
     """The (len(seqs), window_size, 20) windows of seqs, in input order.
 
+    Row i counts position i of every window_size block (chunked), or
+    residues i .. L - window_size + i of a sequence of length L (sliding).
     The counts are of the narrowest unsigned type that holds the most
     segments (chunked) or stride-1 windows (sliding) of any sequence, the
     largest count a window can reach. A sequence shorter than window_size is
@@ -175,9 +148,20 @@ def build_cluster_dataset(seqs: list[Sequence], window_size: int, scheme: str) -
     windows = np.empty((len(seqs), window_size, len(AMINO_ACIDS)), dtype=dtype)
     if scheme == "sliding":
         for lo, hi in _chunks(lengths):
-            codes = encode("".join([s.residues for s in seqs[lo:hi]]))
-            windows[lo:hi] = _count_sliding(codes, lengths[lo:hi], window_size,
-                                            len(AMINO_ACIDS))
+            codes = _codes("".join([s.residues for s in seqs[lo:hi]]), AMINO_ACIDS)
+            ends = np.cumsum(lengths[lo:hi])
+            starts = np.concatenate([ends - lengths[lo:hi], ends - window_size])
+            totals = _count_segments(codes[:, None], lengths[lo:hi], len(AMINO_ACIDS))
+            # Each sequence's first and last window_size residues, one segment each.
+            edges = _count_segments(codes[starts[:, None] + np.arange(window_size)],
+                                    np.ones(2 * (hi - lo), dtype=np.intp), len(AMINO_ACIDS))
+            first, last = edges[:hi - lo], edges[hi - lo:]
+            # Row i counts every residue but the first i and the last
+            # window_size - 1 - i, so row 0 is the totals less last[1:] and
+            # row i + 1 is row i less first[i] plus last[i + 1] (kept in last).
+            last[:, 0] = totals[:, 0] - last[:, 1:].sum(axis=1)
+            last[:, 1:] -= first[:, :-1]
+            windows[lo:hi] = last.cumsum(axis=1)
         return windows
     n_segments = -(-lengths // window_size)
     for lo, hi in _chunks(n_segments * window_size):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .featurize import WINDOW_SIZE, _chunks, _count_segments
-from .seqio import SS3_CLASSES, encode
+from .seqio import SS3_CLASSES, _codes
 
 HOMOLOGY_IDENTICAL = "Identical"
 HOMOLOGY_WEAK = "Weak"
@@ -60,7 +60,7 @@ def segment_counts(structures: list[str]) -> np.ndarray:
     for lo, hi in _chunks(n_segments * ws):
         joined = "".join([s[: ws * m] for s, m in zip(structures[lo:hi],
                                                       n_segments[lo:hi].tolist())])
-        codes = encode(joined, SS3_CLASSES).reshape(-1, ws)
+        codes = _codes(joined, SS3_CLASSES).reshape(-1, ws)
         counts[lo:hi] = _count_segments(codes, n_segments[lo:hi], n_classes)
     return counts
 

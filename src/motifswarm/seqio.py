@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, InputError, LinkError, ParseError, ValidationError
+from .errors import InputError, LinkError, ParseError, ValidationError
 
 #: Canonical one-letter amino-acid alphabet. This ordering is used for the
 #: columns of every frequency matrix produced by the package.
@@ -102,19 +102,6 @@ def _codes(text: str, alphabet: str) -> np.ndarray:
     of the ASCII bytes of text. The array is read-only."""
     return np.frombuffer(text.encode("ascii", "replace").translate(_CODE_TABLES[alphabet]),
                          dtype=np.uint8)
-
-
-def encode(text: str, alphabet: str = AMINO_ACIDS) -> np.ndarray:
-    """_codes of text in alphabet (AMINO_ACIDS or SS3_CLASSES).
-
-    Raises ContractError naming the first character outside the alphabet.
-    """
-    codes = _codes(text, alphabet)
-    if codes.size and codes.max() == len(alphabet):
-        pos = int(np.argmax(codes == len(alphabet)))
-        raise ContractError(
-            f"character {text[pos]!r} at position {pos + 1} is not in {alphabet!r}")
-    return codes
 
 
 def _records(text: str, stray: str):

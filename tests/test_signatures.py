@@ -10,7 +10,6 @@ SOURCES = Path(motifswarm.__file__).parent
 KEPT_DEFAULTS = {
     "cli.main.argv",  # the console script calls main() with no argument
     "psobiclust.pso_bicluster.lam",  # bench/workloads.py passes three arguments
-    "seqio.encode.alphabet",  # featurize encodes residues in AMINO_ACIDS
 }
 
 

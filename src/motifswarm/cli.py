@@ -173,6 +173,9 @@ def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
         if gid in seen:
             raise ValidationError(f"{path}: bicluster entry {n} repeats the group id "
                                   f"{gid!r}, which names its output files")
+        if gid == "motifs":
+            raise ValidationError(f"{path}: bicluster entry {n} has the group id "
+                                  "'motifs', whose report would be the group index")
         seen.add(gid)
         if not entry["rows"]:
             raise ValidationError(f"{path}: bicluster entry {n} ({gid!r}) has no rows")

@@ -58,7 +58,6 @@ class Swarm:
     t + 1, iteration is the number of iterations run, and converged says
     whether gbest had stalled for STALL_ITERATIONS when it ended."""
 
-    gbest_position: np.ndarray
     iteration: int
     history: list[float]
     converged: bool
@@ -132,6 +131,4 @@ def pso_optimize(fitness, positions, velocities, cfg: PsoConfig, rng, v_max):
         velocities = np.clip(velocities, -v_max, v_max)
         positions = positions + velocities
 
-    swarm = Swarm(gbest_position=gbest_pos, iteration=iteration, history=history,
-                  converged=converged)
-    return swarm, gbest_pos
+    return Swarm(iteration=iteration, history=history, converged=converged), gbest_pos

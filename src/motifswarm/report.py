@@ -9,6 +9,7 @@ Note the deliberate asymmetry with metrics.homology_class: the tally uses >=
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -133,11 +134,10 @@ class Settings:
 
 
 def _json_float(value: float) -> str:
-    """A float as json.dumps(allow_nan=False) writes it, or its ValueError."""
-    text = float.__repr__(value)
-    if text[-1] in "fn":  # inf, -inf or nan
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return text
+    """A float as json.dumps writes it; inf, -inf and nan are a ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return float.__repr__(value)
 
 
 #: The JSON text of a scalar, by its exact type, as json.dumps writes it.
@@ -145,59 +145,40 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_f
                  bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a number, bool or None as its
-    JSON text in quotes; any other type is a TypeError."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # a bool is an int
-        return encode_basestring_ascii(_JSON_SCALARS.get(type(key), _json_scalar)(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_scalar(value) -> str:
-    """The JSON text of a str, int or float subclass, as json.dumps writes
-    it; any other type is a TypeError."""
-    for kind in (str, int, float):
-        if isinstance(value, kind):
-            return _JSON_SCALARS[kind](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _json_write(value, indent: str) -> str:
-    """The JSON text of a list, tuple or dict at indent. A member whose
-    exact type is in _JSON_SCALARS is written inline and any other member by
-    a recursive call, which writes a container member by member and sends
-    any other value to _json_scalar. The payload must be a tree: a container
-    that holds itself is not detected."""
-    if isinstance(value, (list, tuple)):
-        opener, closer, items = "[", "]", value
-    elif isinstance(value, dict):
-        opener, closer, items = "{", "}", sorted(value.items())
-    else:
-        return _json_scalar(value)
-    if not value:
-        return opener + closer
+    """The JSON text of a list, or of a dict with str keys, at indent. A
+    member of an exact type in _JSON_SCALARS is written inline, any other
+    member by a recursive call. Any other value or key, a list or dict
+    subclass included, is a TypeError, and a non-finite float a ValueError.
+    A container that holds itself is not detected."""
     inner = indent + "  "
-    if opener == "[":
+    if type(value) is list:
+        opener, closer = "[", "]"
         texts = [s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_write(v, inner)
-                 for v in items]
+                 for v in value]
+    elif type(value) is dict:
+        opener, closer = "{", "}"
+        texts = [encode_basestring_ascii(k) + ": "
+                 + (s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_write(v, inner))
+                 for k, v in sorted(value.items())]
     else:
-        texts = [_json_key(k) + ": " + (s(v) if (s := _JSON_SCALARS.get(type(v)))
-                                        else _json_write(v, inner)) for k, v in items]
+        raise TypeError(type(value).__name__)
+    if not texts:
+        return opener + closer
     return opener + "\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + closer
 
 
 def json_text(payload) -> str:
     """The artifact form of a JSON payload: exactly the text of
     json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) plus a
-    newline, and the same ValueError or TypeError where it refuses the
-    payload. Scalars are written by json's own functions. A payload that
-    contains itself, which json refuses with a ValueError, recurses until
-    RecursionError; artifact payloads are built fresh as trees."""
-    scalar = _JSON_SCALARS.get(type(payload))
-    return (scalar(payload) if scalar else _json_write(payload, "")) + "\n"
+    newline. _json_write writes the plain values that artifacts hold; any
+    other payload goes to json.dumps, which writes it or raises its own
+    ValueError or TypeError. A payload that contains itself, which json
+    refuses, recurses until RecursionError; artifact payloads are trees."""
+    try:
+        return _json_write(payload, "") + "\n"
+    except (TypeError, ValueError):
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_field(text: str) -> str:

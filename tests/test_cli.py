@@ -367,7 +367,11 @@ class TestMotifs:
         ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
           {"id": "h", "rows": ["hel02"], "cols": "AAD"}],
          "bicluster entry 1 ('h') lists motif letter 'A' more than once"),
-    ], ids=["repeated-id", "empty-rows", "repeated-row", "empty-cols", "repeated-col"])
+        ([{"id": "g", "rows": ["hel01"], "cols": "AG"},
+          {"id": "motifs", "rows": ["hel02"], "cols": "AG"}],
+         "bicluster entry 1 has the group id 'motifs', whose report would be the group index"),
+    ], ids=["repeated-id", "empty-rows", "repeated-row", "empty-cols", "repeated-col",
+            "index-id"])
     def test_repeated_group_id_or_empty_rows_exits_3(self, tmp_path, capsys, entries,
                                                       message):
         path = tmp_path / "b.json"
@@ -606,6 +610,28 @@ def test_every_json_artifact_carries_one_header(tmp_path):
         assert data["config"] == echo, path
         assert data["version"] == cli.VERSION, path
         assert data["seed"] == data["config"]["seed"] == 3, path
+
+
+def test_every_artifact_payload_takes_the_plain_writer(tmp_path, monkeypatch):
+    """json_text writes every JSON artifact of the five commands itself,
+    config-file, given-biclusters, sliding-window and mode runs included:
+    json.dumps, its fallback for any other payload, is never called. A
+    payload that fell back would keep its bytes and lose only speed."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_corpus": True, "w": 1, "lam": 2,
+                               "thresholds": [0.7, 0.62, 0.5]}))
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(report.json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    runs = [["--sample-corpus"], ["--config", cfg],
+            ["--sample-corpus", "--window-scheme", "sliding", "--normalization", "mode"]]
+    for n, flags in enumerate(runs):
+        for command in ("prepare", "cluster", "bicluster", "motifs", "compare"):
+            assert run_cli(command, *flags, "--out", tmp_path / str(n)) == 0
+    assert run_cli("motifs", "--sample-corpus", "--biclusters",
+                   tmp_path / "0" / "biclusters.json", "--out", tmp_path / "given") == 0
+    assert len(list(tmp_path.rglob("*.json"))) > 60
+    assert calls == []
+    assert report.json_text((1,)) == "[\n  1\n]\n" and len(calls) == 1  # the spy is live
 
 
 class TestConfigLayering:

@@ -132,9 +132,9 @@ class TestLoopMechanics:
     def test_gbest_is_min_of_pbests(self):
         cfg = PsoConfig(n_particles=6, max_iter=20, seed=7)
         fitness = Recorder(sphere)
-        swarm, _ = run(fitness, init_box(7, n=6), cfg)
+        swarm, best = run(fitness, init_box(7, n=6), cfg)
         best_positions, pbest_fitness = fitness.best()
-        assert np.array_equal(swarm.gbest_position, best_positions[pbest_fitness.argmin()])
+        assert np.array_equal(best, best_positions[pbest_fitness.argmin()])
         assert pbest_fitness.shape == (6,)
         assert swarm.history[-1] == pbest_fitness.min()
         assert np.all(pbest_fitness <= fitness.values[-1])
@@ -228,10 +228,10 @@ class TestStallRule:
 class TestDeterminism:
     def test_identical_runs(self):
         cfg = PsoConfig(n_particles=7, max_iter=40, seed=11)
-        a, _ = run(sphere, init_box(11, n=7), cfg)
-        b, _ = run(sphere, init_box(11, n=7), cfg)
+        a, a_best = run(sphere, init_box(11, n=7), cfg)
+        b, b_best = run(sphere, init_box(11, n=7), cfg)
         assert a.history == b.history
-        assert np.array_equal(a.gbest_position, b.gbest_position)
+        assert np.array_equal(a_best, b_best)
 
 
 class TestErrors:
@@ -323,9 +323,8 @@ def test_engine_matches_the_allocating_oracle_bit_for_bit(problem):
     assert swarm.converged or swarm.iteration == cfg.max_iter
     for t, (got, expected) in enumerate(zip(recorder.scored, want["scored"])):
         assert np.array_equal(got, expected), t
-    assert np.array_equal(swarm.gbest_position, want["gbest_position"])
+    assert np.array_equal(best, want["gbest_position"])
     assert swarm.history == want["history"]
-    assert best is swarm.gbest_position
-    assert not np.shares_memory(swarm.gbest_position, recorder.live)
+    assert not np.shares_memory(best, recorder.live)
     assert np.array_equal(init, init_before)
     assert np.array_equal(velocities, velocities_before)

@@ -8,8 +8,8 @@ artifact one header: the settings' echo (all of them but the output
 directory), the version and the seed. No artifact holds a timestamp, so
 reruns with identical inputs are byte-identical wherever they are written.
 
-Exit codes: 1 contract violation, 2 unreadable/malformed input, 3 invalid
-content, 64 usage error.
+Exit codes: 1 contract violation, 2 unreadable/undecodable input or an empty
+path, 3 invalid content, 64 usage error.
 """
 
 from __future__ import annotations
@@ -42,20 +42,26 @@ EXIT_VALIDATION = 3
 EXIT_USAGE = 64
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; an unreadable file, or text that
+    json refuses (too deep, too long an integer), is an InputError."""
+    try:
+        text = read_text(path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def build_config(args: argparse.Namespace) -> Settings:
     """Layer built-in defaults, then the config file, then explicit flags;
     Settings checks the result."""
     keys = [f.name for f in dataclasses.fields(Settings) if f.init]
     merged = {}
-    if getattr(args, "config", None):
-        try:
-            text = read_text(args.config)
-        except OSError as exc:
-            raise InputError(f"cannot read config file: {exc}") from exc
-        try:
-            file_cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file is not valid JSON: {exc}") from exc
+    if args.config is not None:
+        file_cfg = _read_json(args.config, "config file")
         if not isinstance(file_cfg, dict):
             raise InputError("config file must hold a single JSON object")
         for key in file_cfg:
@@ -144,10 +150,7 @@ def cmd_bicluster(cfg: Settings) -> None:
 
 
 def _load_bicluster_groups(path: str, corpus: Corpus) -> list:
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bicluster report is not valid JSON: {exc}") from exc
+    data = _read_json(path, "bicluster report")
     entries = data.get("biclusters") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise InputError(f"{path} does not look like a bicluster report")

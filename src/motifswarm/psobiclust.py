@@ -53,8 +53,6 @@ def seed_biclusters(matrix, k_rows: int, k_cols: int, cfg: PsoConfig):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 2:
         raise ContractError("matrix must have at least 2 rows and 2 columns")
-    if not (1 <= k_rows <= m.shape[0] and 1 <= k_cols <= m.shape[1]):
-        raise ContractError("k_rows/k_cols out of range for matrix")
 
     row_cs = pso_kmeans(m, k_rows, cfg)
     # Column run gets the next seed so the two searches are decorrelated.

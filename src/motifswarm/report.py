@@ -108,11 +108,14 @@ class Settings:
                 raise ContractError(f"sample_corpus and {name} both name an input; "
                                     "give one or the other")
         for name in ("sequences", "structures", "out", "trace", "biclusters"):
+            path = getattr(self, name)
+            if path == "" or "\0" in (path or ""):
+                raise InputError(f"setting {name!r} is empty or holds a NUL: {path!r}")
             try:
-                os.fsencode(getattr(self, name) or "")
+                os.fsencode(path or "")
             except UnicodeEncodeError:
                 raise InputError(f"setting {name!r} is not a file-system path: "
-                                 f"{getattr(self, name)!r}") from None
+                                 f"{path!r}") from None
         if not 0.0 <= self.saa_threshold <= 1.0:
             raise ContractError(f"saa threshold {self.saa_threshold} is outside [0, 1]")
         if not all(map(math.isfinite, self.thresholds)):
@@ -318,23 +321,14 @@ def cluster_corpus(windows, settings: Settings) -> ClusterSet:
     return pso_kmeans(windows, settings.k, settings.swarm)
 
 
-def bicluster_corpus(windows, settings: Settings):
-    """Bicluster a corpus's normalized windows: the seed_biclusters crossings
-    of settings.swarm's row and column clusterings, ranked by pso_bicluster.
-
-    settings.lam=None resolves to default_lambda of the matrix. Returns
-    (biclusters, lambda).
-    """
+def bicluster_entries(corpus: Corpus, windows, settings: Settings):
+    """The biclusters.json entries (letters in AMINO_ACIDS order) and the lambda
+    of a corpus's normalized windows: the seed_biclusters crossings of
+    settings.swarm ranked by pso_bicluster; lam=None is default_lambda."""
     matrix = normalize_windows(windows, settings.normalization)
     lam = default_lambda(matrix) if settings.lam is None else settings.lam
     seeds = seed_biclusters(matrix, settings.k_rows, settings.k_cols, settings.swarm)
-    return pso_bicluster(matrix, settings.swarm, seeds, lam=lam), lam
-
-
-def bicluster_entries(corpus: Corpus, windows, settings: Settings):
-    """Bicluster a corpus's windows (bicluster_corpus); returns the
-    biclusters.json entries, letters in AMINO_ACIDS order, and the lambda."""
-    bics, lam = bicluster_corpus(windows, settings)
+    bics = pso_bicluster(matrix, settings.swarm, seeds, lam=lam)
     ids = [s.id for s in corpus.sequences]
     entries = [
         {

@@ -876,6 +876,41 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path", ["", "a\0b", "a\ud800b"])
+@pytest.mark.parametrize("flag", ["--sequences", "--structures", "--out", "--trace",
+                                  "--biclusters", "--config"])
+def test_path_that_names_no_file_exits_2(tmp_path, monkeypatch, capsys, flag, path):
+    """An empty path is refused, not skipped, since the artifacts would echo
+    it; so are a NUL and a lone surrogate, which no file name holds."""
+    monkeypatch.chdir(tmp_path)
+    source = {"--sequences": [],
+              "--structures": ["--sequences", sample_corpus_paths()[0]]}.get(
+                  flag, ["--sample-corpus"])
+    out = [] if flag == "--out" else ["--out", "out"]
+    command = "cluster" if flag == "--trace" else "motifs"
+    code = run_cli(command, *source, flag, path, *out, "--max-iter", "1")
+    assert_fails_cleanly(capsys, code, 2)
+    assert os.listdir() == []
+
+
+def _bad_json(name):
+    if name == "deep":
+        return "[" * 10**5 + "]" * 10**5
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    return "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("name", ["deep", "long-int"])
+@pytest.mark.parametrize("flag", ["--config", "--biclusters"])
+def test_json_that_json_refuses_exits_2(tmp_path, monkeypatch, capsys, flag, name):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(_bad_json(name))
+    code = run_cli("motifs", "--sample-corpus", flag, "bad.json", "--out", "out")
+    assert "is not valid JSON" in assert_fails_cleanly(capsys, code, 2)
+    assert os.listdir() == ["bad.json"]
+
+
 def test_inputs_that_start_with_a_byte_order_mark_read_as_without(tmp_path):
     bom = tmp_path / "bom"
     bom.mkdir()
@@ -1013,7 +1048,8 @@ COMMAND_FLAGS = {
                "--saa-threshold": ["0", "0.07", "1", "-1", "1.5", "nan"],
                "--biclusters": ["{root}/groups.json", "{root}/repeated.json",
                                 "{root}/empty.fasta", "{root}/missing",
-                                "{root}/latin1.fasta"]},
+                                "{root}/latin1.fasta", "{root}/deep.json",
+                                "{root}/long-int.json"]},
     "compare": {**IO_FLAGS, **SWARM_FLAGS, **BICLUSTER_FLAGS, **CLUSTER_FLAGS,
                 "--thresholds": ["0.7,0.6", "0.6,0.7", "nan", "inf,0.5", "", "x"]},
 }
@@ -1078,6 +1114,9 @@ def test_every_input_ends_in_a_documented_exit_code(invocation):
         group = {"id": "g", "rows": ["hel01", "str07"], "cols": "AGL"}
         (root / "groups.json").write_text(json.dumps({"biclusters": [group]}))
         (root / "repeated.json").write_text(json.dumps({"biclusters": [group, group]}))
+        (root / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1
+        (root / "long-int.json").write_text("1" * digits)
         argv = [a.format(root=root, sample=sample) for a in argv]
         if config is not None:
             text = json.dumps(config).replace("{root}", str(root))

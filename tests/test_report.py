@@ -13,7 +13,7 @@ from motifswarm.psobiclust import seed_biclusters
 from motifswarm.report import (
     DEFAULT_THRESHOLDS,
     Settings,
-    bicluster_corpus,
+    bicluster_entries,
     compare_pipelines,
     corpus_segment_counts,
     corpus_windows,
@@ -22,7 +22,7 @@ from motifswarm.report import (
     tally_homology,
     tally_to_csv,
 )
-from motifswarm.seqio import Corpus, Sequence, load_sample_corpus
+from motifswarm.seqio import AMINO_ACIDS, Corpus, Sequence, load_sample_corpus
 
 from helpers import planted_structure_corpus, profile_oracle
 
@@ -67,15 +67,18 @@ class TestTallyHomology:
 @pytest.mark.parametrize("seed", range(10))
 def test_biclusters_are_the_crossings_in_fitness_order(seed):
     settings = Settings(sample_corpus=True, seed=seed)
-    windows = corpus_windows(load_sample_corpus(), settings)
+    corpus = load_sample_corpus()
+    windows = corpus_windows(corpus, settings)
     matrix = normalize_windows(windows, settings.normalization)
     cells = matrix.size
     lam = 0.1 * msr(matrix, range(matrix.shape[0]), range(matrix.shape[1]))
     crossings = seed_biclusters(matrix, settings.k_rows, settings.k_cols, settings.swarm)
-    bics, got_lam = bicluster_corpus(windows, settings)
+    entries, got_lam = bicluster_entries(corpus, windows, settings)
     assert got_lam == lam
-    assert bics == sorted(crossings, key=lambda b: (b.msr - lam * b.volume / cells,
-                                                    b.rows, b.cols))
+    bics = sorted(crossings, key=lambda b: (b.msr - lam * b.volume / cells, b.rows, b.cols))
+    assert [(e["rows"], e["cols"], e["msr"], e["volume"]) for e in entries] == [
+        ([corpus.sequences[r].id for r in b.rows], "".join(AMINO_ACIDS[c] for c in b.cols),
+         b.msr, b.volume) for b in bics]
 
 
 def test_profile_for_members_pure_helix():
